@@ -8,7 +8,6 @@ configuration give byte-identical output.
 from __future__ import annotations
 
 import json
-import os
 
 import click
 
@@ -24,10 +23,21 @@ def _load_input(arg):
     try:
         return fixture(arg)
     except UnknownFixture:
-        pass
-    if not os.path.exists(arg):
-        raise click.ClickException(f"no such fixture or file: {arg}")
-    return presentation.load(arg)
+        return presentation.load(arg)
+
+
+def _load(ctx, load, names):
+    """Apply load to every name; bad input ends the command with exit 2."""
+    try:
+        return [load(name) for name in names]
+    except OSError as exc:
+        msg = f"cannot read {exc.filename}: {exc.strerror}"
+    except UnknownFixture as exc:
+        msg = f"unknown fixture {exc}"
+    except (presentation.ParseError, ValidationError) as exc:
+        msg = str(exc)
+    click.echo(f"error: {msg}", err=True)
+    ctx.exit(2)
 
 
 def _emit(ctx, command, inputs, config, reports, extra=None):
@@ -80,14 +90,7 @@ def main(ctx, report, max_len, cap, seed):
 @click.pass_context
 def validate(ctx, path):
     """Load a document and report structural violations."""
-    try:
-        C = presentation.load(path)
-    except FileNotFoundError:
-        click.echo(f"error: no such file: {path}", err=True)
-        ctx.exit(2)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, presentation.load, [path])
     from .kernel import CheckReport
     _emit(ctx, "validate", [path], {}, [CheckReport("structure", "pass",
                                                     sum(len(C.cells[d]) for d in range(4)))])
@@ -103,11 +106,7 @@ def check():
 @click.pass_context
 def check_gray(ctx, target):
     """Run the Gray-axiom suite on a fixture or document."""
-    try:
-        C = _load_input(target)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, _load_input, [target])
     reports = check_gray_axioms(C)
     _emit(ctx, "check gray", [target], {}, reports)
 
@@ -118,11 +117,7 @@ def check_gray(ctx, target):
 def check_m(ctx, target):
     """Verify the path composition is a pseudo map over a fixture."""
     from .pathcomp import verify_m_pseudo, verify_internal_category
-    try:
-        C = _load_input(target)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, _load_input, [target])
     reports = verify_m_pseudo(C) + verify_internal_category(C)
     _emit(ctx, "check m", [target], {}, reports)
 
@@ -133,11 +128,7 @@ def check_m(ctx, target):
 def check_comonad(ctx, target):
     """Counit/comultiplication laws on symbolic cells."""
     from .resolution import comonad_law_check
-    try:
-        C = _load_input(target)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, _load_input, [target])
     reports = comonad_law_check(C, max_len=ctx.obj["max_len"])
     _emit(ctx, "check comonad", [target], {"max_len": ctx.obj["max_len"]}, reports)
 
@@ -150,11 +141,7 @@ def check_comonad(ctx, target):
 def pathspace(ctx, target, out):
     """Build the path space of a fixture or document."""
     from .pathspace import build_pathspace
-    try:
-        C = _load_input(target)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, _load_input, [target])
     P = build_pathspace(C)
     reports = check_gray_axioms(P)
     extra = {"cells": [len(P.cells[d]) for d in range(4)]}
@@ -170,13 +157,9 @@ def pathspace(ctx, target, out):
 def tower(ctx, target):
     """Assemble the internal Gray-category tower and check its laws."""
     from .highercells import Tower, assemble_internal_graycat
-    try:
-        C = _load_input(target)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, _load_input, [target])
     tw = Tower(C)
-    reports = assemble_internal_graycat(C)
+    reports = assemble_internal_graycat(tw)
     extra = {"stages": {
         "path": [len(tw.PH.cells[d]) for d in range(4)],
         "bigon": [len(tw.DD.cells[d]) for d in range(4)],
@@ -189,24 +172,16 @@ def tower(ctx, target):
 @main.command()
 @click.argument("gname")
 @click.argument("hname")
-@click.option("--strict-only", is_flag=True,
-              help="Restrict to the malleable mapping space.")
 @click.pass_context
-def hom(ctx, gname, hname, strict_only):
+def hom(ctx, gname, hname):
     """Materialize [G,H] and run the Gray axioms on it."""
     from .homspace import hom_graycat
-    try:
-        G = _load_input(gname)
-        H = _load_input(hname)
-    except (presentation.ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
-    C, reg, reports = hom_graycat(G, H, cap=ctx.obj["cap"],
-                                  strict_only=strict_only)
+    G, H = _load(ctx, _load_input, [gname, hname])
+    C, reg, reports = hom_graycat(G, H, cap=ctx.obj["cap"])
     reports = list(reports) + check_gray_axioms(C)
     extra = {"cells": [len(C.cells[d]) for d in range(4)]}
     _emit(ctx, "hom", [gname, hname],
-          {"cap": ctx.obj["cap"], "strict_only": strict_only}, reports, extra)
+          {"cap": ctx.obj["cap"]}, reports, extra)
 
 
 @main.command()
@@ -219,12 +194,7 @@ def faults(ctx, target, count):
     from .kernel import CheckReport
     names = [target] if target != "all" else \
         ["INT", "BIG", "PAIR", "CYC2", "TWIST", "CHAIN3"]
-    try:
-        for n in names:
-            fixture(n)
-    except UnknownFixture as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    _load(ctx, fixture, names)
     det, tot, misses = run_fault_trials(fixture, names, count,
                                         seed=ctx.obj["seed"])
     rep = CheckReport("fault-detection", "pass" if det == tot else "fail",
@@ -253,11 +223,7 @@ def fixtures_list(ctx):
 @click.pass_context
 def fixtures_dump(ctx, name, out):
     """Write a fixture as a graycat document."""
-    try:
-        C = fixture(name)
-    except UnknownFixture as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    C, = _load(ctx, fixture, [name])
     presentation.save(C, out)
     click.echo(out)
     ctx.exit(0)

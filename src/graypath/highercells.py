@@ -10,8 +10,8 @@ subobject - a failed assertion is a construction bug, not an input error.
 
 from __future__ import annotations
 
-from .kernel import (CheckReport, FactorizationFailed, GrayError,
-                     NotComposable, law_report)
+from .kernel import (FactorizationFailed, GrayError, NotComposable,
+                     law_report, run_laws)
 from .kernel import hcomp_left as base_hcomp_left, hcomp_right as base_hcomp_right
 from .pathspace import (PPrime, PathView, build_pathspace, degeneracy,
                         materialize, path_cells, path_map, pd0, pd1, pdim)
@@ -98,7 +98,6 @@ class Tower:
         _, _, self.m = m_pseudo(H, self.PH, self.K)
         self._pm = PPrime(self.m)
         self._dd = None
-        self._ddcells = None
         self._ddd = None
         self._p2 = None
 
@@ -114,7 +113,6 @@ class Tower:
             cells = path_cells(self.PH)
             kept = tuple([c for c in cs if self.dbl_keep(d, c)]
                          for d, cs in enumerate(cells))
-            self._ddcells = kept
             self._dd = materialize(self.PV, kept, name=f"dbl({self.H.name})")
         return self._dd
 
@@ -209,12 +207,9 @@ class Tower:
                                     name=f"tri({self.H.name})")
         return self._ddd
 
-    def in_triple(self, d, c):
-        return self.tri_keep(d, c)
-
     def mbarbar(self, d, b, a):
         out = m_apply(self.DD, PathView(self.DD), d, b, a)
-        if not self.in_triple(d, out):
+        if not self.tri_keep(d, out):
             raise FactorizationFailed("mbarbar output escaped the 3-path space")
         return out
 
@@ -244,7 +239,7 @@ class Tower:
         pp = PPrime(self._wl_opmap(), domops=PairOps(self.DD, self.PH),
                     codops=PathView(self.DD))
         out = pp.cell(d, zip_path(d, c, degeneracy(self.PH, d, p)))
-        if not self.in_triple(d, out):
+        if not self.tri_keep(d, out):
             raise FactorizationFailed("wbar_l output escaped the 3-path space")
         return out
 
@@ -252,7 +247,7 @@ class Tower:
         pp = PPrime(self._wr_opmap(), domops=PairOps(self.PH, self.DD),
                     codops=PathView(self.DD))
         out = pp.cell(d, zip_path(d, degeneracy(self.PH, d, p), c))
-        if not self.in_triple(d, out):
+        if not self.tri_keep(d, out):
             raise FactorizationFailed("wbar_r output escaped the 3-path space")
         return out
 
@@ -261,7 +256,7 @@ class Tower:
         pp = PPrime(self._mbar_opmap(), domops=PairOps(self.DD, self.DD),
                     codops=PathView(self.DD))
         out = pp.cell(d, zip_path(d, c, degeneracy(self.DD, d, A)))
-        if not self.in_triple(d, out):
+        if not self.tri_keep(d, out):
             raise FactorizationFailed("wtil_l output escaped the 3-path space")
         return out
 
@@ -269,7 +264,7 @@ class Tower:
         pp = PPrime(self._mbar_opmap(), domops=PairOps(self.DD, self.DD),
                     codops=PathView(self.DD))
         out = pp.cell(d, zip_path(d, degeneracy(self.DD, d, A), c))
-        if not self.in_triple(d, out):
+        if not self.tri_keep(d, out):
             raise FactorizationFailed("wtil_r output escaped the 3-path space")
         return out
 
@@ -312,7 +307,7 @@ class Tower:
         W2 = p2(H, tens, H.ident(1, H.ident(0, x)), H.ident(1, H.ident(0, y)),
                 T, B)
         out = sq(PH, W2, W0, W1, T, B)
-        if not (self.DD.has_cell(1, out) and self.in_triple(0, out)):
+        if not (self.DD.has_cell(1, out) and self.tri_keep(0, out)):
             raise FactorizationFailed("tensor object escaped the 3-path space")
         return out
 
@@ -344,42 +339,33 @@ def check_1cartesian(tower):
     """Parallel 3-path 1-cells: higher cells are determined by their
     (dj0, dj1) image, and every parallel pair downstairs lifts."""
     DDD, DD, P2 = tower.DDD, tower.DD, tower.P2
-    n, bad = 0, None
     by_par = {}
     for w in DDD.cells[1]:
         by_par.setdefault((DDD.src(1, w), DDD.tgt(1, w)), []).append(w)
-    for group in by_par.values():
-        for h in group:
-            for k in group:
-                up = [c for c in DDD.cells[2]
-                      if DDD.src(2, c) == h and DDD.tgt(2, c) == k]
-                images = [(pd0(DD, 2, c), pd1(DD, 2, c)) for c in up]
-                n += 1
-                if len(set(images)) != len(images):
-                    bad = ("not-injective", h, k)
-                    break
-                down = [c for c in P2.cells[2]
-                        if P2.src(2, c) == (pd0(DD, 1, h), pd1(DD, 1, h))
-                        and P2.tgt(2, c) == (pd0(DD, 1, k), pd1(DD, 1, k))]
-                if set(images) != set(down):
-                    bad = ("not-full", h, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    return CheckReport("one-cartesian", "fail" if bad else "pass", n, bad)
+
+    def lifts():
+        for group in by_par.values():
+            for h in group:
+                for k in group:
+                    up = [c for c in DDD.cells[2]
+                          if DDD.src(2, c) == h and DDD.tgt(2, c) == k]
+                    images = [(pd0(DD, 2, c), pd1(DD, 2, c)) for c in up]
+                    if len(set(images)) != len(images):
+                        yield False, ("not-injective", h, k)
+                        continue
+                    down = [c for c in P2.cells[2]
+                            if P2.src(2, c) == (pd0(DD, 1, h), pd1(DD, 1, h))
+                            and P2.tgt(2, c) == (pd0(DD, 1, k), pd1(DD, 1, k))]
+                    yield set(images) == set(down), ("not-full", h, k)
+
+    return law_report("one-cartesian", lifts())
 
 
-def assemble_internal_graycat(H, strict_functor=None):
-    """Build the four-stage tower over H and machine-check its laws."""
-    tw = Tower(H)
+def assemble_internal_graycat(tw, strict_functor=None):
+    """Machine-check the laws of the four-stage tower tw (a Tower over H)."""
+    H = tw.H
     PH, DD, DDD, P2 = tw.PH, tw.DD, tw.DDD, tw.P2
     V, PV = tw.V, tw.PV
-    reports = []
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def reflexive_glob():
         for d in (0, 1, 2, 3):
@@ -625,20 +611,21 @@ def assemble_internal_graycat(H, strict_functor=None):
                 rhs = twK.mbar(d, _double_im(fn, d, b), _double_im(fn, d, a))
                 yield lhs == rhs, ("mbar-natural", d, b, a)
 
-    law("reflexive-globular", reflexive_glob())
-    law("mbar-category", mbar_laws())
-    law("whisker-extension", whisker_laws())
-    law("hcomp-faces", hcomp_laws())
-    law("mbarbar-category", triple_laws())
-    law("wbar-extension", bar_whisker_laws())
-    law("wtil-extension", til_whisker_laws())
-    law("whisk23-interchange", interchange_laws())
-    law("tensor-map", tensor_laws())
-    law("P-internal-category", pm_internal_cat())
+    laws = [
+        ("reflexive-globular", reflexive_glob()),
+        ("mbar-category", mbar_laws()),
+        ("whisker-extension", whisker_laws()),
+        ("hcomp-faces", hcomp_laws()),
+        ("mbarbar-category", triple_laws()),
+        ("wbar-extension", bar_whisker_laws()),
+        ("wtil-extension", til_whisker_laws()),
+        ("whisk23-interchange", interchange_laws()),
+        ("tensor-map", tensor_laws()),
+        ("P-internal-category", pm_internal_cat()),
+    ]
     if strict_functor is not None:
-        law("strict-naturality", naturality())
-    reports.append(check_1cartesian(tw))
-    return reports
+        laws.append(("strict-naturality", naturality()))
+    return run_laws(laws) + [check_1cartesian(tw)]
 
 
 def _double_im(fn, d, c):

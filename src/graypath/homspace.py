@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .kernel import (CheckReport, GrayError, Mismatch, StrictMap,
-                     law_report)
+from .kernel import CheckReport, GrayError, Mismatch, StrictMap, run_laws
 from .pathspace import (PathView, p2, p3, pd0, pd1, sq, src_paste,
                         tgt_paste)
 from .highercells import Tower
@@ -303,10 +302,6 @@ def validate_transformation(t):
     """
     dom, H = t.dom, t.H
     F, G = t.F, t.G
-    reports = []
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def incidence():
         for x in dom.cells[0]:
@@ -399,13 +394,14 @@ def validate_transformation(t):
                 if dom.src(1, g) == dom.tgt0(2, delt):
                     yield _whisker_right(t, g, delt), ("whisker-right", g, delt)
 
-    law("transformation-incidence", incidence())
-    law("transformation-units", unit())
-    law("three-cell-square", three_cell_square())
-    law("vertical-composites", vertical_composite())
-    law("cocycle-condition", cocycle_conditions())
-    law("whisker-compatibility", whisker_compat())
-    return reports
+    return run_laws([
+        ("transformation-incidence", incidence()),
+        ("transformation-units", unit()),
+        ("three-cell-square", three_cell_square()),
+        ("vertical-composites", vertical_composite()),
+        ("cocycle-condition", cocycle_conditions()),
+        ("whisker-compatibility", whisker_compat()),
+    ])
 
 
 def _hexagon(t, c, b, a):
@@ -480,10 +476,6 @@ def validate_modification(A):
     dom, H = A.dom, A.H
     al, be = A.alpha, A.beta
     F, G = al.F, al.G
-    reports = []
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def incidence():
         for x in dom.cells[0]:
@@ -546,11 +538,12 @@ def validate_modification(A):
             rhs = H.comp2(s7, H.comp2(s6, s5))
             yield lhs == rhs, ("cocycle-compatibility", f2, f1)
 
-    law("modification-incidence", incidence())
-    law("modification-units", unit())
-    law("two-cell-compatibility", two_cell_compat())
-    law("cocycle-compatibility", cocycle_compat())
-    return reports
+    return run_laws([
+        ("modification-incidence", incidence()),
+        ("modification-units", unit()),
+        ("two-cell-compatibility", two_cell_compat()),
+        ("cocycle-compatibility", cocycle_compat()),
+    ])
 
 
 def validate_perturbation(s):
@@ -559,28 +552,24 @@ def validate_perturbation(s):
     A, B = s.A, s.B
     al, be = A.alpha, A.beta
     F, G = al.F, al.G
-    reports = []
-    n, bad = 0, None
-    for x in dom.cells[0]:
-        c = s.at0.get(x)
-        n += 1
-        if c is None or H.src(3, c) != A.at0[x] or H.tgt(3, c) != B.at0[x]:
-            bad = ("component-0", x)
-            break
-    reports.append(CheckReport("perturbation-incidence",
-                               "fail" if bad else "pass", n, bad))
-    n, bad = 0, None
-    for f in dom.cells[1]:
-        x, y = dom.src(1, f), dom.tgt(1, f)
-        lhs = H.comp2(B.a1(f), H.wl23(be.at1[f], H.wl13(G(1, f), s.at0[x])))
-        rhs = H.comp2(H.wr23(H.wr13(s.at0[y], F(1, f)), al.at1[f]), A.a1(f))
-        n += 1
-        if lhs != rhs:
-            bad = ("perturbation-square", f)
-            break
-    reports.append(CheckReport("perturbation-square",
-                               "fail" if bad else "pass", n, bad))
-    return reports
+
+    def incidence():
+        for x in dom.cells[0]:
+            c = s.at0.get(x)
+            yield (c is not None and H.src(3, c) == A.at0[x]
+                   and H.tgt(3, c) == B.at0[x]), ("component-0", x)
+
+    def square():
+        for f in dom.cells[1]:
+            x, y = dom.src(1, f), dom.tgt(1, f)
+            lhs = H.comp2(B.a1(f), H.wl23(be.at1[f], H.wl13(G(1, f), s.at0[x])))
+            rhs = H.comp2(H.wr23(H.wr13(s.at0[y], F(1, f)), al.at1[f]), A.a1(f))
+            yield lhs == rhs, ("perturbation-square", f)
+
+    return run_laws([
+        ("perturbation-incidence", incidence()),
+        ("perturbation-square", square()),
+    ])
 
 
 # -- composition ---------------------------------------------------------------
@@ -1046,8 +1035,8 @@ def hom_hr_mod(B, A, tower):
 # -- the mapping space as a tabulated Gray-category -------------------------------
 
 
-def hom_graycat(G, H, cap=100000, strict_only=False):
-    """[G,H] (or {G,H}) materialized, with every operation installed.
+def hom_graycat(G, H, cap=100000):
+    """[G,H] materialized, with every operation installed.
 
     Feasible at desk scale; enumeration is capped and the cap is reported.
     Returns (graycat, registry) where registry maps cell keys back to the
@@ -1182,13 +1171,16 @@ def hom_graycat(G, H, cap=100000, strict_only=False):
 
 
 def restricted_space(G, H, cap=100000):
-    """{G,H}: strict functors with malleable transformations, closed."""
-    return hom_graycat(G, H, cap, strict_only=True)
+    """{G,H}: strict functors with malleable transformations, closed.
+
+    hom_graycat enumerates strict functors only, and every transformation
+    between strict functors is malleable, so its result is {G,H}.
+    """
+    return hom_graycat(G, H, cap)
 
 
 def sesquicategory_check(G, H, cap=100000):
     """Hom-category laws plus whisker functoriality, no interchange."""
-    reports = []
     funs, _ = enumerate_strict_functors(G, H, cap)
     pseudos = [strict_as_pseudo(F) for F in funs]
     trans = {}
@@ -1196,9 +1188,6 @@ def sesquicategory_check(G, H, cap=100000):
         for j, Gp in enumerate(pseudos):
             ts, _ = enumerate_transformations(F, Gp, cap)
             trans[(i, j)] = ts
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def unital():
         for (i, j), ts in trans.items():
@@ -1258,7 +1247,8 @@ def sesquicategory_check(G, H, cap=100000):
                             yield lhs.key() == rhs.key(), \
                                 ("pre-functorial", i, j, k)
 
-    law("hom-units", unital())
-    law("hom-associativity", assoc())
-    law("whisker-functorial", whisker_functorial())
-    return reports
+    return run_laws([
+        ("hom-units", unital()),
+        ("hom-associativity", assoc()),
+        ("whisker-functorial", whisker_functorial()),
+    ])

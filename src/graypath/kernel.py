@@ -9,7 +9,6 @@ cells is structural and exact: there are no tolerances anywhere.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -82,15 +81,6 @@ def _jsonable(x):
     return str(x)
 
 
-def worker_count(n_tasks):
-    """Worker cap from GRAYPATH_THREADS; checks stay deterministic either way."""
-    try:
-        cap = int(os.environ.get("GRAYPATH_THREADS", "1"))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks))
-
-
 class GrayCat:
     """A finite Gray-category: 3-globular set plus composition tables.
 
@@ -134,7 +124,6 @@ class GrayCat:
         self.inv3 = {}
         self.is_groupoid = False
         self.generators = None  # 1-free flag: list of generating 1-cells
-        self._decomp = None
         self._inv2_cache = {}
         self._inv3_cache = {}
 
@@ -173,12 +162,6 @@ class GrayCat:
             c = self.src_[d][c]
             d -= 1
         return self.tgt_[1][c] if d == 1 else c
-
-    def amb1(self, d, c):
-        """The (src 1-cell, tgt 1-cell) of the hom-category a 2/3-cell lives in."""
-        if d == 3:
-            c = self.src_[3][c]
-        return self.src_[2][c], self.tgt_[2][c]
 
     def ident(self, d, c):
         return self.id_up[d][c]
@@ -356,13 +339,6 @@ def tensor_whisker_upper_r(C, D, alpha):
 
 
 def law_report(name, gen):
-    """Evaluate one law generator into a CheckReport, never raising."""
-    reports = []
-    _law(reports, name, gen)
-    return reports[0]
-
-
-def _law(reports, name, gen):
     """Run one law: gen yields (ok, witness) pairs; first failure is recorded.
 
     An exception raised while evaluating a law means some table lookup or
@@ -374,13 +350,16 @@ def _law(reports, name, gen):
         for ok, witness in gen:
             n += 1
             if not ok:
-                reports.append(CheckReport(name, "fail", n, witness))
-                return
+                return CheckReport(name, "fail", n, witness)
     except (GrayError, KeyError) as exc:
-        reports.append(CheckReport(name, "fail", n,
-                                   ("error", type(exc).__name__, str(exc))))
-        return
-    reports.append(CheckReport(name, "pass", n))
+        return CheckReport(name, "fail", n,
+                           ("error", type(exc).__name__, str(exc)))
+    return CheckReport(name, "pass", n)
+
+
+def run_laws(laws):
+    """One CheckReport per (name, generator) pair, in order."""
+    return [law_report(name, gen) for name, gen in laws]
 
 
 def check_gray_axioms(C):
@@ -390,29 +369,7 @@ def check_gray_axioms(C):
     that re-fails the law when re-evaluated.  Enumeration order is the
     deterministic cell order, so counterexamples are reproducible.
     """
-    reports = []
-    laws = _gray_law_generators(C)
-    nworkers = worker_count(len(laws))
-    if nworkers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        results = {}
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futs = {name: pool.submit(_run_law, gen) for name, gen in laws}
-        for name, _ in laws:
-            results[name] = futs[name].result()
-        for name, _ in laws:
-            reports.append(results[name])
-    else:
-        for name, gen in laws:
-            reports.append(_run_law(gen, name))
-    return reports
-
-
-def _run_law(gen, name=None):
-    reports = []
-    _law(reports, name or "law", gen)
-    return reports[0]
+    return run_laws(_gray_law_generators(C))
 
 
 def _gray_law_generators(C):
@@ -814,11 +771,6 @@ class FinCat:
         self.morphisms.append(f)
         self.src[f] = x
         self.tgt[f] = y
-
-    def compose(self, g, f):
-        if self.src[g] != self.tgt[f]:
-            raise NotComposable(f"{g!r} after {f!r}")
-        return self.comp[(g, f)]
 
 
 class Functor:

@@ -12,7 +12,8 @@ re-derives the composite ad hoc.
 
 from __future__ import annotations
 
-from .kernel import (CheckReport, NotAGroupoid, NotComposable, law_report)
+from .kernel import (CheckReport, NotAGroupoid, NotComposable, law_report,
+                     run_laws)
 from .pathspace import (PathView, build_pathspace, degeneracy, materialize,
                         p2, p3, pd0, pd1, pdim, sq)
 from .resolution import PseudoMap, kleisli_compose, validate_pseudo_map
@@ -195,17 +196,13 @@ def _pair_map(K3, K, comp, coc_fn, name):
     return PseudoMap(K3, K, assign, coc, name=name)
 
 
-def verify_internal_category(H, fast=False):
+def verify_internal_category(H):
     """Associativity, units, and face conditions of the internal category."""
-    reports = []
     PH = build_pathspace(H)
     K = build_pullback(PH, H, 2)
     K3 = build_pullback(PH, H, 3)
     V = PathView(H)
     _, _, m = m_pseudo(H, PH, K)
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def faces():
         for d in (0, 1, 2, 3):
@@ -247,10 +244,11 @@ def verify_internal_category(H, fast=False):
         for pair in K3.comp0_11:
             yield lhs.coc(*pair) == rhs.coc(*pair), ("assoc-cocycle", pair)
 
-    law("internal-source-target", faces())
-    law("internal-units", units())
-    law("internal-associativity", assoc())
-    return reports
+    return run_laws([
+        ("internal-source-target", faces()),
+        ("internal-units", units()),
+        ("internal-associativity", assoc()),
+    ])
 
 
 def m_naturality_check(F, H, K_cod):
@@ -331,7 +329,6 @@ def o_pseudo(H, PH=None):
 
 def verify_internal_groupoid(H):
     """m(o(c), c) = i d0(c) and m(c, o(c)) = i d1(c), plus o's own validity."""
-    reports = []
     PH, o = o_pseudo(H)
     V = PathView(H)
 
@@ -344,13 +341,5 @@ def verify_internal_groupoid(H):
                 rhs = m_apply(H, V, d, c, oc)
                 yield rhs == degeneracy(H, d, pd1(H, d, c)), ("right-inverse", d, c)
 
-    n, bad = 0, None
-    for ok, wit in inverse_laws():
-        n += 1
-        if not ok:
-            bad = wit
-            break
-    reports.append(CheckReport("groupoid-inverse-laws",
-                               "fail" if bad else "pass", n, bad))
-    reports.extend(validate_pseudo_map(o))
-    return reports
+    return ([law_report("groupoid-inverse-laws", inverse_laws())]
+            + validate_pseudo_map(o))

@@ -96,18 +96,34 @@ def to_document(C):
 
 
 def from_document(doc, max_violations=20):
+    """The GrayCat a document describes.
+
+    Raises ParseError when the document is malformed and ValidationError
+    when its cells and tables are inconsistent.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"a document is a JSON object, not {type(doc).__name__}")
     if doc.get("format") != FORMAT:
         raise ParseError(f"unknown format {doc.get('format')!r}, expected {FORMAT}")
-    C = GrayCat(doc.get("name", ""))
-    violations = []
     try:
-        for e in doc["objects"]:
-            C.add_cell(0, _dec(e["id"]))
-        for dd, field in ((1, "morphisms"), (2, "two_cells"), (3, "three_cells")):
-            for e in doc[field]:
-                C.add_cell(dd, _dec(e["id"]), _dec(e["src"]), _dec(e["tgt"]))
+        C = _build(doc)
+        violations = structural_violations(C, limit=max_violations)
     except (KeyError, GrayError) as exc:
         raise ParseError(str(exc)) from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed document: {exc}") from None
+    if violations:
+        raise ValidationError(violations)
+    return C
+
+
+def _build(doc):
+    C = GrayCat(doc.get("name", ""))
+    for e in doc["objects"]:
+        C.add_cell(0, _dec(e["id"]))
+    for dd, field in ((1, "morphisms"), (2, "two_cells"), (3, "three_cells")):
+        for e in doc[field]:
+            C.add_cell(dd, _dec(e["id"]), _dec(e["src"]), _dec(e["tgt"]))
     for d in (0, 1, 2):
         for c, i in doc.get("identities", {}).get(str(d), []):
             C.id_up[d][_dec(c)] = _dec(i)
@@ -122,9 +138,6 @@ def from_document(doc, max_violations=20):
     for d, attr in ((1, "inv1"), (2, "inv2"), (3, "inv3")):
         for c, i in doc.get("inverses", {}).get(str(d), []):
             getattr(C, attr)[_dec(c)] = _dec(i)
-    violations = structural_violations(C, limit=max_violations)
-    if violations:
-        raise ValidationError(violations)
     return C
 
 
@@ -146,7 +159,11 @@ def save(C, path):
 
 
 def load(path):
-    text = open(path, encoding="utf-8").read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     if str(path).endswith(".gc"):
         return from_document(parse_dsl(text))
     return loads(text)

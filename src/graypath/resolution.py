@@ -17,7 +17,7 @@ come for free).
 from __future__ import annotations
 
 from .kernel import (GrayError, Mismatch, NotComposable, NotOneFree,
-                     hcomp_left, hcomp_right, law_report)
+                     hcomp_left, hcomp_right, run_laws)
 
 
 # -- symbolic cells ----------------------------------------------------------
@@ -91,20 +91,6 @@ def q1_comult(C, c):
         return q2_cell(layer, c, q1_comult(C, c[2]), q1_comult(C, c[3]))
     if tag == "q3":
         return q3_cell(layer, c, q1_comult(C, c[2]), q1_comult(C, c[3]))
-    raise GrayError(f"not a q1 cell: {c!r}")
-
-
-def q1_map(fn, c):
-    """Apply a dimension-indexed cell map to every constituent of a q1 cell."""
-    tag = q1_tag(c)
-    if tag is None:
-        return fn(0, c)
-    if tag == "q1":
-        return ("q1", fn(0, c[1]), tuple(fn(1, f) for f in c[2]))
-    if tag == "q2":
-        return ("q2", fn(2, c[1]), q1_map(fn, c[2]), q1_map(fn, c[3]))
-    if tag == "q3":
-        return ("q3", fn(3, c[1]), q1_map(fn, c[2]), q1_map(fn, c[3]))
     raise GrayError(f"not a q1 cell: {c!r}")
 
 
@@ -424,7 +410,6 @@ def validate_pseudo_map(F):
     and identity checks come first since everything else assumes them.
     """
     dom, cod = F.dom, F.cod
-    reports = []
 
     pairs = list(_comp_pairs(dom))
     pairs_by_tgt = {}            # composable pairs keyed by overall target
@@ -443,9 +428,6 @@ def validate_pseudo_map(F):
     threes_by_srcsrc = {}
     for g3 in dom.cells[3]:
         threes_by_srcsrc.setdefault(dom.src(2, dom.src(3, g3)), []).append(g3)
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def globular():
         for d in (1, 2, 3):
@@ -546,15 +528,16 @@ def validate_pseudo_map(F):
                 t = cod.tensor(F(2, a), c)
                 yield _is_id3(cod, t), ("tensor-cocycle-right", a, (g, f))
 
-    law("globular-and-identities", globular())
-    law("local-sesquifunctor", local_sesqui())
-    law("cocycle", cocycle())
-    law("whisker-coherence", whisker_coherence())
-    law("whisker3-coherence", whisker3_coherence())
-    law("tensor-coherence", tensor_coherence())
-    law("compositor-tensors-trivial", compositor_tensors_trivial())
-    law("mixed-tensors-vanish", mixed_tensors_vanish())
-    return reports
+    return run_laws([
+        ("globular-and-identities", globular()),
+        ("local-sesquifunctor", local_sesqui()),
+        ("cocycle", cocycle()),
+        ("whisker-coherence", whisker_coherence()),
+        ("whisker3-coherence", whisker3_coherence()),
+        ("tensor-coherence", tensor_coherence()),
+        ("compositor-tensors-trivial", compositor_tensors_trivial()),
+        ("mixed-tensors-vanish", mixed_tensors_vanish()),
+    ])
 
 
 def _is_id3(C, g):
@@ -753,8 +736,6 @@ def strictify(F):
 def comonad_law_check(C, max_len=3):
     """e/d laws and co-associativity on symbolic cells up to max_len."""
     L = Q1Layer(C)
-    LL = Q1Layer(L)
-    reports = []
 
     def enum_cells():
         for c in L.lists1(max_len):
@@ -763,9 +744,6 @@ def comonad_law_check(C, max_len=3):
             yield 2, c
         for c in L.cells3(max_len):
             yield 3, c
-
-    def law(name, gen):
-        reports.append(law_report(name, gen))
 
     def counit_laws():
         for d, c in enum_cells():
@@ -779,20 +757,20 @@ def comonad_law_check(C, max_len=3):
             rhs = _q1_d_layer(C, q1_comult(C, c))
             yield lhs == rhs, ("d-coassociative", d, c)
 
-    law("counit-laws", counit_laws())
-    law("comultiplication-coassociative", coassoc())
+    def k_laws():
+        for d in (0, 1, 2, 3):
+            for c in C.cells[d]:
+                kc = section_k(C, c)
+                yield q1_counit(C, kc) == c, ("k-section-of-e", d, c)
+                lhs = q1_comult(C, kc)
+                rhs = _q1_k_layer(C, kc)
+                yield lhs == rhs, ("d-k-square", d, c)
 
+    laws = [("counit-laws", counit_laws()),
+            ("comultiplication-coassociative", coassoc())]
     if C.generators is not None:
-        def k_laws():
-            for d in (0, 1, 2, 3):
-                for c in C.cells[d]:
-                    kc = section_k(C, c)
-                    yield q1_counit(C, kc) == c, ("k-section-of-e", d, c)
-                    lhs = q1_comult(C, kc)
-                    rhs = _q1_k_layer(C, kc)
-                    yield lhs == rhs, ("d-k-square", d, c)
-        law("k-section-and-square", k_laws())
-    return reports
+        laws.append(("k-section-and-square", k_laws()))
+    return run_laws(laws)
 
 
 def _q1_e_layer(C, cell):

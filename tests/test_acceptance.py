@@ -126,10 +126,10 @@ def test_criterion_7_kappa_coherence():
 
 
 def test_criterion_8_tower_assembly():
-    from graypath.highercells import assemble_internal_graycat
+    from graypath.highercells import Tower, assemble_internal_graycat
     for name in ("T1", "BIG", "CYC2"):
         t0 = time.monotonic()
-        reports = assemble_internal_graycat(fixture(name))
+        reports = assemble_internal_graycat(Tower(fixture(name)))
         assert all_pass(reports), (name, [r for r in reports if not r.ok])
         tmap = [r for r in reports if r.law == "tensor-map"]
         assert tmap and tmap[0].tuples_checked > 0

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from graypath.cli import main
@@ -108,3 +109,56 @@ def test_failure_exit_code_1(tmp_path):
 def test_unknown_flag_rejected():
     r = run("--bogus")
     assert r.exit_code != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{}"], ["check", "gray", "{}"], ["check", "m", "{}"],
+    ["check", "comonad", "{}"], ["pathspace", "{}"], ["tower", "{}"],
+    ["hom", "INT", "{}"], ["hom", "{}", "INT"],
+], ids=["validate", "check-gray", "check-m", "check-comonad", "pathspace",
+        "tower", "hom-codomain", "hom-domain"])
+def test_missing_input_exits_2(tmp_path, argv):
+    missing = str(tmp_path / "missing.graycat.json")
+    r = run(*[missing if a == "{}" else a for a in argv])
+    assert r.exit_code == 2, r.output
+    assert "error:" in r.output and "missing.graycat.json" in r.output
+
+
+def _malformed_exits_2(tmp_path, doc=None, raw=None):
+    path = tmp_path / "malformed.graycat.json"
+    if raw is None:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        path.write_bytes(raw)
+    for argv in (["validate", str(path)], ["check", "gray", str(path)]):
+        r = run(*argv)
+        assert r.exit_code == 2, (argv, r.output, r.exception)
+        assert "error:" in r.output
+
+
+def test_top_level_array_exits_2(tmp_path):
+    _malformed_exits_2(tmp_path, [pres.to_document(fixture("T1"))])
+
+
+def test_two_entry_table_triple_exits_2(tmp_path):
+    doc = pres.to_document(fixture("BIG"))
+    doc["tables"]["comp0"][0] = doc["tables"]["comp0"][0][:2]
+    _malformed_exits_2(tmp_path, doc)
+
+
+def test_dict_cell_id_exits_2(tmp_path):
+    doc = pres.to_document(fixture("BIG"))
+    doc["objects"][0]["id"] = {"x": 1}
+    _malformed_exits_2(tmp_path, doc)
+
+
+def test_non_utf8_file_exits_2(tmp_path):
+    _malformed_exits_2(tmp_path, raw=b"\xff\xfe{}")
+
+
+def test_gray_report_ignores_threads_variable():
+    argv = ["--report", "json", "check", "gray", "BIG"]
+    plain = CliRunner().invoke(main, argv, env={"GRAYPATH_THREADS": None})
+    threaded = CliRunner().invoke(main, argv, env={"GRAYPATH_THREADS": "2"})
+    assert plain.exit_code == threaded.exit_code == 0
+    assert plain.stdout == threaded.stdout

@@ -84,7 +84,7 @@ def test_mbar_map_is_pseudo(big_tower):
 
 @pytest.mark.parametrize("name", ["T1", "BIG", "CYC2"])
 def test_assemble_internal_graycat(name):
-    reports = assemble_internal_graycat(fixture(name))
+    reports = assemble_internal_graycat(Tower(fixture(name)))
     assert all_pass(reports), [r for r in reports if not r.ok]
     nonvacuous = {"reflexive-globular", "mbar-category", "whisker-extension",
                   "hcomp-faces", "mbarbar-category", "tensor-map",
@@ -102,7 +102,7 @@ def test_assemble_with_strict_naturality():
             2: {a: "id[id*]" for a in H.cells[2]},
             3: {g: "id[id[id*]]" for g in H.cells[3]}}
     bang = StrictMap(H, T, maps, name="!")
-    reports = assemble_internal_graycat(H, strict_functor=bang)
+    reports = assemble_internal_graycat(Tower(H), strict_functor=bang)
     assert all_pass(reports), [r for r in reports if not r.ok]
     nat = [r for r in reports if r.law == "strict-naturality"]
     assert nat and nat[0].tuples_checked > 0

@@ -292,3 +292,16 @@ def test_rho_nontrivial_pseudo_map():
     # the component at the composite is the nontrivial compositor itself
     assert r.at1["h"] == F.coc("g", "f")
     assert not PT.is_id2(r.at1["h"])
+
+
+def test_perturbation_missing_component_fails(intbig):
+    G, H, _, _, trans = intbig
+    a = next(t for ts in trans.values() for t in ts)
+    A = next(iter(enumerate_modifications(a, a)))
+    dropped = G.cells[0][0]
+    at0 = {x: H.ident(2, A.at0[x]) for x in G.cells[0] if x != dropped}
+    reports = validate_perturbation(Perturbation(A, A, at0))
+    assert [r.law for r in reports] == ["perturbation-incidence",
+                                        "perturbation-square"]
+    assert not all(r.ok for r in reports)
+    assert reports[0].counterexample == ("component-0", dropped)

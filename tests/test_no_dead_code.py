@@ -1,0 +1,69 @@
+"""No helpers that nothing calls.
+
+Every function, method and class defined under src/graypath must be named
+somewhere outside its own body: as an identifier, an attribute or a string
+(the benchmark tracer wraps entry points by name), in src/, tests/ or
+perfbench/.  Dunder methods and click commands are called by the runtime
+and are exempt.  Names are matched without regard to their owner, so this
+is a coarse guard: it catches helpers nobody calls, not every unused method.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "tests", "perfbench")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees():
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _is_click_command(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command",
+                                                                  "group"):
+            return True
+    return False
+
+
+def _exempt(node):
+    name = node.name
+    return (name.startswith("__") and name.endswith("__")) \
+        or (not isinstance(node, ast.ClassDef) and _is_click_command(node))
+
+
+def test_every_definition_is_referenced():
+    uses = {}        # name -> [(path, line)]
+    defs = []        # (path, node)
+    src = ROOT / "src" / "graypath"
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            name = _names(node)
+            if name is not None:
+                uses.setdefault(name, []).append((path, node.lineno))
+            if isinstance(node, DEFS) and path.is_relative_to(src):
+                defs.append((path, node))
+    dead = []
+    for path, node in defs:
+        if _exempt(node):
+            continue
+        outside = [(p, line) for p, line in uses.get(node.name, ())
+                   if p != path or not node.lineno <= line <= node.end_lineno]
+        if not outside:
+            dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not dead, "unreferenced definitions:\n" + "\n".join(dead)
