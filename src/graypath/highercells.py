@@ -94,12 +94,12 @@ class Tower:
         self.PH = build_pathspace(H)
         self.V = PathView(H)
         self.PV = PathView(self.PH)
-        self.K = build_pullback(self.PH, H, 2)
-        _, _, self.m = m_pseudo(H, self.PH, self.K)
+        _, self.K, self.m = m_pseudo(H, self.PH)
         self._pm = PPrime(self.m)
         self._dd = None
         self._ddd = None
         self._p2 = None
+        self._fillers = None
 
     # stage 2: bigons ---------------------------------------------------
 
@@ -206,6 +206,26 @@ class Tower:
             self._ddd = materialize(PathView(DD), kept,
                                     name=f"tri({self.H.name})")
         return self._ddd
+
+    def filler(self, d, src, tgt, im0, im1):
+        """The 3-path d-cell from src to tgt over the bigon cells (im0, im1).
+
+        It exists and is unique by the 1-Cartesianness of (dj0, dj1); the
+        index over DDD is built on first use.
+        """
+        if self._fillers is None:
+            DDD, DD = self.DDD, self.DD
+            self._fillers = {}
+            for e in (1, 2, 3):
+                for w in DDD.cells[e]:
+                    key = (e, DDD.src(e, w), DDD.tgt(e, w),
+                           pd0(DD, e, w), pd1(DD, e, w))
+                    self._fillers.setdefault(key, []).append(w)
+        found = self._fillers.get((d, src, tgt, im0, im1), ())
+        if len(found) != 1:
+            raise FactorizationFailed(
+                f"expected a unique {d}-cell filler, found {len(found)}")
+        return found[0]
 
     def mbarbar(self, d, b, a):
         out = m_apply(self.DD, PathView(self.DD), d, b, a)
@@ -319,17 +339,9 @@ class Tower:
             return self.tensor_obj(b, a)
         if not self.DD.has_cell(1, b):
             raise GrayError("tensor_t is defined on bigons and their 1-cells")
-        src = self.tensor_obj(b[4], a[4])
-        tgt = self.tensor_obj(b[5], a[5])
-        hl = self.h_l(1, b, a)
-        hr = self.h_r(1, b, a)
-        found = [w for w in self.DDD.cells[1]
-                 if self.DDD.src(1, w) == src and self.DDD.tgt(1, w) == tgt
-                 and pd0(self.DD, 1, w) == hl and pd1(self.DD, 1, w) == hr]
-        if len(found) != 1:
-            raise FactorizationFailed(
-                f"tensor_t: expected a unique filler, found {len(found)}")
-        return found[0]
+        return self.filler(1, self.tensor_obj(b[4], a[4]),
+                           self.tensor_obj(b[5], a[5]),
+                           self.h_l(1, b, a), self.h_r(1, b, a))
 
 
 # -- the assembled internal Gray-category --------------------------------------
@@ -364,8 +376,8 @@ def check_1cartesian(tower):
 def assemble_internal_graycat(tw, strict_functor=None):
     """Machine-check the laws of the four-stage tower tw (a Tower over H)."""
     H = tw.H
-    PH, DD, DDD, P2 = tw.PH, tw.DD, tw.DDD, tw.P2
-    V, PV = tw.V, tw.PV
+    PH, DD, DDD = tw.PH, tw.DD, tw.DDD
+    V = tw.V
 
     def reflexive_glob():
         for d in (0, 1, 2, 3):

@@ -13,15 +13,10 @@ from __future__ import annotations
 from itertools import product
 
 from .kernel import CheckReport, GrayError, Mismatch, StrictMap, run_laws
-from .pathspace import (PathView, p2, p3, pd0, pd1, sq, src_paste,
-                        tgt_paste)
+from .pathspace import PathView, p2, p3, sq, src_paste, tgt_paste
 from .highercells import Tower
 from .resolution import (PseudoMap, _comp_pairs, generator_decomposition,
                          kleisli_compose, strict_as_pseudo, strictify, tilde)
-
-
-class CapExceeded(Exception):
-    """Raised internally, reported as a CheckReport by enumerators."""
 
 
 # -- component families --------------------------------------------------------
@@ -189,8 +184,9 @@ def mod_to_pseudo(A, tower):
     """The bigon-space-valued pseudo map; the path 3-cell constructors
     enforce the 2-cell and cocycle compatibility figures."""
     H, dom = A.H, A.dom
-    PV = tower.PV
     DD = tower.DD
+    aP = trans_to_pseudo(A.alpha, tower.PH)
+    bP = trans_to_pseudo(A.beta, tower.PH)
     assign = {0: {}, 1: {}, 2: {}, 3: {}}
     for x in dom.cells[0]:
         assign[0][x] = mod_bigon(A, x)
@@ -198,7 +194,7 @@ def mod_to_pseudo(A, tower):
         assign[1][f] = mod_cell1(A, f)
     for g in dom.cells[2]:
         f, f1 = dom.src(2, g), dom.tgt(2, g)
-        a1, a2 = trans_p2(A.alpha, g), trans_p2(A.beta, g)
+        a1, a2 = aP(2, g), bP(2, g)
         gq, hq = assign[1][f], assign[1][f1]
         sp = src_paste(tower.PH, a1, gq)
         tp = tgt_paste(tower.PH, a2, hq, gq[4])
@@ -207,16 +203,12 @@ def mod_to_pseudo(A, tower):
         assign[2][g] = p2(tower.PH, q3, a1, a2, gq, hq)
     for g3 in dom.cells[3]:
         a, b = dom.src(3, g3), dom.tgt(3, g3)
-        aP = trans_to_pseudo(A.alpha, tower.PH)
-        bP = trans_to_pseudo(A.beta, tower.PH)
         assign[3][g3] = p3(tower.PH, aP(3, g3), bP(3, g3),
                            assign[2][a], assign[2][b])
-    aP = trans_to_pseudo(A.alpha, tower.PH)
-    bP = trans_to_pseudo(A.beta, tower.PH)
     coc = {}
     for (f2, f1) in _comp_pairs(dom):
         acq, bcq = aP.coc(f2, f1), bP.coc(f2, f1)
-        gq = PathView(tower.PH).comp0(assign[1][f2], assign[1][f1])
+        gq = tower.PV.comp0(assign[1][f2], assign[1][f1])
         hq = assign[1][dom.comp0(f2, f1)]
         sp = src_paste(tower.PH, acq, gq)
         tp = tgt_paste(tower.PH, bcq, hq, gq[4])
@@ -230,64 +222,47 @@ def mod_to_pseudo(A, tower):
     return PseudoMap(dom, DD, assign, coc, name=A.name or "modification")
 
 
+def pert_square(s, x, tower):
+    """The 3-path a perturbation assigns to the 0-cell x: the explicit
+    square between the two modification bigons."""
+    H, PH, V = s.H, tower.PH, tower.V
+    T, B = mod_bigon(s.A, x), mod_bigon(s.B, x)
+    al0 = s.A.alpha.at0[x]
+    be0 = s.A.beta.at0[x]
+    W0, W1 = PH.ident(0, al0), PH.ident(0, be0)
+    x0, y0 = H.src(1, al0), H.tgt(1, al0)
+    q2 = p2(H, s.at0[x], H.ident(1, H.ident(0, x0)),
+            H.ident(1, H.ident(0, y0)), V.comp0(W1, T), V.comp0(B, W0))
+    out = sq(PH, q2, W0, W1, T, B)
+    if not tower.DDD.has_cell(0, out):
+        raise Mismatch(f"perturbation square at {x!r} escapes 3-paths")
+    return out
+
+
 def pert_to_pseudo(s, tower):
     """The 3-path-valued pseudo map of a perturbation.
 
-    Dimension 0 is the explicit square between the two modification bigons;
-    everything higher is the unique filler over its (dj0, dj1) image, which
-    exists and is unique by the 1-Cartesianness of the projection.
+    Dimension 0 is pert_square; everything higher is the unique filler over
+    its (dj0, dj1) image, which exists and is unique by the 1-Cartesianness
+    of the projection.
     """
-    H, dom = s.H, s.dom
-    PH, DD, DDD = tower.PH, tower.DD, tower.DDD
-    PV = tower.PV
+    dom = s.dom
     Amap = mod_to_pseudo(s.A, tower)
     Bmap = mod_to_pseudo(s.B, tower)
-    assign = {0: {}, 1: {}, 2: {}, 3: {}}
-    V = tower.V
-    for x in dom.cells[0]:
-        T, B = Amap(0, x), Bmap(0, x)
-        al0 = s.A.alpha.at0[x]
-        be0 = s.A.beta.at0[x]
-        W0, W1 = PH.ident(0, al0), PH.ident(0, be0)
-        x0, y0 = H.src(1, al0), H.tgt(1, al0)
-        q2 = p2(H, s.at0[x], H.ident(1, H.ident(0, x0)),
-                H.ident(1, H.ident(0, y0)), V.comp0(W1, T), V.comp0(B, W0))
-        assign[0][x] = sq(PH, q2, W0, W1, T, B)
-        if not DDD.has_cell(0, assign[0][x]):
-            raise Mismatch(f"perturbation square at {x!r} escapes 3-paths")
-
-    def filler(d, src, tgt, im0, im1, tag):
-        found = [w for w in DDD.cells[d]
-                 if DDD.src(d, w) == src and DDD.tgt(d, w) == tgt
-                 and pd0(DD, d, w) == im0 and pd1(DD, d, w) == im1]
-        if len(found) != 1:
-            raise Mismatch(f"perturbation {tag}: {len(found)} fillers")
-        return found[0]
-
-    for f in dom.cells[1]:
-        x, y = dom.src(1, f), dom.tgt(1, f)
-        assign[1][f] = filler(1, assign[0][x], assign[0][y],
-                              Amap(1, f), Bmap(1, f), f)
-    for g in dom.cells[2]:
-        f, f1 = dom.src(2, g), dom.tgt(2, g)
-        assign[2][g] = filler(2, assign[1][f], assign[1][f1],
-                              Amap(2, g), Bmap(2, g), g)
-    for g3 in dom.cells[3]:
-        a, b = dom.src(3, g3), dom.tgt(3, g3)
-        assign[3][g3] = filler(3, assign[2][a], assign[2][b],
-                               Amap(3, g3), Bmap(3, g3), g3)
+    assign = {0: {x: pert_square(s, x, tower) for x in dom.cells[0]},
+              1: {}, 2: {}, 3: {}}
+    for d in (1, 2, 3):
+        for c in dom.cells[d]:
+            assign[d][c] = tower.filler(d, assign[d - 1][dom.src(d, c)],
+                                        assign[d - 1][dom.tgt(d, c)],
+                                        Amap(d, c), Bmap(d, c))
     coc = {}
     for (f2, f1) in _comp_pairs(dom):
-        gq = PathView(DD).comp0(assign[1][f2], assign[1][f1])
+        gq = PathView(tower.DD).comp0(assign[1][f2], assign[1][f1])
         hq = assign[1][dom.comp0(f2, f1)]
-        found = [w for w in DDD.cells[2]
-                 if DDD.src(2, w) == gq and DDD.tgt(2, w) == hq
-                 and pd0(DD, 2, w) == Amap.coc(f2, f1)
-                 and pd1(DD, 2, w) == Bmap.coc(f2, f1)]
-        if len(found) != 1:
-            raise Mismatch(f"perturbation cocycle: {len(found)} fillers")
-        coc[(f2, f1)] = found[0]
-    return PseudoMap(dom, DDD, assign, coc, name=s.name or "perturbation")
+        coc[(f2, f1)] = tower.filler(2, gq, hq, Amap.coc(f2, f1),
+                                     Bmap.coc(f2, f1))
+    return PseudoMap(dom, tower.DDD, assign, coc, name=s.name or "perturbation")
 
 
 # -- componentwise validators ----------------------------------------------------
@@ -345,8 +320,6 @@ def validate_transformation(t):
 
     def vertical_composite():
         for (g1, g) in sorted(dom.comp1_22, key=repr):
-            f = dom.src(2, g)
-            f2 = dom.tgt(2, g1)
             x, y = dom.src0(2, g), dom.tgt0(2, g)
             lhs = t.a2(dom.comp1(g1, g))
             step1 = H.wl23(H.wl12(t.at0[y], F(2, g1)), t.a2(g))
@@ -728,11 +701,11 @@ def enumerate_strict_functors(G, H, cap=100000):
                         cand.validate()
                     except Mismatch:
                         continue
-                    out.append(cand)
-                    if len(out) > cap:
+                    if len(out) == cap:
                         reports.append(CheckReport("enumeration-cap", "fail",
-                                                   len(out), ("CapExceeded", cap)))
+                                                   cap, ("CapExceeded", cap)))
                         return out, reports
+                    out.append(cand)
     reports.append(CheckReport("enumeration-cap", "pass", len(out)))
     return out, reports
 
@@ -761,7 +734,6 @@ def enumerate_transformations(F, G, cap=100000):
                        if H.src(2, u) == lhs and H.tgt(2, u) == rhs])
         for fs in product(*c1):
             at1 = dict(zip(dom.cells[1], fs))
-            cand_t = LaxTransformation(F, G, at0, at1)
             c2 = []
             feasible = True
             for g in dom.cells[2]:
@@ -786,7 +758,6 @@ def enumerate_transformations(F, G, cap=100000):
                 at2 = dict(zip(dom.cells[2], ts))
                 ccs = []
                 ok = True
-                base = LaxTransformation(F, G, at0, at1, at2, {})
                 for (f2, f1) in pairs:
                     z = dom.tgt(1, f2)
                     x = dom.src(1, f1)
@@ -807,12 +778,12 @@ def enumerate_transformations(F, G, cap=100000):
                     coc = dict(zip(pairs, cs))
                     t = LaxTransformation(F, G, at0, at1, at2, coc)
                     if all(r.ok for r in validate_transformation(t)):
-                        out.append(t)
-                        if len(out) > cap:
+                        if len(out) == cap:
                             reports.append(CheckReport(
-                                "enumeration-cap", "fail", len(out),
+                                "enumeration-cap", "fail", cap,
                                 ("CapExceeded", cap)))
                             return out, reports
+                        out.append(t)
     reports.append(CheckReport("enumeration-cap", "pass", len(out)))
     return out, reports
 
@@ -913,19 +884,17 @@ def compose_mods(B, A, tower):
 
 def compose_perts(s2, s1, tower):
     """s2 *2 s1 through mbarbar pointwise."""
-    dom, H = s1.dom, s1.H
-    P2m = pert_to_pseudo(s2, tower)
-    P1m = pert_to_pseudo(s1, tower)
     at0 = {}
-    for x in dom.cells[0]:
-        W = tower.mbarbar(0, P2m(0, x), P1m(0, x))
+    for x in s1.dom.cells[0]:
+        W = tower.mbarbar(0, pert_square(s2, x, tower),
+                          pert_square(s1, x, tower))
         at0[x] = W[1][1]
     return Perturbation(s1.A, s2.B, at0, name=f"{s2.name}*2{s1.name}")
 
 
 def whisker_trans_mod(g, A, tower):
     """g #0 A: whisker a modification by a later transformation."""
-    dom, H = A.dom, A.H
+    dom = A.dom
     at0, at1 = {}, {}
     for x in dom.cells[0]:
         r = tower.w_r(0, g.at0[x], mod_bigon(A, x))
@@ -939,7 +908,7 @@ def whisker_trans_mod(g, A, tower):
 
 def whisker_mod_trans(A, g, tower):
     """A #0 g: whisker a modification by an earlier transformation."""
-    dom, H = A.dom, A.H
+    dom = A.dom
     at0, at1 = {}, {}
     for x in dom.cells[0]:
         r = tower.w_l(0, mod_bigon(A, x), g.at0[x])
@@ -953,14 +922,13 @@ def whisker_mod_trans(A, g, tower):
 
 def whisker_trans_pert(g, s, tower, after=True):
     """g #0 sigma (after=True) or sigma #0 g, through the 3-path whiskers."""
-    dom = s.dom
-    Pm = pert_to_pseudo(s, tower)
     at0 = {}
-    for x in dom.cells[0]:
+    for x in s.dom.cells[0]:
+        P = pert_square(s, x, tower)
         if after:
-            r = tower.wbar_r(0, g.at0[x], Pm(0, x))
+            r = tower.wbar_r(0, g.at0[x], P)
         else:
-            r = tower.wbar_l(0, Pm(0, x), g.at0[x])
+            r = tower.wbar_l(0, P, g.at0[x])
         at0[x] = r[1][1]
     if after:
         A2 = whisker_trans_mod(g, s.A, tower)
@@ -973,15 +941,13 @@ def whisker_trans_pert(g, s, tower, after=True):
 
 def whisker_mod_pert(B, s, tower, after=True):
     """B #1 sigma / sigma #1 B through the 2-on-3 whiskers."""
-    dom = s.dom
-    Pm = pert_to_pseudo(s, tower)
-    Bm = mod_to_pseudo(B, tower)
     at0 = {}
-    for x in dom.cells[0]:
+    for x in s.dom.cells[0]:
+        P, Bx = pert_square(s, x, tower), mod_bigon(B, x)
         if after:
-            r = tower.wtil_r(0, Bm(0, x), Pm(0, x))
+            r = tower.wtil_r(0, Bx, P)
         else:
-            r = tower.wtil_l(0, Pm(0, x), Bm(0, x))
+            r = tower.wtil_l(0, P, Bx)
         at0[x] = r[1][1]
     if after:
         A2 = compose_mods(B, s.A, tower)
@@ -994,12 +960,10 @@ def whisker_mod_pert(B, s, tower, after=True):
 
 def tensor_mods(B, A, tower):
     """B (x) A for modifications 0-composable at a functor."""
-    dom, H = A.dom, A.H
     at0 = {}
-    for x in dom.cells[0]:
+    for x in A.dom.cells[0]:
         t = tower.tensor_t(mod_bigon(B, x), mod_bigon(A, x))
         at0[x] = t[1][1]
-    hl_alpha = compose_0(B.alpha, A.alpha)
     hl_mod_src = hom_hl_mod(B, A, tower)
     hr_mod_tgt = hom_hr_mod(B, A, tower)
     return Perturbation(hl_mod_src, hr_mod_tgt, at0, name="tensor-mods")
@@ -1007,29 +971,24 @@ def tensor_mods(B, A, tower):
 
 def hom_hl_mod(B, A, tower):
     """The left horizontal composite of two 0-composable modifications."""
-    dom, H = A.dom, A.H
-    at0, at1 = {}, {}
-    for x in dom.cells[0]:
-        r = tower.h_l(0, mod_bigon(B, x), mod_bigon(A, x))
-        at0[x] = r[1]
-    for f in dom.cells[1]:
-        r = tower.h_l(1, mod_cell1(B, f), mod_cell1(A, f))
-        at1[f] = r[1][1]
-    return Modification(compose_0(B.alpha, A.alpha),
-                        compose_0(B.beta, A.beta), at0, at1, name="hl")
+    return _hcomp_mod(tower.h_l, B, A, "hl")
 
 
 def hom_hr_mod(B, A, tower):
-    dom, H = A.dom, A.H
+    """The right horizontal composite of two 0-composable modifications."""
+    return _hcomp_mod(tower.h_r, B, A, "hr")
+
+
+def _hcomp_mod(hcomp, B, A, name):
+    """Evaluate the tower's horizontal composite hcomp pointwise."""
+    dom = A.dom
     at0, at1 = {}, {}
     for x in dom.cells[0]:
-        r = tower.h_r(0, mod_bigon(B, x), mod_bigon(A, x))
-        at0[x] = r[1]
+        at0[x] = hcomp(0, mod_bigon(B, x), mod_bigon(A, x))[1]
     for f in dom.cells[1]:
-        r = tower.h_r(1, mod_cell1(B, f), mod_cell1(A, f))
-        at1[f] = r[1][1]
+        at1[f] = hcomp(1, mod_cell1(B, f), mod_cell1(A, f))[1][1]
     return Modification(compose_0(B.alpha, A.alpha),
-                        compose_0(B.beta, A.beta), at0, at1, name="hr")
+                        compose_0(B.beta, A.beta), at0, at1, name=name)
 
 
 # -- the mapping space as a tabulated Gray-category -------------------------------
@@ -1038,8 +997,11 @@ def hom_hr_mod(B, A, tower):
 def hom_graycat(G, H, cap=100000):
     """[G,H] materialized, with every operation installed.
 
-    Feasible at desk scale; enumeration is capped and the cap is reported.
-    Returns (graycat, registry) where registry maps cell keys back to the
+    Feasible at desk scale; the functor and transformation enumerations are
+    capped, and a hit cap is a failing report.  Every enumerated
+    modification and perturbation is converted into its tower stage once,
+    which runs the conversion's construction checks.  Returns (graycat,
+    registry, reports) where registry maps cell keys back to the
     componentwise objects.
     """
     from .kernel import GrayCat
@@ -1071,6 +1033,7 @@ def hom_graycat(G, H, cap=100000):
     for F in pseudos:
         for Gp in pseudos:
             ts, reps2 = enumerate_transformations(F, Gp, cap)
+            reports.extend(r for r in reps2 if not r.ok)
             for t in ts:
                 add(1, t, fkeys[id(F)], fkeys[id(Gp)])
                 trans.append(t)
@@ -1079,6 +1042,7 @@ def hom_graycat(G, H, cap=100000):
         for b in trans:
             if a.F is b.F and a.G is b.G:
                 for A in enumerate_modifications(a, b, cap):
+                    mod_to_pseudo(A, tower)
                     add(2, A, a.key(), b.key())
                     mods.append(A)
     perts = []
@@ -1087,6 +1051,7 @@ def hom_graycat(G, H, cap=100000):
             if (A.alpha.key() == B.alpha.key()
                     and A.beta.key() == B.beta.key()):
                 for s in enumerate_perturbations(A, B, cap):
+                    pert_to_pseudo(s, tower)
                     add(3, s, A.key(), B.key())
                     perts.append(s)
 
@@ -1134,14 +1099,12 @@ def hom_graycat(G, H, cap=100000):
                     and A.alpha.G.assignment == t.F.assignment:
                 w = whisker_trans_mod(t, A, tower)
                 C.whisk_l12[(t.key(), A.key())] = add(
-                    2, w, compose_0(t, A.alpha).key(),
-                    compose_0(t, A.beta).key())
+                    2, w, w.alpha.key(), w.beta.key())
             if C.src(1, A.alpha.key()) == C.tgt(1, t.key()) \
                     and t.G.assignment == A.alpha.F.assignment:
                 w = whisker_mod_trans(A, t, tower)
                 C.whisk_r12[(A.key(), t.key())] = add(
-                    2, w, compose_0(A.alpha, t).key(),
-                    compose_0(A.beta, t).key())
+                    2, w, w.alpha.key(), w.beta.key())
         for s in perts:
             base = s.A.alpha
             if base.G.assignment == t.F.assignment:

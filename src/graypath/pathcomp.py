@@ -108,8 +108,13 @@ def composable_tuples(PH, H, n):
 
 
 def build_pullback(PH, H, n=2, name=""):
-    """The strict pullback path(H) x_H .. x_H path(H), tabulated."""
-    V = TupleView(PathView(H), n)
+    """The strict pullback path(H) x_H .. x_H path(H), tabulated.
+
+    Every component is a cell of the tabulated PH, so each entry is a lookup
+    in its checked tables; the tuple view over the path formulas of H is the
+    oracle the tests compare against.
+    """
+    V = TupleView(PH, n)
     cells = composable_tuples(PH, H, n)
     return materialize(V, (cells[0], cells[1], cells[2], cells[3]),
                        name=name or f"pb{n}({H.name})")
@@ -165,10 +170,10 @@ def m_cocycle(H, V, q, p):
     return p2(H, t, a1, a2, gq, hq)
 
 
-def m_pseudo(H, PH=None, K=None):
+def m_pseudo(H, PH=None):
     """m as a PseudoMap on the tabulated pullback."""
     PH = PH or build_pathspace(H)
-    K = K or build_pullback(PH, H, 2)
+    K = build_pullback(PH, H, 2)
     V = PathView(H)
     assign = {d: {c: m_apply(H, V, d, c[0], c[1]) for c in K.cells[d]}
               for d in (0, 1, 2, 3)}
@@ -178,9 +183,9 @@ def m_pseudo(H, PH=None, K=None):
     return PH, K, PseudoMap(K, PH, assign, coc, name=f"m({H.name})")
 
 
-def verify_m_pseudo(H, PH=None, K=None):
+def verify_m_pseudo(H):
     """Lemma-level check: m is a pseudo Q1 graph map over path(H) x_H path(H)."""
-    PH, K, m = m_pseudo(H, PH, K)
+    _, _, m = m_pseudo(H)
     return validate_pseudo_map(m)
 
 
@@ -197,12 +202,11 @@ def _pair_map(K3, K, comp, coc_fn, name):
 
 
 def verify_internal_category(H):
-    """Associativity, units, and face conditions of the internal category."""
-    PH = build_pathspace(H)
-    K = build_pullback(PH, H, 2)
+    """m is a pseudo map, then the face conditions, units and associativity
+    of the internal category."""
+    PH, K, m = m_pseudo(H)
     K3 = build_pullback(PH, H, 3)
     V = PathView(H)
-    _, _, m = m_pseudo(H, PH, K)
 
     def faces():
         for d in (0, 1, 2, 3):
@@ -220,7 +224,7 @@ def verify_internal_category(H):
                 yield m(d, (left, c)) == c, ("left-unit", d, c)
         # unital cocycles: composites with degenerate pairs are trivial
         for (q, p) in K.comp0_11:
-            if TupleView(V, 2).is_id1(q) or TupleView(V, 2).is_id1(p):
+            if K.is_id1(q) or K.is_id1(p):
                 yield PH.is_id2(m.coc(q, p)), ("unit-cocycle", q, p)
 
     def assoc():
@@ -244,7 +248,7 @@ def verify_internal_category(H):
         for pair in K3.comp0_11:
             yield lhs.coc(*pair) == rhs.coc(*pair), ("assoc-cocycle", pair)
 
-    return run_laws([
+    return validate_pseudo_map(m) + run_laws([
         ("internal-source-target", faces()),
         ("internal-units", units()),
         ("internal-associativity", assoc()),
@@ -253,11 +257,8 @@ def verify_internal_category(H):
 
 def m_naturality_check(F, H, K_cod):
     """The strict-functor naturality square for m (elementwise)."""
-    PH = build_pathspace(H)
-    PK = build_pathspace(K_cod)
-    KH = build_pullback(PH, H, 2)
-    VH, VK = PathView(H), PathView(K_cod)
-    _, _, mH = m_pseudo(H, PH, KH)
+    _, KH, mH = m_pseudo(H)
+    VK = PathView(K_cod)
     from .pathspace import path_map
     fn = lambda d, c: F.maps[d][c]
 

@@ -89,6 +89,21 @@ def test_hom_command():
     assert doc["cells"] == [4, 14, 19, 19]
 
 
+def test_cap_hit_by_transformations_fails_hom():
+    """T1 -> CYC2 has one functor and two transformations."""
+    r = run("--report", "json", "--cap", "1", "hom", "T1", "CYC2")
+    assert r.exit_code == 1
+    r = run("--report", "json", "--cap", "2", "hom", "T1", "CYC2")
+    assert r.exit_code == 0
+    assert json.loads(r.output)["cells"] == [1, 2, 2, 2]
+
+
+def test_cap_bounds_functor_count():
+    r = run("--report", "json", "--cap", "1", "hom", "INT", "BIG")
+    assert r.exit_code == 1
+    assert json.loads(r.output)["cells"][0] == 1
+
+
 def test_faults_command():
     r = run("--seed", "3", "faults", "BIG", "--count", "5")
     assert r.exit_code == 0

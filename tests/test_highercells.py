@@ -135,6 +135,27 @@ def test_tensor_on_one_cells_unique_filler(big_tower):
     assert count > 0
 
 
+def test_filler_index_matches_linear_scan(big_tower):
+    """Tower.filler against a scan of DDD for every tensor_t pair."""
+    tw = big_tower
+    DDD, DD = tw.DDD, tw.DD
+    count = 0
+    for b in DD.cells[1]:
+        for a in DD.cells[1]:
+            if tw.dbar(1, b, 0) != tw.dbar(1, a, 1):
+                continue
+            src = tw.tensor_obj(b[4], a[4])
+            tgt = tw.tensor_obj(b[5], a[5])
+            hl, hr = tw.h_l(1, b, a), tw.h_r(1, b, a)
+            scan = [w for w in DDD.cells[1]
+                    if DDD.src(1, w) == src and DDD.tgt(1, w) == tgt
+                    and pd0(DD, 1, w) == hl and pd1(DD, 1, w) == hr]
+            assert [tw.filler(1, src, tgt, hl, hr)] == scan
+            assert tw.tensor_t(b, a) == scan[0]
+            count += 1
+    assert count > 0
+
+
 def test_one_cartesian(big_tower):
     rep = check_1cartesian(big_tower)
     assert rep.ok and rep.tuples_checked > 0

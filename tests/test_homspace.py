@@ -7,11 +7,13 @@ from graypath.highercells import Tower
 from graypath.kernel import all_pass, check_gray_axioms, structural_violations
 from graypath.homspace import (LaxTransformation, Modification, Perturbation,
                                compose_0, compose_0_oracle, compose_mods,
-                               enumerate_modifications, enumerate_perturbations,
+                               compose_perts, enumerate_modifications,
+                               enumerate_perturbations,
                                enumerate_strict_functors,
                                enumerate_transformations, hom_graycat,
                                hom_hl_mod, hom_hr_mod, identity_transformation,
-                               is_stiff, mod_to_pseudo, precompose, postcompose,
+                               is_stiff, mod_to_pseudo, pert_square,
+                               pert_to_pseudo, precompose, postcompose,
                                pseudo_to_trans, rho, sesquicategory_check,
                                tensor_mods, trans_to_pseudo,
                                validate_modification, validate_perturbation,
@@ -207,6 +209,32 @@ def test_perturbations(intbig):
                     assert all(r.ok for r in validate_perturbation(s))
                     found += 1
     assert found > 0
+
+
+def test_pert_square_and_compose_perts_match_conversion(intbig):
+    """Dimension 0 of pert_to_pseudo is pert_square, and compose_perts is
+    mbarbar on the converted perturbations, at every 0-cell."""
+    G, H, _, _, trans = intbig
+    tower = Tower(H)
+    mods = [A for ts in trans.values() for a in ts for b in ts
+            for A in enumerate_modifications(a, b)]
+    perts = [s for A in mods for B in mods
+             if A.alpha is B.alpha and A.beta is B.beta
+             for s in enumerate_perturbations(A, B)]
+    images = [pert_to_pseudo(s, tower) for s in perts]
+    for s, P in zip(perts, images):
+        for x in G.cells[0]:
+            assert pert_square(s, x, tower) == P(0, x)
+    composed = 0
+    for s, P in zip(perts, images):
+        for u, U in zip(perts, images):
+            if s.B.key() != u.A.key():
+                continue
+            us = compose_perts(u, s, tower)
+            for x in G.cells[0]:
+                assert us.at0[x] == tower.mbarbar(0, U(0, x), P(0, x))[1][1]
+            composed += 1
+    assert composed > 0
 
 
 def test_precompose_identity_and_postcompose_collapse(intbig):

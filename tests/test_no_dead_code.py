@@ -6,6 +6,7 @@ somewhere outside its own body: as an identifier, an attribute or a string
 perfbench/.  Dunder methods and click commands are called by the runtime
 and are exempt.  Names are matched without regard to their owner, so this
 is a coarse guard: it catches helpers nobody calls, not every unused method.
+A second guard fails on locals that are bound and never read.
 """
 
 import ast
@@ -67,3 +68,43 @@ def test_every_definition_is_referenced():
         if not outside:
             dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not dead, "unreferenced definitions:\n" + "\n".join(dead)
+
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(func):
+    """The nodes of func's body that no nested function encloses."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_local_is_read():
+    """A local bound by a plain `name = expr` is read in its function (reads
+    in nested functions count); `_` is exempt."""
+    dead = []
+    for path, tree in _trees():
+        if not path.is_relative_to(ROOT / "src" / "graypath"):
+            continue
+        for func in ast.walk(tree):
+            if not isinstance(func, FUNCS):
+                continue
+            read = {n.id for n in ast.walk(func)
+                    if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            read |= {n.target.id for n in ast.walk(func)
+                     if isinstance(n, ast.AugAssign)
+                     and isinstance(n.target, ast.Name)}
+            for node in _own_nodes(func):
+                if not isinstance(node, ast.Assign):
+                    continue
+                for target in node.targets:
+                    if (isinstance(target, ast.Name) and target.id != "_"
+                            and target.id not in read):
+                        dead.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                                    f"{func.name}: {target.id}")
+    assert not dead, "locals that are never read:\n" + "\n".join(sorted(dead))

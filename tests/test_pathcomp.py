@@ -4,11 +4,14 @@ import pytest
 
 from graypath.fixtures import fixture
 from graypath.kernel import StrictMap, all_pass
-from graypath.pathcomp import (build_pullback, m_apply, m_cocycle,
-                               m_naturality_check, m_pseudo, o_cell, o_pseudo,
+from graypath import presentation
+from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
+                               m_apply, m_cocycle, m_naturality_check,
+                               m_pseudo, o_cell, o_pseudo,
                                verify_internal_category, verify_internal_groupoid,
                                verify_m_pseudo)
-from graypath.pathspace import PathView, build_pathspace, degeneracy, pd0, pd1
+from graypath.pathspace import (PathView, build_pathspace, degeneracy,
+                                materialize, pd0, pd1)
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +146,18 @@ def test_unit_law_quantified_over_all_cells():
                 hi = degeneracy(H, d, pd1(H, d, c))
                 assert m_apply(H, V, d, c, lo) == c
                 assert m_apply(H, V, d, hi, c) == c
+
+
+@pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2"])
+def test_pullback_lookup_matches_formula_oracle(name):
+    """Tables filled by lookup in path(H) equal those filled by the path
+    formulas, document for document."""
+    H = fixture(name)
+    PH = build_pathspace(H)
+    for n in (2, 3):
+        cells = composable_tuples(PH, H, n)
+        oracle = materialize(TupleView(PathView(H), n),
+                             tuple(cells[d] for d in range(4)),
+                             name=f"pb{n}({H.name})")
+        assert presentation.dumps(build_pullback(PH, H, n)) == \
+            presentation.dumps(oracle)
