@@ -49,7 +49,8 @@ def corrupt_graycat(C, seed):
     dim = _OUT_DIM[table_name]
     others = [c for c in D.cells[dim] if c != old]
     if not others:
-        # single-cell dimension: break a face map instead
+        # single-cell dimension: break a face map instead (D's face index
+        # is not built yet, so it will see the swapped face)
         D.src_[dim][old] = D.tgt_[dim][old]
         return D, (table_name, key, old, "face-swap")
     diff_faces = [c for c in others
@@ -69,9 +70,8 @@ def corrupt_m_cocycle(H, seed):
     keys = sorted(m.cocycle, key=repr)
     key = rng.choice(keys)
     old = m.cocycle[key]
-    others = [c for c in PH.cells[2]
-              if c != old and PH.src(2, c) == PH.src(2, old)
-              and PH.tgt(2, c) == PH.tgt(2, old)]
+    others = [c for c in PH.between(2, PH.src(2, old), PH.tgt(2, old))
+              if c != old]
     if not others:
         others = [c for c in PH.cells[2] if c != old]
     m.cocycle[key] = rng.choice(sorted(others, key=repr))
@@ -83,14 +83,13 @@ def corrupt_transformation(t, seed):
     rng = random.Random(seed)
     H = t.H
     from .homspace import LaxTransformation
-    t2 = LaxTransformation(t.F, t.G, t.at0, t.at1, t.at2, t.coc, name="bad")
-    keys = sorted(t2.at1, key=repr)
-    key = rng.choice(keys)
-    old = t2.at1[key]
+    key = rng.choice(sorted(t.at1, key=repr))
+    old = t.at1[key]
     others = [c for c in H.cells[2] if c != old]
-    t2.at1 = dict(t2.at1)
-    t2.at1[key] = rng.choice(sorted(others, key=repr))
-    return t2, (key, old, t2.at1[key])
+    at1 = dict(t.at1)
+    at1[key] = rng.choice(sorted(others, key=repr))
+    t2 = LaxTransformation(t.F, t.G, t.at0, at1, t.at2, t.coc, name="bad")
+    return t2, (key, old, at1[key])
 
 
 def fault_detected(C):

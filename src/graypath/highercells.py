@@ -136,7 +136,7 @@ class Tower:
     # multiplications and whiskers ---------------------------------------
 
     def mbar(self, d, b, a):
-        out = m_apply(self.PH, self.PV, d, b, a)
+        out = m_apply(self.PH, d, b, a)
         if not self.DD.has_cell(d, out):
             raise FactorizationFailed("mbar output escaped the bigon space")
         return out
@@ -228,7 +228,7 @@ class Tower:
         return found[0]
 
     def mbarbar(self, d, b, a):
-        out = m_apply(self.DD, PathView(self.DD), d, b, a)
+        out = m_apply(self.DD, d, b, a)
         if not self.tri_keep(d, out):
             raise FactorizationFailed("mbarbar output escaped the 3-path space")
         return out
@@ -359,15 +359,13 @@ def check_1cartesian(tower):
         for group in by_par.values():
             for h in group:
                 for k in group:
-                    up = [c for c in DDD.cells[2]
-                          if DDD.src(2, c) == h and DDD.tgt(2, c) == k]
+                    up = DDD.between(2, h, k)
                     images = [(pd0(DD, 2, c), pd1(DD, 2, c)) for c in up]
                     if len(set(images)) != len(images):
                         yield False, ("not-injective", h, k)
                         continue
-                    down = [c for c in P2.cells[2]
-                            if P2.src(2, c) == (pd0(DD, 1, h), pd1(DD, 1, h))
-                            and P2.tgt(2, c) == (pd0(DD, 1, k), pd1(DD, 1, k))]
+                    down = P2.between(2, (pd0(DD, 1, h), pd1(DD, 1, h)),
+                                      (pd0(DD, 1, k), pd1(DD, 1, k)))
                     yield set(images) == set(down), ("not-full", h, k)
 
     return law_report("one-cartesian", lifts())
@@ -377,7 +375,6 @@ def assemble_internal_graycat(tw, strict_functor=None):
     """Machine-check the laws of the four-stage tower tw (a Tower over H)."""
     H = tw.H
     PH, DD, DDD = tw.PH, tw.DD, tw.DDD
-    V = tw.V
 
     def reflexive_glob():
         for d in (0, 1, 2, 3):
@@ -423,9 +420,9 @@ def assemble_internal_graycat(tw, strict_functor=None):
                 for p in PH.cells[d]:
                     if pd0(H, d, p) == tw.dbar(d, A, 1):
                         r = tw.w_r(d, p, A)
-                        yield tw.dj(d, r, 0) == m_apply(H, V, d, p, tw.dj(d, A, 0)), \
+                        yield tw.dj(d, r, 0) == m_apply(H, d, p, tw.dj(d, A, 0)), \
                             ("w_r-extends-m-d0", d, p, A)
-                        yield tw.dj(d, r, 1) == m_apply(H, V, d, p, tw.dj(d, A, 1)), \
+                        yield tw.dj(d, r, 1) == m_apply(H, d, p, tw.dj(d, A, 1)), \
                             ("w_r-extends-m-d1", d, p, A)
                         yield tw.dbar(d, r, 0) == tw.dbar(d, A, 0), \
                             ("w_r-outer-face", d, p, A)
@@ -433,9 +430,9 @@ def assemble_internal_graycat(tw, strict_functor=None):
                             ("w_r-outer-face-1", d, p, A)
                     if pd1(H, d, p) == tw.dbar(d, A, 0):
                         r = tw.w_l(d, A, p)
-                        yield tw.dj(d, r, 0) == m_apply(H, V, d, tw.dj(d, A, 0), p), \
+                        yield tw.dj(d, r, 0) == m_apply(H, d, tw.dj(d, A, 0), p), \
                             ("w_l-extends-m-d0", d, A, p)
-                        yield tw.dj(d, r, 1) == m_apply(H, V, d, tw.dj(d, A, 1), p), \
+                        yield tw.dj(d, r, 1) == m_apply(H, d, tw.dj(d, A, 1), p), \
                             ("w_l-extends-m-d1", d, A, p)
         # compatibility and associativity of the whiskers
         for d in (0, 1):
@@ -446,7 +443,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
                     for q in PH.cells[d]:
                         if pd0(H, d, q) == pd1(H, d, p):
                             lhs = tw.w_r(d, q, tw.w_r(d, p, A))
-                            rhs = tw.w_r(d, m_apply(H, V, d, q, p), A)
+                            rhs = tw.w_r(d, m_apply(H, d, q, p), A)
                             yield lhs == rhs, ("w_r-associative", d, q, p, A)
                         if pd1(H, d, q) == tw.dbar(d, A, 0):
                             lhs = tw.w_l(d, tw.w_r(d, p, A), q)
@@ -459,7 +456,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
                     for q in PH.cells[d]:
                         if pd1(H, d, q) == pd0(H, d, p):
                             lhs = tw.w_l(d, tw.w_l(d, A, p), q)
-                            rhs = tw.w_l(d, A, m_apply(H, V, d, p, q))
+                            rhs = tw.w_l(d, A, m_apply(H, d, p, q))
                             yield lhs == rhs, ("w_l-associative", d, A, p, q)
 
     def hcomp_laws():
@@ -470,10 +467,10 @@ def assemble_internal_graycat(tw, strict_functor=None):
                         continue
                     for h in (tw.h_l(d, b, a), tw.h_r(d, b, a)):
                         yield tw.dj(d, h, 0) == m_apply(
-                            H, V, d, tw.dj(d, b, 0), tw.dj(d, a, 0)), \
+                            H, d, tw.dj(d, b, 0), tw.dj(d, a, 0)), \
                             ("hcomp-face-d0", d, b, a)
                         yield tw.dj(d, h, 1) == m_apply(
-                            H, V, d, tw.dj(d, b, 1), tw.dj(d, a, 1)), \
+                            H, d, tw.dj(d, b, 1), tw.dj(d, a, 1)), \
                             ("hcomp-face-d1", d, b, a)
 
     def djj(d, c, which):

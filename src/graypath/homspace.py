@@ -27,7 +27,8 @@ class LaxTransformation:
 
     at0[x] is a 1-cell Fx -> Gx; at1[f]: Gf #0 at0[x] => at0[y] #0 Ff;
     at2[g] is the 3-cell between the two whiskered pastings; coc[(f2, f1)]
-    is the invertible cocycle 3-cell, normalized on identities.
+    is the invertible cocycle 3-cell, normalized on identities.  A
+    transformation does not change once built, so its key is computed once.
     """
 
     def __init__(self, F, G, at0, at1, at2=None, coc=None, name=""):
@@ -40,6 +41,7 @@ class LaxTransformation:
         self.at2 = dict(at2 or {})
         self.coc = dict(coc or {})
         self.name = name
+        self._key = None
 
     def a2(self, g):
         if g in self.at2:
@@ -62,13 +64,15 @@ class LaxTransformation:
         raise Mismatch(f"missing cocycle component for ({f2!r}, {f1!r})")
 
     def key(self):
-        dom = self.dom
-        return ("tr",
-                tuple((x, self.at0[x]) for x in dom.cells[0]),
-                tuple((f, self.at1[f]) for f in dom.cells[1]),
-                tuple((g, self.a2(g)) for g in dom.cells[2]),
-                tuple((p, self.acoc(*p))
-                      for p in sorted(_comp_pairs(dom), key=repr)))
+        if self._key is None:
+            dom = self.dom
+            self._key = ("tr",
+                         tuple((x, self.at0[x]) for x in dom.cells[0]),
+                         tuple((f, self.at1[f]) for f in dom.cells[1]),
+                         tuple((g, self.a2(g)) for g in dom.cells[2]),
+                         tuple((p, self.acoc(*p))
+                               for p in sorted(_comp_pairs(dom), key=repr)))
+        return self._key
 
 
 class Modification:
@@ -660,9 +664,7 @@ def enumerate_strict_functors(G, H, cap=100000):
         ones = []
         ok = True
         for f in G.cells[1]:
-            opts = [h for h in H.cells[1]
-                    if H.src(1, h) == ob[G.src(1, f)]
-                    and H.tgt(1, h) == ob[G.tgt(1, f)]]
+            opts = H.between(1, ob[G.src(1, f)], ob[G.tgt(1, f)])
             if G.is_id1(f):
                 opts = [H.ident(0, ob[G.src(1, f)])]
             ones.append(opts)
@@ -681,9 +683,8 @@ def enumerate_strict_functors(G, H, cap=100000):
                 if G.is_id2(a):
                     twos_opts.append([H.ident(1, mor[G.src(2, a)])])
                 else:
-                    twos_opts.append([b for b in H.cells[2]
-                                      if H.src(2, b) == mor[G.src(2, a)]
-                                      and H.tgt(2, b) == mor[G.tgt(2, a)]])
+                    twos_opts.append(H.between(2, mor[G.src(2, a)],
+                                               mor[G.tgt(2, a)]))
             for ts in product(*twos_opts):
                 two = dict(zip(G.cells[2], ts))
                 threes_opts = []
@@ -691,9 +692,8 @@ def enumerate_strict_functors(G, H, cap=100000):
                     if G.is_id3(g3):
                         threes_opts.append([H.ident(2, two[G.src(3, g3)])])
                     else:
-                        threes_opts.append([h3 for h3 in H.cells[3]
-                                            if H.src(3, h3) == two[G.src(3, g3)]
-                                            and H.tgt(3, h3) == two[G.tgt(3, g3)]])
+                        threes_opts.append(H.between(3, two[G.src(3, g3)],
+                                                     two[G.tgt(3, g3)]))
                 for hs in product(*threes_opts):
                     three = dict(zip(G.cells[3], hs))
                     cand = StrictMap(G, H, {0: ob, 1: mor, 2: two, 3: three})
@@ -718,8 +718,7 @@ def enumerate_transformations(F, G, cap=100000):
     reports = []
     c0 = []
     for x in dom.cells[0]:
-        c0.append([u for u in H.cells[1]
-                   if H.src(1, u) == F(0, x) and H.tgt(1, u) == G(0, x)])
+        c0.append(H.between(1, F(0, x), G(0, x)))
     for zs in product(*c0):
         at0 = dict(zip(dom.cells[0], zs))
         c1 = []
@@ -730,8 +729,7 @@ def enumerate_transformations(F, G, cap=100000):
                 continue
             lhs = H.comp0(G(1, f), at0[x])
             rhs = H.comp0(at0[y], F(1, f))
-            c1.append([u for u in H.cells[2]
-                       if H.src(2, u) == lhs and H.tgt(2, u) == rhs])
+            c1.append(H.between(2, lhs, rhs))
         for fs in product(*c1):
             at1 = dict(zip(dom.cells[1], fs))
             c2 = []
@@ -741,8 +739,7 @@ def enumerate_transformations(F, G, cap=100000):
                 x, y = dom.src0(2, g), dom.tgt0(2, g)
                 s3 = H.comp1(H.wl12(at0[y], F(2, g)), at1[f])
                 t3 = H.comp1(at1[f1], H.wr12(G(2, g), at0[x]))
-                opts = [u for u in H.cells[3]
-                        if H.src(3, u) == s3 and H.tgt(3, u) == t3]
+                opts = H.between(3, s3, t3)
                 if dom.is_id2(g):
                     ideal = H.ident(2, at1[f])
                     opts = [u for u in opts if u == ideal]
@@ -766,8 +763,7 @@ def enumerate_transformations(F, G, cap=100000):
                     s3 = H.comp1(H.wl12(at0[z], F.coc(f2, f1)), paste)
                     t3 = H.comp1(at1[dom.comp0(f2, f1)],
                                  H.wr12(G.coc(f2, f1), at0[x]))
-                    opts = [u for u in H.cells[3]
-                            if H.src(3, u) == s3 and H.tgt(3, u) == t3]
+                    opts = H.between(3, s3, t3)
                     if not opts:
                         ok = False
                         break
@@ -794,8 +790,7 @@ def enumerate_modifications(a, b, cap=100000):
     out = []
     c0 = []
     for x in dom.cells[0]:
-        c0.append([u for u in H.cells[2]
-                   if H.src(2, u) == a.at0[x] and H.tgt(2, u) == b.at0[x]])
+        c0.append(H.between(2, a.at0[x], b.at0[x]))
     for zs in product(*c0):
         at0 = dict(zip(dom.cells[0], zs))
         c1 = []
@@ -804,8 +799,7 @@ def enumerate_modifications(a, b, cap=100000):
             x, y = dom.src(1, f), dom.tgt(1, f)
             s3 = H.comp1(b.at1[f], H.wl12(a.G(1, f), at0[x]))
             t3 = H.comp1(H.wr12(at0[y], a.F(1, f)), a.at1[f])
-            opts = [u for u in H.cells[3]
-                    if H.src(3, u) == s3 and H.tgt(3, u) == t3]
+            opts = H.between(3, s3, t3)
             if not opts:
                 feasible = False
                 break
@@ -827,8 +821,7 @@ def enumerate_perturbations(A, B, cap=100000):
     out = []
     c0 = []
     for x in dom.cells[0]:
-        c0.append([u for u in H.cells[3]
-                   if H.src(3, u) == A.at0[x] and H.tgt(3, u) == B.at0[x]])
+        c0.append(H.between(3, A.at0[x], B.at0[x]))
     for zs in product(*c0):
         s = Perturbation(A, B, dict(zip(dom.cells[0], zs)))
         if all(r.ok for r in validate_perturbation(s)):

@@ -98,6 +98,11 @@ class GrayCat:
 
     Optional inversion tables inv1/inv2/inv3 mark groupoid structure.
     Instances are immutable after construction by convention.
+
+    by_src, by_tgt and between find d-cells by their faces.  They read one
+    index, built on first use and dropped by add_cell, and return tuples in
+    cells[d] order, so a loop over them visits what a filtered scan of
+    cells[d] would, in the same order.
     """
 
     DIMS = (0, 1, 2, 3)
@@ -126,6 +131,7 @@ class GrayCat:
         self.generators = None  # 1-free flag: list of generating 1-cells
         self._inv2_cache = {}
         self._inv3_cache = {}
+        self._faces = None
 
     # -- construction ------------------------------------------------
 
@@ -137,6 +143,7 @@ class GrayCat:
         if d > 0:
             self.src_[d][c] = src
             self.tgt_[d][c] = tgt
+        self._faces = None
         return c
 
     def has_cell(self, d, c):
@@ -165,6 +172,29 @@ class GrayCat:
 
     def ident(self, d, c):
         return self.id_up[d][c]
+
+    def _cells_by(self, key):
+        if self._faces is None:
+            faces = {}
+            for d in (1, 2, 3):
+                for c in self.cells[d]:
+                    s, t = self.src_[d][c], self.tgt_[d][c]
+                    for k in (("src", d, s), ("tgt", d, t), (d, s, t)):
+                        faces.setdefault(k, []).append(c)
+            self._faces = {k: tuple(v) for k, v in faces.items()}
+        return self._faces.get(key, ())
+
+    def by_src(self, d, s):
+        """The d-cells with source s, in cells[d] order."""
+        return self._cells_by(("src", d, s))
+
+    def by_tgt(self, d, t):
+        """The d-cells with target t, in cells[d] order."""
+        return self._cells_by(("tgt", d, t))
+
+    def between(self, d, s, t):
+        """The d-cells from s to t, in cells[d] order."""
+        return self._cells_by((d, s, t))
 
     def is_id1(self, f):
         x = self.src_[1][f]
@@ -261,12 +291,11 @@ class GrayCat:
         if a in self._inv2_cache:
             return self._inv2_cache[a]
         f, g = self.src_[2][a], self.tgt_[2][a]
-        for b in self.cells[2]:
-            if self.src_[2][b] == g and self.tgt_[2][b] == f:
-                if (self.comp1_22.get((b, a)) == self.id_up[1][f]
-                        and self.comp1_22.get((a, b)) == self.id_up[1][g]):
-                    self._inv2_cache[a] = b
-                    return b
+        for b in self.between(2, g, f):
+            if (self.comp1_22.get((b, a)) == self.id_up[1][f]
+                    and self.comp1_22.get((a, b)) == self.id_up[1][g]):
+                self._inv2_cache[a] = b
+                return b
         raise NotAGroupoid(f"{self.name}: 2-cell {a!r} has no #1-inverse")
 
     def inv_3(self, g):
@@ -275,12 +304,11 @@ class GrayCat:
         if g in self._inv3_cache:
             return self._inv3_cache[g]
         a, b = self.src_[3][g], self.tgt_[3][g]
-        for h in self.cells[3]:
-            if self.src_[3][h] == b and self.tgt_[3][h] == a:
-                if (self.comp2_33.get((h, g)) == self.id_up[2][a]
-                        and self.comp2_33.get((g, h)) == self.id_up[2][b]):
-                    self._inv3_cache[g] = h
-                    return h
+        for h in self.between(3, b, a):
+            if (self.comp2_33.get((h, g)) == self.id_up[2][a]
+                    and self.comp2_33.get((g, h)) == self.id_up[2][b]):
+                self._inv3_cache[g] = h
+                return h
         raise NotAGroupoid(f"{self.name}: 3-cell {g!r} has no #2-inverse")
 
     # convenience iterators over composable tuples
@@ -437,10 +465,9 @@ def _gray_law_generators(C):
             ok = (C.comp0(f, C.id_up[0][x]) == f and C.comp0(C.id_up[0][y], f) == f)
             yield ok, ("comp0-unit", f)
         for (g, f) in C.comp0_pairs():
-            for h in C.cells[1]:
-                if C.src(1, h) == C.tgt(1, g):
-                    ok = C.comp0(C.comp0(h, g), f) == C.comp0(h, C.comp0(g, f))
-                    yield ok, ("comp0-assoc", h, g, f)
+            for h in C.by_src(1, C.tgt(1, g)):
+                ok = C.comp0(C.comp0(h, g), f) == C.comp0(h, C.comp0(g, f))
+                yield ok, ("comp0-assoc", h, g, f)
 
     def local_2cat():
         for a in C.cells[2]:
@@ -448,19 +475,17 @@ def _gray_law_generators(C):
             ok = (C.comp1(a, C.id_up[1][f]) == a and C.comp1(C.id_up[1][g], a) == a)
             yield ok, ("comp1-unit", a)
         for (b, a) in sorted(C.comp1_22, key=repr):
-            for c in C.cells[2]:
-                if C.src(2, c) == C.tgt(2, b):
-                    ok = C.comp1(C.comp1(c, b), a) == C.comp1(c, C.comp1(b, a))
-                    yield ok, ("comp1-assoc", c, b, a)
+            for c in C.by_src(2, C.tgt(2, b)):
+                ok = C.comp1(C.comp1(c, b), a) == C.comp1(c, C.comp1(b, a))
+                yield ok, ("comp1-assoc", c, b, a)
         for g3 in C.cells[3]:
             a, b = C.src(3, g3), C.tgt(3, g3)
             ok = (C.comp2(g3, C.id_up[2][a]) == g3 and C.comp2(C.id_up[2][b], g3) == g3)
             yield ok, ("comp2-unit", g3)
         for (d3, g3) in sorted(C.comp2_33, key=repr):
-            for e3 in C.cells[3]:
-                if C.src(3, e3) == C.tgt(3, d3):
-                    ok = C.comp2(C.comp2(e3, d3), g3) == C.comp2(e3, C.comp2(d3, g3))
-                    yield ok, ("comp2-assoc", e3, d3, g3)
+            for e3 in C.by_src(3, C.tgt(3, d3)):
+                ok = C.comp2(C.comp2(e3, d3), g3) == C.comp2(e3, C.comp2(d3, g3))
+                yield ok, ("comp2-assoc", e3, d3, g3)
         # whisker-23 units and functoriality in the 3-cell
         for g3 in C.cells[3]:
             a = C.src(3, g3)
@@ -468,26 +493,27 @@ def _gray_law_generators(C):
             ok = (C.wl23(C.id_up[1][g], g3) == g3 and C.wr23(g3, C.id_up[1][f]) == g3)
             yield ok, ("whisk23-unit", g3)
         for (c, g3) in sorted(C.whisk_l23, key=repr):
-            for d3 in C.cells[3]:
-                if C.src(3, d3) == C.tgt(3, g3):
-                    lhs = C.wl23(c, C.comp2(d3, g3))
-                    rhs = C.comp2(C.wl23(c, d3), C.wl23(c, g3))
-                    yield lhs == rhs, ("whisk_l23-comp2", c, d3, g3)
+            for d3 in C.by_src(3, C.tgt(3, g3)):
+                lhs = C.wl23(c, C.comp2(d3, g3))
+                rhs = C.comp2(C.wl23(c, d3), C.wl23(c, g3))
+                yield lhs == rhs, ("whisk_l23-comp2", c, d3, g3)
         for (g3, c) in sorted(C.whisk_r23, key=repr):
-            for d3 in C.cells[3]:
-                if C.src(3, d3) == C.tgt(3, g3):
-                    lhs = C.wr23(C.comp2(d3, g3), c)
-                    rhs = C.comp2(C.wr23(d3, c), C.wr23(g3, c))
-                    yield lhs == rhs, ("whisk_r23-comp2", d3, g3, c)
-        # local interchange, via whiskers
+            for d3 in C.by_src(3, C.tgt(3, g3)):
+                lhs = C.wr23(C.comp2(d3, g3), c)
+                rhs = C.comp2(C.wr23(d3, c), C.wr23(g3, c))
+                yield lhs == rhs, ("whisk_r23-comp2", d3, g3, c)
+        # local interchange, via whiskers; 3-cells grouped by the source of
+        # their source, which is not a face
+        by_srcsrc = {}
+        for d3 in C.cells[3]:
+            by_srcsrc.setdefault(C.src(2, C.src(3, d3)), []).append(d3)
         for g3 in C.cells[3]:
             a, b = C.src(3, g3), C.tgt(3, g3)
-            for d3 in C.cells[3]:
+            for d3 in by_srcsrc.get(C.tgt(2, a), ()):
                 a2, b2 = C.src(3, d3), C.tgt(3, d3)
-                if C.src(2, a2) == C.tgt(2, a):
-                    lhs = C.comp2(C.wl23(b2, g3), C.wr23(d3, a))
-                    rhs = C.comp2(C.wr23(d3, b), C.wl23(a2, g3))
-                    yield lhs == rhs, ("local-interchange", d3, g3)
+                lhs = C.comp2(C.wl23(b2, g3), C.wr23(d3, a))
+                rhs = C.comp2(C.wr23(d3, b), C.wl23(a2, g3))
+                yield lhs == rhs, ("local-interchange", d3, g3)
 
     def whisker12():
         for (k, a) in sorted(C.whisk_l12, key=repr):
@@ -515,22 +541,19 @@ def _gray_law_generators(C):
                     yield lhs == rhs, ("whisk_r12-comp1", b, a, k)
         # associative in the 1-cell
         for (k, a) in sorted(C.whisk_l12, key=repr):
-            for m in C.cells[1]:
-                if C.src(1, m) == C.tgt(1, k):
-                    lhs = C.wl12(C.comp0(m, k), a)
-                    rhs = C.wl12(m, C.wl12(k, a))
-                    yield lhs == rhs, ("whisk_l12-comp0", m, k, a)
+            for m in C.by_src(1, C.tgt(1, k)):
+                lhs = C.wl12(C.comp0(m, k), a)
+                rhs = C.wl12(m, C.wl12(k, a))
+                yield lhs == rhs, ("whisk_l12-comp0", m, k, a)
         for (a, k) in sorted(C.whisk_r12, key=repr):
-            for m in C.cells[1]:
-                if C.src(1, k) == C.tgt(1, m):
-                    lhs = C.wr12(a, C.comp0(k, m))
-                    rhs = C.wr12(C.wr12(a, k), m)
-                    yield lhs == rhs, ("whisk_r12-comp0", a, k, m)
-            for m in C.cells[1]:
-                if C.src(1, m) == C.tgt0(2, a):
-                    lhs = C.wl12(m, C.wr12(a, k))
-                    rhs = C.wr12(C.wl12(m, a), k)
-                    yield lhs == rhs, ("whisk12-mixed-assoc", m, a, k)
+            for m in C.by_tgt(1, C.src(1, k)):
+                lhs = C.wr12(a, C.comp0(k, m))
+                rhs = C.wr12(C.wr12(a, k), m)
+                yield lhs == rhs, ("whisk_r12-comp0", a, k, m)
+            for m in C.by_src(1, C.tgt0(2, a)):
+                lhs = C.wl12(m, C.wr12(a, k))
+                rhs = C.wr12(C.wl12(m, a), k)
+                yield lhs == rhs, ("whisk12-mixed-assoc", m, a, k)
 
     def whisker13():
         for (k, g3) in sorted(C.whisk_l13, key=repr):
@@ -557,11 +580,10 @@ def _gray_law_generators(C):
                     yield lhs == rhs, ("whisk_r13-comp2", d3, g3, k)
         # 1-whiskers distribute over 2-whiskers of 3-cells
         for (c, g3) in sorted(C.whisk_l23, key=repr):
-            for k in C.cells[1]:
-                if C.src(1, k) == C.tgt0(3, g3):
-                    lhs = C.wl13(k, C.wl23(c, g3))
-                    rhs = C.wl23(C.wl12(k, c), C.wl13(k, g3))
-                    yield lhs == rhs, ("whisk13-over-23", k, c, g3)
+            for k in C.by_src(1, C.tgt0(3, g3)):
+                lhs = C.wl13(k, C.wl23(c, g3))
+                rhs = C.wl23(C.wl12(k, c), C.wl13(k, g3))
+                yield lhs == rhs, ("whisk13-over-23", k, c, g3)
 
     def tensor_laws():
         for (b, a) in C.tensor_pairs():
@@ -594,16 +616,16 @@ def _gray_law_generators(C):
                     yield lhs == rhs, ("tensor-natural-upper", g3, a)
         # functorial along #1 in each argument
         for (b, a) in C.tensor_pairs():
-            for a2 in C.cells[2]:
-                if C.src(2, a2) == C.tgt(2, a) and C.tgt0(2, a2) == C.src0(2, b):
+            for a2 in C.by_src(2, C.tgt(2, a)):
+                if C.tgt0(2, a2) == C.src0(2, b):
                     g1 = C.tgt(2, b)
                     g0 = C.src(2, b)
                     lhs = C.tensor(b, C.comp1(a2, a))
                     step1 = C.wr23(C.tensor(b, a2), C.wl12(g0, a))
                     step2 = C.wl23(C.wl12(g1, a2), C.tensor(b, a))
                     yield lhs == C.comp2(step2, step1), ("tensor-comp1-lower", b, a2, a)
-            for b2 in C.cells[2]:
-                if C.src(2, b2) == C.tgt(2, b) and C.src0(2, b2) == C.tgt0(2, a):
+            for b2 in C.by_src(2, C.tgt(2, b)):
+                if C.src0(2, b2) == C.tgt0(2, a):
                     f0 = C.src(2, a)
                     f1 = C.tgt(2, a)
                     lhs = C.tensor(C.comp1(b2, b), a)
@@ -624,13 +646,12 @@ def _gray_law_generators(C):
                     rhs = C.wr13(C.tensor(b, a), k)
                     yield lhs == rhs, ("tensor-whisker-right", b, a, k)
         for b in C.cells[2]:
-            for k in C.cells[1]:
-                if C.src0(2, b) == C.tgt(1, k):
-                    for a in C.cells[2]:
-                        if C.tgt0(2, a) == C.src(1, k):
-                            lhs = C.tensor(C.wr12(b, k), a)
-                            rhs = C.tensor(b, C.wl12(k, a))
-                            yield lhs == rhs, ("tensor-whisker-middle", b, k, a)
+            for k in C.by_tgt(1, C.src0(2, b)):
+                for a in C.cells[2]:
+                    if C.tgt0(2, a) == C.src(1, k):
+                        lhs = C.tensor(C.wr12(b, k), a)
+                        rhs = C.tensor(b, C.wl12(k, a))
+                        yield lhs == rhs, ("tensor-whisker-middle", b, k, a)
 
     def groupoid_laws():
         if not C.is_groupoid:
@@ -728,17 +749,13 @@ def structural_violations(C, limit=20):
 
 def _expected_comp0(C):
     for g in C.cells[1]:
-        for f in C.cells[1]:
-            if C.src_[1][g] == C.tgt_[1][f]:
-                yield (g, f)
+        for f in C.by_tgt(1, C.src_[1][g]):
+            yield (g, f)
 
 
 def _expected_comp1(C):
-    by_src = {}
     for a in C.cells[2]:
-        by_src.setdefault(C.src_[2][a], []).append(a)
-    for a in C.cells[2]:
-        for b in by_src.get(C.tgt_[2][a], ()):
+        for b in C.by_src(2, C.tgt_[2][a]):
             yield (b, a)
 
 
@@ -820,17 +837,15 @@ def pullback_along_functor(F, G):
     for f in C.morphisms:
         for g in C.morphisms:
             if C.src[f] == C.src[g] and C.tgt[f] == C.tgt[g]:
-                for a in G.cells[2]:
-                    if G.src(2, a) == im[f] and G.tgt(2, a) == im[g]:
-                        P.add_cell(2, ("pb2", a, f, g), f, g)
+                for a in G.between(2, im[f], im[g]):
+                    P.add_cell(2, ("pb2", a, f, g), f, g)
     for c2 in P.cells[2]:
         _, a, f, g = c2
         for d2 in P.cells[2]:
             _, b, f2, g2 = d2
             if (f, g) == (f2, g2):
-                for G3 in G.cells[3]:
-                    if G.src(3, G3) == a and G.tgt(3, G3) == b:
-                        P.add_cell(3, ("pb3", G3, c2, d2), c2, d2)
+                for G3 in G.between(3, a, b):
+                    P.add_cell(3, ("pb3", G3, c2, d2), c2, d2)
     for x in C.objects:
         P.id_up[0][x] = C.ids[x]
     for f in C.morphisms:
@@ -860,10 +875,9 @@ def pullback_along_functor(F, G):
                 P.whisk_r13[(c3, k)] = ("pb3", G.wr13(G3, im[k]),
                                         P.whisk_r12[(s2, k)], P.whisk_r12[(t2, k)])
     for b2 in P.cells[2]:
-        for a2 in P.cells[2]:
-            if P.src(2, b2) == P.tgt(2, a2):
-                P.comp1_22[(b2, a2)] = ("pb2", G.comp1(b2[1], a2[1]),
-                                        P.src(2, a2), P.tgt(2, b2))
+        for a2 in P.by_tgt(2, P.src(2, b2)):
+            P.comp1_22[(b2, a2)] = ("pb2", G.comp1(b2[1], a2[1]),
+                                    P.src(2, a2), P.tgt(2, b2))
     for c3 in P.cells[3]:
         s2, t2 = P.src(3, c3), P.tgt(3, c3)
         for c2 in P.cells[2]:
@@ -874,10 +888,9 @@ def pullback_along_functor(F, G):
                 P.whisk_r23[(c3, c2)] = ("pb3", G.wr23(c3[1], c2[1]),
                                          P.comp1_22[(s2, c2)], P.comp1_22[(t2, c2)])
     for d3 in P.cells[3]:
-        for g3 in P.cells[3]:
-            if P.src(3, d3) == P.tgt(3, g3):
-                P.comp2_33[(d3, g3)] = ("pb3", G.comp2(d3[1], g3[1]),
-                                        P.src(3, g3), P.tgt(3, d3))
+        for g3 in P.by_tgt(3, P.src(3, d3)):
+            P.comp2_33[(d3, g3)] = ("pb3", G.comp2(d3[1], g3[1]),
+                                    P.src(3, g3), P.tgt(3, d3))
     # tensor per the pulled-back formula: faces are computed in G
     for b2 in P.cells[2]:
         for a2 in P.cells[2]:

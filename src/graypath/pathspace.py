@@ -310,25 +310,19 @@ def path_cells(B):
     by_tb = {}
     for q in squares:
         by_tb.setdefault((q[4], q[5]), []).append(q)
-    two_by = {}
-    for a in B.cells[2]:
-        two_by.setdefault((B.src(2, a), B.tgt(2, a)), []).append(a)
-    three_by = {}
-    for t in B.cells[3]:
-        three_by.setdefault((B.src(3, t), B.tgt(3, t)), []).append(t)
 
     p2s = []
     for group in by_tb.values():
         for gq in group:
             sp = {}
             for hq in group:
-                for a1 in two_by.get((gq[2], hq[2]), ()):
+                for a1 in B.between(2, gq[2], hq[2]):
                     key = a1
                     if key not in sp:
                         sp[key] = src_paste(B, a1, gq)
-                    for a2 in two_by.get((gq[3], hq[3]), ()):
+                    for a2 in B.between(2, gq[3], hq[3]):
                         tp = tgt_paste(B, a2, hq, gq[4])
-                        for t in three_by.get((sp[key], tp), ()):
+                        for t in B.between(3, sp[key], tp):
                             p2s.append(("p2", t, a1, a2, gq, hq))
 
     by_sq = {}
@@ -338,8 +332,8 @@ def path_cells(B):
     for group in by_sq.values():
         for aq in group:
             for bq in group:
-                for G1 in three_by.get((aq[2], bq[2]), ()):
-                    for G2 in three_by.get((aq[3], bq[3]), ()):
+                for G1 in B.between(3, aq[2], bq[2]):
+                    for G2 in B.between(3, aq[3], bq[3]):
                         try:
                             p3s.append(p3(B, G1, G2, aq, bq))
                         except NotComposable:
@@ -369,25 +363,15 @@ def materialize(view, cells, name=""):
         for c in C.cells[d]:
             C.id_up[d][c] = place(d + 1, view.ident(d, c), "identity")
 
-    by_src1 = {}
-    for c in c1:
-        by_src1.setdefault(view.src(1, c), []).append(c)
     for g in c1:
-        for h in by_src1.get(view.tgt(1, g), ()):
+        for h in C.by_src(1, view.tgt(1, g)):
             C.comp0_11[(h, g)] = place(1, view.comp0(h, g), "comp0")
 
-    def tgt0(d, c):
-        return view.tgt0(d, c)
-
-    def src0(d, c):
-        return view.src0(d, c)
-
     by_src0_2 = {}
-    for a in c2:
-        by_src0_2.setdefault(src0(2, a), []).append(a)
     by_tgt0_2 = {}
     for a in c2:
-        by_tgt0_2.setdefault(tgt0(2, a), []).append(a)
+        by_src0_2.setdefault(view.src0(2, a), []).append(a)
+        by_tgt0_2.setdefault(view.tgt0(2, a), []).append(a)
     for k in c1:
         for a in by_tgt0_2.get(view.src(1, k), ()):
             C.whisk_l12[(k, a)] = place(2, view.wl12(k, a), "whisk_l12")
@@ -397,19 +381,16 @@ def materialize(view, cells, name=""):
     by_src0_3 = {}
     by_tgt0_3 = {}
     for g3 in c3:
-        by_src0_3.setdefault(src0(3, g3), []).append(g3)
-        by_tgt0_3.setdefault(tgt0(3, g3), []).append(g3)
+        by_src0_3.setdefault(view.src0(3, g3), []).append(g3)
+        by_tgt0_3.setdefault(view.tgt0(3, g3), []).append(g3)
     for k in c1:
         for g3 in by_tgt0_3.get(view.src(1, k), ()):
             C.whisk_l13[(k, g3)] = place(3, view.wl13(k, g3), "whisk_l13")
         for g3 in by_src0_3.get(view.tgt(1, k), ()):
             C.whisk_r13[(g3, k)] = place(3, view.wr13(g3, k), "whisk_r13")
 
-    by_src2 = {}
     for a in c2:
-        by_src2.setdefault(view.src(2, a), []).append(a)
-    for a in c2:
-        for b in by_src2.get(view.tgt(2, a), ()):
+        for b in C.by_src(2, view.tgt(2, a)):
             C.comp1_22[(b, a)] = place(2, view.comp1(b, a), "comp1")
 
     by_srcface = {}
@@ -424,21 +405,18 @@ def materialize(view, cells, name=""):
         for g3 in by_srcface.get(view.tgt(2, c), ()):
             C.whisk_r23[(g3, c)] = place(3, view.wr23(g3, c), "whisk_r23")
 
-    by_src3 = {}
     for g3 in c3:
-        by_src3.setdefault(view.src(3, g3), []).append(g3)
-    for g3 in c3:
-        for d3 in by_src3.get(view.tgt(3, g3), ()):
+        for d3 in C.by_src(3, view.tgt(3, g3)):
             C.comp2_33[(d3, g3)] = place(3, view.comp2(d3, g3), "comp2")
 
     for b in c2:
-        for a in by_tgt0_2.get(src0(2, b), ()):
+        for a in by_tgt0_2.get(view.src0(2, b), ()):
             C.tensor_[(b, a)] = place(3, view.tensor(b, a), "tensor")
 
     if getattr(view, "is_groupoid", False):
         C.is_groupoid = True
         for f in c1:
-            for g in c1:
+            for g in C.between(1, C.tgt(1, f), C.src(1, f)):
                 if (C.comp0_11.get((g, f)) == C.id_up[0][C.src(1, f)]
                         and C.comp0_11.get((f, g)) == C.id_up[0][C.src(1, g)]):
                     C.inv1[f] = g

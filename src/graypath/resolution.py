@@ -362,9 +362,8 @@ def _is_id2(C, a):
 
 def _comp_pairs(C):
     for g in C.cells[1]:
-        for f in C.cells[1]:
-            if C.src(1, g) == C.tgt(1, f):
-                yield (g, f)
+        for f in C.by_tgt(1, C.src(1, g)):
+            yield (g, f)
 
 
 def strict_as_pseudo(F):
@@ -415,14 +414,9 @@ def validate_pseudo_map(F):
     pairs_by_tgt = {}            # composable pairs keyed by overall target
     for (g, f) in pairs:
         pairs_by_tgt.setdefault(dom.tgt(1, g), []).append((g, f))
-    ones_by_tgt = {}
-    for f in dom.cells[1]:
-        ones_by_tgt.setdefault(dom.tgt(1, f), []).append(f)
-    twos_by_src = {}
     twos_by_src0 = {}
     twos_by_tgt0 = {}
     for a in dom.cells[2]:
-        twos_by_src.setdefault(dom.src(2, a), []).append(a)
         twos_by_src0.setdefault(dom.src0(2, a), []).append(a)
         twos_by_tgt0.setdefault(dom.tgt0(2, a), []).append(a)
     threes_by_srcsrc = {}
@@ -469,7 +463,7 @@ def validate_pseudo_map(F):
             if dom.is_id1(f1) or dom.is_id1(f2):
                 yield _is_id2(cod, c), ("cocycle-normalized", f1, f2)
         for (f1, f2) in pairs:
-            for f3 in ones_by_tgt.get(dom.src(1, f2), ()):
+            for f3 in dom.by_tgt(1, dom.src(1, f2)):
                 lhs = cod.comp1(F.coc(f1, dom.comp0(f2, f3)),
                                 cod.wl12(F(1, f1), F.coc(f2, f3)))
                 rhs = cod.comp1(F.coc(dom.comp0(f1, f2), f3),
@@ -478,12 +472,12 @@ def validate_pseudo_map(F):
 
     def whisker_coherence():
         for (g, f) in pairs:
-            for a in twos_by_src.get(g, ()):
+            for a in dom.by_src(2, g):
                 g1 = dom.tgt(2, a)
                 lhs = cod.comp1(F(2, dom.wr12(a, f)), F.coc(g, f))
                 rhs = cod.comp1(F.coc(g1, f), cod.wr12(F(2, a), F(1, f)))
                 yield lhs == rhs, ("whisker-left-coherent", a, f)
-            for a in twos_by_src.get(f, ()):
+            for a in dom.by_src(2, f):
                 f1 = dom.tgt(2, a)
                 lhs = cod.comp1(F(2, dom.wl12(g, a)), F.coc(g, f))
                 rhs = cod.comp1(F.coc(g, f1), cod.wl12(F(1, g), F(2, a)))

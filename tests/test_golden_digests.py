@@ -1,9 +1,11 @@
 """Golden digests: refactors keep every report and document byte-identical.
 
 The sha256 values were taken from the code before pullbacks were tabulated
-through path(H)'s tables and before each hom cell was converted only once.
-A change that alters one of these outputs on purpose must say so and pin
-the new value.
+through path(H)'s tables and before each hom cell was converted only once;
+the `check gray` and seeded-corruption digests were taken before the face
+index replaced the checker's scans, so they pin failing reports too.  A
+change that alters one of these outputs on purpose must say so and pin the
+new value.
 """
 
 import hashlib
@@ -14,8 +16,10 @@ from click.testing import CliRunner
 
 from graypath import presentation
 from graypath.cli import main
+from graypath.faults import corrupt_graycat
 from graypath.fixtures import fixture
 from graypath.homspace import hom_graycat
+from graypath.kernel import check_gray_axioms, structural_violations
 from graypath.pathcomp import build_pullback
 from graypath.pathspace import build_pathspace
 
@@ -32,6 +36,37 @@ REPORTS = {
         "2434987cd9d2e2f6f51b2b15a93a91c6f5f10e886062afdf4e15daf60c38ac2a",
     ("hom", "INT", "CYC2"):
         "b843d11a7448a83a4a88df1b22ab0757ea6c7ea5b13060800abc58a298ee39c3",
+    ("check", "gray", "BIG"):
+        "1e0c30b2cef9a632af9a69e907c6bc7bea02fa9b8f649052e99ec7d1b1276915",
+    ("check", "gray", "CHAIN3"):
+        "39ad888b373469d170351966864437f84fed0008fa65b08951d510433e0d9026",
+    ("check", "gray", "CHAIN4"):
+        "ad32fb0a3a8a0079450b2ea21c750fa31c7da868776e8b1c754250af50af5d2e",
+    ("check", "gray", "CYC2"):
+        "aa8a5230745563f702aacfd51d0561c1b79e6e933e9e84dd4c03c264f276d3b3",
+    ("check", "gray", "INT"):
+        "644e2c0cac11c23cdbd0fc5bd12438ff9e088f0c9c0e72c1889223df0696ab1e",
+    ("check", "gray", "PAIR"):
+        "aa5c1eff04b1883f98765b5715d0bb2f1b1fa62bf39f208733b951b32e1dc8f3",
+    ("check", "gray", "T1"):
+        "b02b85acda0955db1f80dc86c49db93dc6095c59a7dd739b3681315d3d29aedc",
+    ("check", "gray", "TWIST"):
+        "d9832632548484e366a8bc4131c668ff3cf2cc0391619e85c48c93b96344e7ca",
+}
+
+# input -> digest of the Gray-axiom and structural reports on its seeded
+# corruptions (seeds 0-199 for fixtures, 0-39 for path(PAIR))
+FAULT_REPORTS = {
+    "T1": "f5e9a60433f7638081c38bbe6f09c9e2678a8b7889935617150b96cd53f8dd2f",
+    "INT": "aa65053320626ce132bf3de4c2a784044a7b495e5a7029b5e6513491ff206c03",
+    "BIG": "184ed7e8d9b9e4db40697db4d41eb111867177e9ece05fc39791488b81631915",
+    "PAIR": "290be7f260bca040f31ffdf9ca55f86124d9f2f2062a9aca60d286255d59ad1f",
+    "CYC2": "ccfa026d9c8c4b19f1f35fcecf75ecea659aff399ab6949ef64986e637fbc585",
+    "TWIST": "9f3cccae34fe770f4bf73222985c6d501fdbc65aa13e121e391b24f18c5bc83b",
+    "CHAIN3": "0877f092e2d337a985083f7b3b81d06a3db592b9685ac1386cf88baed3a4e10b",
+    "CHAIN4": "2237bd5cf797cd84b4bf7a8dea94c38e5dbb9787e939cf43646dfc2ca8bfae0c",
+    "path(PAIR)":
+        "11f6a7e163fbee2d342629404c29261def5cc9a475de6ba63f40de7f5225f362",
 }
 
 # fixture -> digests of path(H), its 2-fold and its 3-fold pullback
@@ -69,6 +104,16 @@ def _document_digests(name):
                  (PH, build_pullback(PH, H, 2), build_pullback(PH, H, 3)))
 
 
+def _fault_digest(C, seeds):
+    h = hashlib.sha256()
+    for seed in seeds:
+        D, info = corrupt_graycat(C, seed)
+        doc = [repr(info), [r.as_dict() for r in check_gray_axioms(D)],
+               structural_violations(D)]
+        h.update(json.dumps(doc).encode("utf-8"))
+    return h.hexdigest()
+
+
 def _tables_digest(C):
     """The public attributes of C, dict entries sorted by repr; the private
     ones are skipped because _cellset is a set whose order varies."""
@@ -91,6 +136,15 @@ def test_json_report_digest(argv):
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_pathspace_and_pullback_document_digests(name):
     assert _document_digests(name) == DOCUMENTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_REPORTS))
+def test_seeded_corruption_report_digest(name):
+    if name == "path(PAIR)":
+        digest = _fault_digest(build_pathspace(fixture("PAIR")), range(40))
+    else:
+        digest = _fault_digest(fixture(name), range(200))
+    assert digest == FAULT_REPORTS[name]
 
 
 def test_hom_table_digest():

@@ -54,7 +54,7 @@ def test_mbar_is_restricted_ambient_m(big_tower):
         for b in tw.DD.cells[d]:
             for a in by.get(pd0(tw.PH, d, b), ()):
                 r = tw.mbar(d, b, a)
-                assert r == m_apply(tw.PH, tw.PV, d, b, a)
+                assert r == m_apply(tw.PH, d, b, a)
                 assert tw.DD.has_cell(d, r)
                 # face laws of the vertical multiplication
                 assert tw.dj(d, r, 0) == tw.dj(d, a, 0)

@@ -3,7 +3,7 @@
 import pytest
 
 from graypath.fixtures import fixture
-from graypath.kernel import StrictMap, all_pass
+from graypath.kernel import StrictMap, all_pass, identity_map
 from graypath import presentation
 from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
                                m_apply, m_cocycle, m_naturality_check,
@@ -28,7 +28,7 @@ def test_m_identity_paths(pair_setup):
         up = V.ident(0, H.ident(0, y))
         lo = V.ident(0, f)
         # the identity square on id_y is a left unit for pasting
-        r = m_apply(H, V, 1, up, lo)
+        r = m_apply(H, 1, up, lo)
         assert r == lo
 
 
@@ -37,7 +37,7 @@ def test_m_pair_squares(pair_setup):
     H, PH, V = pair_setup
     lo = ("sq", "id[f]", "idx", "idy", "f", "f")
     up = ("sq", "id[g]", "idy", "idz", "g", "g")
-    r = m_apply(H, V, 1, up, lo)
+    r = m_apply(H, 1, up, lo)
     assert r[4] == "h" and r[5] == "h"
     assert r[1] == H.ident(1, "h")
 
@@ -55,7 +55,7 @@ def test_m_2cell_twist_matches_stepwise_oracle():
         top = l[4][4]
         step1 = H.wr23(H.wl13(fh1, l[1]), H.wr12(u[4][1], top))
         step2 = H.wl23(H.wl12(fh1, l[5][1]), H.wr13(u[1], top))
-        assert m_apply(H, V, 2, u, l)[1] == H.comp2(step2, step1)
+        assert m_apply(H, 2, u, l)[1] == H.comp2(step2, step1)
         checked += 1
     assert checked > 0
 
@@ -115,6 +115,19 @@ def test_m_natural_for_strict_functor():
     assert rep.ok
 
 
+def test_m_naturality_reports_a_broken_map():
+    """A map that stops being a functor after validation fails the square
+    with the tuples checked so far, instead of raising."""
+    H = fixture("BIG")
+    F = identity_map(H)
+    F.validate()
+    F.maps[2]["alpha"] = "id[f]"
+    rep = m_naturality_check(F, H, H)
+    assert not rep.ok
+    assert rep.tuples_checked > 0
+    assert rep.counterexample[:2] == ("error", "NotComposable")
+
+
 def test_o_identity_and_inverse_laws():
     H = fixture("CYC2")
     reports = verify_internal_groupoid(H)
@@ -144,8 +157,8 @@ def test_unit_law_quantified_over_all_cells():
             for c in PH.cells[d]:
                 lo = degeneracy(H, d, pd0(H, d, c))
                 hi = degeneracy(H, d, pd1(H, d, c))
-                assert m_apply(H, V, d, c, lo) == c
-                assert m_apply(H, V, d, hi, c) == c
+                assert m_apply(H, d, c, lo) == c
+                assert m_apply(H, d, hi, c) == c
 
 
 @pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2"])
