@@ -11,7 +11,7 @@ import json
 
 import click
 
-from .kernel import ValidationError, check_gray_axioms
+from .kernel import GrayError, ValidationError, check_gray_axioms
 from . import presentation
 from .fixtures import UnknownFixture, fixture, fixture_names
 
@@ -177,7 +177,7 @@ def hom(ctx, gname, hname):
     """Materialize [G,H] and run the Gray axioms on it."""
     from .homspace import hom_graycat
     G, H = _load(ctx, _load_input, [gname, hname])
-    C, reg, reports = hom_graycat(G, H, cap=ctx.obj["cap"])
+    C, _, reports = hom_graycat(G, H, cap=ctx.obj["cap"])
     reports = list(reports) + check_gray_axioms(C)
     extra = {"cells": [len(C.cells[d]) for d in range(4)]}
     _emit(ctx, "hom", [gname, hname],
@@ -195,8 +195,12 @@ def faults(ctx, target, count):
     names = [target] if target != "all" else \
         ["INT", "BIG", "PAIR", "CYC2", "TWIST", "CHAIN3"]
     _load(ctx, fixture, names)
-    det, tot, misses = run_fault_trials(fixture, names, count,
-                                        seed=ctx.obj["seed"])
+    try:
+        det, tot, misses = run_fault_trials(fixture, names, count,
+                                            seed=ctx.obj["seed"])
+    except GrayError as exc:
+        click.echo(f"error: {exc}", err=True)
+        ctx.exit(2)
     rep = CheckReport("fault-detection", "pass" if det == tot else "fail",
                       tot, misses[0] if misses else None)
     _emit(ctx, "faults", [target],

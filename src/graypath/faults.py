@@ -1,15 +1,19 @@
 """Seeded single-entry corruption, used to prove the checkers have teeth.
 
 A corruption replaces one table entry by a different cell of the same
-dimension.  Replacements with different faces are preferred (always caught
-by the incidence laws); same-face swaps exercise the equational laws.
+dimension, so only tables whose output dimension has two cells or more are
+corrupted; a Gray-category without such a table has no corruption and
+raises GrayError.  Replacements with different faces are preferred (always
+caught by the incidence laws); same-face swaps exercise the equational
+laws.
 """
 
 from __future__ import annotations
 
 import random
 
-from .kernel import GrayCat, all_pass, check_gray_axioms, structural_violations
+from .kernel import (GrayCat, GrayError, all_pass, check_gray_axioms,
+                     structural_violations)
 
 _TABLES = ["comp0_11", "whisk_l12", "whisk_r12", "whisk_l13", "whisk_r13",
            "comp1_22", "whisk_l23", "whisk_r23", "comp2_33", "tensor_"]
@@ -41,18 +45,16 @@ def corrupt_graycat(C, seed):
     """Return (corrupted copy, description) for a random single-entry fault."""
     rng = random.Random(seed)
     D = copy_graycat(C)
-    candidates = [t for t in _TABLES if getattr(D, t)]
+    candidates = [t for t in _TABLES
+                  if getattr(D, t) and len(D.cells[_OUT_DIM[t]]) > 1]
+    if not candidates:
+        raise GrayError(f"{C.name}: no table has a second cell to swap in")
     table_name = rng.choice(candidates)
     table = getattr(D, table_name)
     key = rng.choice(sorted(table, key=repr))
     old = table[key]
     dim = _OUT_DIM[table_name]
     others = [c for c in D.cells[dim] if c != old]
-    if not others:
-        # single-cell dimension: break a face map instead (D's face index
-        # is not built yet, so it will see the swapped face)
-        D.src_[dim][old] = D.tgt_[dim][old]
-        return D, (table_name, key, old, "face-swap")
     diff_faces = [c for c in others
                   if (D.src_[dim][c], D.tgt_[dim][c])
                   != (D.src_[dim][old], D.tgt_[dim][old])]
@@ -66,7 +68,7 @@ def corrupt_m_cocycle(H, seed):
     """Swap one m-cocycle entry for a parallel 2-cell of the path space."""
     from .pathcomp import m_pseudo
     rng = random.Random(seed)
-    PH, K, m = m_pseudo(H)
+    PH, _, m = m_pseudo(H)
     keys = sorted(m.cocycle, key=repr)
     key = rng.choice(keys)
     old = m.cocycle[key]

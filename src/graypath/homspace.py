@@ -352,24 +352,17 @@ def validate_transformation(t):
                 yield H.is_id3(c), ("cocycle-normalized", f2, f1)
         # the hexagonal cocycle condition on composable triples
         for c_ in dom.cells[1]:
-            for b_ in dom.cells[1]:
-                if dom.src(1, c_) != dom.tgt(1, b_):
-                    continue
-                for a_ in dom.cells[1]:
-                    if dom.src(1, b_) != dom.tgt(1, a_):
-                        continue
+            for b_ in dom.by_tgt(1, dom.src(1, c_)):
+                for a_ in dom.by_tgt(1, dom.src(1, b_)):
                     yield _hexagon(t, c_, b_, a_), ("cocycle-hexagon", c_, b_, a_)
 
     def whisker_compat():
         for gam in dom.cells[2]:
-            g, g1 = dom.src(2, gam), dom.tgt(2, gam)
-            for f in dom.cells[1]:
-                if dom.tgt(1, f) == dom.src0(2, gam):
-                    yield _whisker_left(t, gam, f), ("whisker-left", gam, f)
+            for f in dom.by_tgt(1, dom.src0(2, gam)):
+                yield _whisker_left(t, gam, f), ("whisker-left", gam, f)
         for delt in dom.cells[2]:
-            for g in dom.cells[1]:
-                if dom.src(1, g) == dom.tgt0(2, delt):
-                    yield _whisker_right(t, g, delt), ("whisker-right", g, delt)
+            for g in dom.by_src(1, dom.tgt0(2, delt)):
+                yield _whisker_right(t, g, delt), ("whisker-right", g, delt)
 
     return run_laws([
         ("transformation-incidence", incidence()),
@@ -654,10 +647,24 @@ def postcompose(K, t):
 # -- enumeration -----------------------------------------------------------------
 
 
+def _take(found, cap):
+    """At most cap items of found, and the enumeration-cap report: it fails
+    when found has more, and then found is not run further."""
+    out = []
+    for item in found:
+        if len(out) == cap:
+            return out, [CheckReport("enumeration-cap", "fail", cap,
+                                     ("CapExceeded", cap))]
+        out.append(item)
+    return out, [CheckReport("enumeration-cap", "pass", len(out))]
+
+
 def enumerate_strict_functors(G, H, cap=100000):
     """All strict Gray-functors G -> H, exhaustively, in deterministic order."""
-    out = []
-    reports = []
+    return _take(_strict_functors(G, H), cap)
+
+
+def _strict_functors(G, H):
     zero_choices = [H.cells[0]] * len(G.cells[0])
     for zs in product(*zero_choices):
         ob = dict(zip(G.cells[0], zs))
@@ -701,21 +708,17 @@ def enumerate_strict_functors(G, H, cap=100000):
                         cand.validate()
                     except Mismatch:
                         continue
-                    if len(out) == cap:
-                        reports.append(CheckReport("enumeration-cap", "fail",
-                                                   cap, ("CapExceeded", cap)))
-                        return out, reports
-                    out.append(cand)
-    reports.append(CheckReport("enumeration-cap", "pass", len(out)))
-    return out, reports
+                    yield cand
 
 
 def enumerate_transformations(F, G, cap=100000):
     """All valid transformations F => G, with validators applied."""
+    return _take(_transformations(F, G), cap)
+
+
+def _transformations(F, G):
     dom = F.dom
     H = F.cod
-    out = []
-    reports = []
     c0 = []
     for x in dom.cells[0]:
         c0.append(H.between(1, F(0, x), G(0, x)))
@@ -774,20 +777,16 @@ def enumerate_transformations(F, G, cap=100000):
                     coc = dict(zip(pairs, cs))
                     t = LaxTransformation(F, G, at0, at1, at2, coc)
                     if all(r.ok for r in validate_transformation(t)):
-                        if len(out) == cap:
-                            reports.append(CheckReport(
-                                "enumeration-cap", "fail", cap,
-                                ("CapExceeded", cap)))
-                            return out, reports
-                        out.append(t)
-    reports.append(CheckReport("enumeration-cap", "pass", len(out)))
-    return out, reports
+                        yield t
 
 
 def enumerate_modifications(a, b, cap=100000):
     """All valid modifications a => b between parallel transformations."""
+    return _take(_modifications(a, b), cap)
+
+
+def _modifications(a, b):
     dom, H = a.dom, a.H
-    out = []
     c0 = []
     for x in dom.cells[0]:
         c0.append(H.between(2, a.at0[x], b.at0[x]))
@@ -810,25 +809,23 @@ def enumerate_modifications(a, b, cap=100000):
             at1 = dict(zip(dom.cells[1], fs))
             A = Modification(a, b, at0, at1)
             if all(r.ok for r in validate_modification(A)):
-                out.append(A)
-                if len(out) > cap:
-                    return out
-    return out
+                yield A
 
 
 def enumerate_perturbations(A, B, cap=100000):
+    """All valid perturbations A => B between parallel modifications."""
+    return _take(_perturbations(A, B), cap)
+
+
+def _perturbations(A, B):
     dom, H = A.dom, A.H
-    out = []
     c0 = []
     for x in dom.cells[0]:
         c0.append(H.between(3, A.at0[x], B.at0[x]))
     for zs in product(*c0):
         s = Perturbation(A, B, dict(zip(dom.cells[0], zs)))
         if all(r.ok for r in validate_perturbation(s)):
-            out.append(s)
-            if len(out) > cap:
-                return out
-    return out
+            yield s
 
 
 # -- rho: comparison with the strictification -----------------------------------
@@ -990,8 +987,8 @@ def _hcomp_mod(hcomp, B, A, name):
 def hom_graycat(G, H, cap=100000):
     """[G,H] materialized, with every operation installed.
 
-    Feasible at desk scale; the functor and transformation enumerations are
-    capped, and a hit cap is a failing report.  Every enumerated
+    Feasible at desk scale; every enumeration is capped, and a hit cap is
+    a failing report.  Every enumerated
     modification and perturbation is converted into its tower stage once,
     which runs the conversion's construction checks.  Returns (graycat,
     registry, reports) where registry maps cell keys back to the
@@ -1003,9 +1000,9 @@ def hom_graycat(G, H, cap=100000):
     funs, reps = enumerate_strict_functors(G, H, cap)
     reports.extend(reps)
     pseudos = [strict_as_pseudo(F) for F in funs]
-    # pseudo functors with nontrivial cocycles exist only when H has
-    # noninvertible-free invertible 2-cells; the fixtures shipped here force
-    # trivial cocycles, so the strict enumeration is exhaustive
+    # only strict functors are enumerated, as pseudo functors with trivial
+    # cocycles; pseudo functors with nontrivial cocycles exist between the
+    # shipped fixtures (PAIR into path(TWIST) has one) and are not objects
     C = GrayCat(name=f"[{G.name},{H.name}]")
     reg = {}
 
@@ -1025,8 +1022,8 @@ def hom_graycat(G, H, cap=100000):
     trans = []
     for F in pseudos:
         for Gp in pseudos:
-            ts, reps2 = enumerate_transformations(F, Gp, cap)
-            reports.extend(r for r in reps2 if not r.ok)
+            ts, reps = enumerate_transformations(F, Gp, cap)
+            reports.extend(r for r in reps if not r.ok)
             for t in ts:
                 add(1, t, fkeys[id(F)], fkeys[id(Gp)])
                 trans.append(t)
@@ -1034,7 +1031,9 @@ def hom_graycat(G, H, cap=100000):
     for a in trans:
         for b in trans:
             if a.F is b.F and a.G is b.G:
-                for A in enumerate_modifications(a, b, cap):
+                ms, reps = enumerate_modifications(a, b, cap)
+                reports.extend(r for r in reps if not r.ok)
+                for A in ms:
                     mod_to_pseudo(A, tower)
                     add(2, A, a.key(), b.key())
                     mods.append(A)
@@ -1043,7 +1042,9 @@ def hom_graycat(G, H, cap=100000):
         for B in mods:
             if (A.alpha.key() == B.alpha.key()
                     and A.beta.key() == B.beta.key()):
-                for s in enumerate_perturbations(A, B, cap):
+                ss, reps = enumerate_perturbations(A, B, cap)
+                reports.extend(r for r in reps if not r.ok)
+                for s in ss:
                     pert_to_pseudo(s, tower)
                     add(3, s, A.key(), B.key())
                     perts.append(s)

@@ -99,10 +99,13 @@ class GrayCat:
     Optional inversion tables inv1/inv2/inv3 mark groupoid structure.
     Instances are immutable after construction by convention.
 
-    by_src, by_tgt and between find d-cells by their faces.  They read one
-    index, built on first use and dropped by add_cell, and return tuples in
-    cells[d] order, so a loop over them visits what a filtered scan of
-    cells[d] would, in the same order.
+    by_src, by_tgt and between find d-cells by their faces.  by_src and
+    by_tgt take the face dimension k < d; the k-face of a d-cell is taken
+    as src0 and tgt0 take theirs: walk sources down to dimension k+1, then
+    take that cell's source or target.  They read one index, built on first
+    use and dropped by add_cell, and return tuples in cells[d] order, so a
+    loop over them visits what a filtered scan of cells[d] would, in the
+    same order.
     """
 
     DIMS = (0, 1, 2, 3)
@@ -179,18 +182,28 @@ class GrayCat:
             for d in (1, 2, 3):
                 for c in self.cells[d]:
                     s, t = self.src_[d][c], self.tgt_[d][c]
-                    for k in (("src", d, s), ("tgt", d, t), (d, s, t)):
-                        faces.setdefault(k, []).append(c)
-            self._faces = {k: tuple(v) for k, v in faces.items()}
+                    faces.setdefault((d, s, t), []).append(c)
+                    # k-faces for k = d-1 .. 0: walk sources down to k+1;
+                    # an undeclared face ends the walk, so a loaded document
+                    # gets its located structural violations, not a KeyError
+                    for k in range(d - 1, -1, -1):
+                        faces.setdefault(("src", d, k, s), []).append(c)
+                        faces.setdefault(("tgt", d, k, t), []).append(c)
+                        if k == 0 or s not in self.src_[k]:
+                            break
+                        s, t = self.src_[k][s], self.tgt_[k][s]
+            self._faces = {key: tuple(v) for key, v in faces.items()}
         return self._faces.get(key, ())
 
-    def by_src(self, d, s):
-        """The d-cells with source s, in cells[d] order."""
-        return self._cells_by(("src", d, s))
+    def by_src(self, d, s, k=None):
+        """The d-cells whose k-dimensional source is s (k = d-1 by default),
+        in cells[d] order; k = 0 agrees with src0."""
+        return self._cells_by(("src", d, d - 1 if k is None else k, s))
 
-    def by_tgt(self, d, t):
-        """The d-cells with target t, in cells[d] order."""
-        return self._cells_by(("tgt", d, t))
+    def by_tgt(self, d, t, k=None):
+        """The d-cells whose k-dimensional target is t (k = d-1 by default),
+        in cells[d] order; k = 0 agrees with tgt0."""
+        return self._cells_by(("tgt", d, d - 1 if k is None else k, t))
 
     def between(self, d, s, t):
         """The d-cells from s to t, in cells[d] order."""
@@ -502,14 +515,11 @@ def _gray_law_generators(C):
                 lhs = C.wr23(C.comp2(d3, g3), c)
                 rhs = C.comp2(C.wr23(d3, c), C.wr23(g3, c))
                 yield lhs == rhs, ("whisk_r23-comp2", d3, g3, c)
-        # local interchange, via whiskers; 3-cells grouped by the source of
-        # their source, which is not a face
-        by_srcsrc = {}
-        for d3 in C.cells[3]:
-            by_srcsrc.setdefault(C.src(2, C.src(3, d3)), []).append(d3)
+        # local interchange, via whiskers, for the d3 whose 1-dimensional
+        # source is the target of g3's source
         for g3 in C.cells[3]:
             a, b = C.src(3, g3), C.tgt(3, g3)
-            for d3 in by_srcsrc.get(C.tgt(2, a), ()):
+            for d3 in C.by_src(3, C.tgt(2, a), 1):
                 a2, b2 = C.src(3, d3), C.tgt(3, d3)
                 lhs = C.comp2(C.wl23(b2, g3), C.wr23(d3, a))
                 rhs = C.comp2(C.wr23(d3, b), C.wl23(a2, g3))
@@ -647,11 +657,10 @@ def _gray_law_generators(C):
                     yield lhs == rhs, ("tensor-whisker-right", b, a, k)
         for b in C.cells[2]:
             for k in C.by_tgt(1, C.src0(2, b)):
-                for a in C.cells[2]:
-                    if C.tgt0(2, a) == C.src(1, k):
-                        lhs = C.tensor(C.wr12(b, k), a)
-                        rhs = C.tensor(b, C.wl12(k, a))
-                        yield lhs == rhs, ("tensor-whisker-middle", b, k, a)
+                for a in C.by_tgt(2, C.src(1, k), 0):
+                    lhs = C.tensor(C.wr12(b, k), a)
+                    rhs = C.tensor(b, C.wl12(k, a))
+                    yield lhs == rhs, ("tensor-whisker-middle", b, k, a)
 
     def groupoid_laws():
         if not C.is_groupoid:
@@ -761,9 +770,8 @@ def _expected_comp1(C):
 
 def _expected_tensor(C):
     for b in C.cells[2]:
-        for a in C.cells[2]:
-            if C.src0(2, b) == C.tgt0(2, a):
-                yield (b, a)
+        for a in C.by_tgt(2, C.src0(2, b), 0):
+            yield (b, a)
 
 
 # -- finite plain categories and pullback along a functor --------------------
@@ -880,24 +888,22 @@ def pullback_along_functor(F, G):
                                     P.src(2, a2), P.tgt(2, b2))
     for c3 in P.cells[3]:
         s2, t2 = P.src(3, c3), P.tgt(3, c3)
-        for c2 in P.cells[2]:
-            if P.src(2, c2) == P.tgt(2, s2):
-                P.whisk_l23[(c2, c3)] = ("pb3", G.wl23(c2[1], c3[1]),
-                                         P.comp1_22[(c2, s2)], P.comp1_22[(c2, t2)])
-            if P.tgt(2, c2) == P.src(2, s2):
-                P.whisk_r23[(c3, c2)] = ("pb3", G.wr23(c3[1], c2[1]),
-                                         P.comp1_22[(s2, c2)], P.comp1_22[(t2, c2)])
+        for c2 in P.by_src(2, P.tgt(2, s2)):
+            P.whisk_l23[(c2, c3)] = ("pb3", G.wl23(c2[1], c3[1]),
+                                     P.comp1_22[(c2, s2)], P.comp1_22[(c2, t2)])
+        for c2 in P.by_tgt(2, P.src(2, s2)):
+            P.whisk_r23[(c3, c2)] = ("pb3", G.wr23(c3[1], c2[1]),
+                                     P.comp1_22[(s2, c2)], P.comp1_22[(t2, c2)])
     for d3 in P.cells[3]:
         for g3 in P.by_tgt(3, P.src(3, d3)):
             P.comp2_33[(d3, g3)] = ("pb3", G.comp2(d3[1], g3[1]),
                                     P.src(3, g3), P.tgt(3, d3))
     # tensor per the pulled-back formula: faces are computed in G
     for b2 in P.cells[2]:
-        for a2 in P.cells[2]:
-            if P.src0(2, b2) == P.tgt0(2, a2):
-                t3 = G.tensor(b2[1], a2[1])
-                P.tensor_[(b2, a2)] = ("pb3", t3,
-                                       hcomp_left(P, b2, a2), hcomp_right(P, b2, a2))
+        for a2 in P.by_tgt(2, P.src0(2, b2), 0):
+            t3 = G.tensor(b2[1], a2[1])
+            P.tensor_[(b2, a2)] = ("pb3", t3,
+                                   hcomp_left(P, b2, a2), hcomp_right(P, b2, a2))
     proj = {
         0: {x: F.ob_map[x] for x in C.objects},
         1: dict(F.mor_map),

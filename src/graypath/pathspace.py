@@ -367,42 +367,26 @@ def materialize(view, cells, name=""):
         for h in C.by_src(1, view.tgt(1, g)):
             C.comp0_11[(h, g)] = place(1, view.comp0(h, g), "comp0")
 
-    by_src0_2 = {}
-    by_tgt0_2 = {}
-    for a in c2:
-        by_src0_2.setdefault(view.src0(2, a), []).append(a)
-        by_tgt0_2.setdefault(view.tgt0(2, a), []).append(a)
     for k in c1:
-        for a in by_tgt0_2.get(view.src(1, k), ()):
+        for a in C.by_tgt(2, view.src(1, k), 0):
             C.whisk_l12[(k, a)] = place(2, view.wl12(k, a), "whisk_l12")
-        for a in by_src0_2.get(view.tgt(1, k), ()):
+        for a in C.by_src(2, view.tgt(1, k), 0):
             C.whisk_r12[(a, k)] = place(2, view.wr12(a, k), "whisk_r12")
 
-    by_src0_3 = {}
-    by_tgt0_3 = {}
-    for g3 in c3:
-        by_src0_3.setdefault(view.src0(3, g3), []).append(g3)
-        by_tgt0_3.setdefault(view.tgt0(3, g3), []).append(g3)
     for k in c1:
-        for g3 in by_tgt0_3.get(view.src(1, k), ()):
+        for g3 in C.by_tgt(3, view.src(1, k), 0):
             C.whisk_l13[(k, g3)] = place(3, view.wl13(k, g3), "whisk_l13")
-        for g3 in by_src0_3.get(view.tgt(1, k), ()):
+        for g3 in C.by_src(3, view.tgt(1, k), 0):
             C.whisk_r13[(g3, k)] = place(3, view.wr13(g3, k), "whisk_r13")
 
     for a in c2:
         for b in C.by_src(2, view.tgt(2, a)):
             C.comp1_22[(b, a)] = place(2, view.comp1(b, a), "comp1")
 
-    by_srcface = {}
-    by_tgtface = {}
-    for g3 in c3:
-        a = view.src(3, g3)
-        by_srcface.setdefault(view.src(2, a), []).append(g3)
-        by_tgtface.setdefault(view.tgt(2, a), []).append(g3)
     for c in c2:
-        for g3 in by_tgtface.get(view.src(2, c), ()):
+        for g3 in C.by_tgt(3, view.src(2, c), 1):
             C.whisk_l23[(c, g3)] = place(3, view.wl23(c, g3), "whisk_l23")
-        for g3 in by_srcface.get(view.tgt(2, c), ()):
+        for g3 in C.by_src(3, view.tgt(2, c), 1):
             C.whisk_r23[(g3, c)] = place(3, view.wr23(g3, c), "whisk_r23")
 
     for g3 in c3:
@@ -410,7 +394,7 @@ def materialize(view, cells, name=""):
             C.comp2_33[(d3, g3)] = place(3, view.comp2(d3, g3), "comp2")
 
     for b in c2:
-        for a in by_tgt0_2.get(view.src0(2, b), ()):
+        for a in C.by_tgt(2, view.src0(2, b), 0):
             C.tensor_[(b, a)] = place(3, view.tensor(b, a), "tensor")
 
     if getattr(view, "is_groupoid", False):

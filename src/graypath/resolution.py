@@ -411,17 +411,6 @@ def validate_pseudo_map(F):
     dom, cod = F.dom, F.cod
 
     pairs = list(_comp_pairs(dom))
-    pairs_by_tgt = {}            # composable pairs keyed by overall target
-    for (g, f) in pairs:
-        pairs_by_tgt.setdefault(dom.tgt(1, g), []).append((g, f))
-    twos_by_src0 = {}
-    twos_by_tgt0 = {}
-    for a in dom.cells[2]:
-        twos_by_src0.setdefault(dom.src0(2, a), []).append(a)
-        twos_by_tgt0.setdefault(dom.tgt0(2, a), []).append(a)
-    threes_by_srcsrc = {}
-    for g3 in dom.cells[3]:
-        threes_by_srcsrc.setdefault(dom.src(2, dom.src(3, g3)), []).append(g3)
 
     def globular():
         for d in (1, 2, 3):
@@ -485,12 +474,12 @@ def validate_pseudo_map(F):
 
     def whisker3_coherence():
         for (g, f) in pairs:
-            for g3 in threes_by_srcsrc.get(g, ()):
+            for g3 in dom.by_src(3, g, 1):
                 g1 = dom.tgt(2, dom.src(3, g3))
                 lhs = cod.wr23(F(3, dom.wr13(g3, f)), F.coc(g, f))
                 rhs = cod.wl23(F.coc(g1, f), cod.wr13(F(3, g3), F(1, f)))
                 yield lhs == rhs, ("whisker3-left-coherent", g3, f)
-            for g3 in threes_by_srcsrc.get(f, ()):
+            for g3 in dom.by_src(3, f, 1):
                 f1 = dom.tgt(2, dom.src(3, g3))
                 lhs = cod.wr23(F(3, dom.wl13(g, g3)), F.coc(g, f))
                 rhs = cod.wl23(F.coc(g, f1), cod.wl13(F(1, g), F(3, g3)))
@@ -498,7 +487,7 @@ def validate_pseudo_map(F):
 
     def tensor_coherence():
         for b in dom.cells[2]:
-            for a in twos_by_tgt0.get(dom.src0(2, b), ()):
+            for a in dom.by_tgt(2, dom.src0(2, b), 0):
                 g, g1 = dom.src(2, b), dom.tgt(2, b)
                 f, f1 = dom.src(2, a), dom.tgt(2, a)
                 lhs = cod.wr23(F(3, dom.tensor(b, a)), F.coc(g, f))
@@ -507,18 +496,19 @@ def validate_pseudo_map(F):
 
     def compositor_tensors_trivial():
         for (f1, f2) in pairs:
-            for (f3, f4) in pairs_by_tgt.get(dom.src(1, f2), ()):
-                t = cod.tensor(F.coc(f1, f2), F.coc(f3, f4))
-                yield _is_id3(cod, t), ("compositor-tensor-trivial",
-                                        (f1, f2), (f3, f4))
+            for f3 in dom.by_tgt(1, dom.src(1, f2)):
+                for f4 in dom.by_tgt(1, dom.src(1, f3)):
+                    t = cod.tensor(F.coc(f1, f2), F.coc(f3, f4))
+                    yield _is_id3(cod, t), ("compositor-tensor-trivial",
+                                            (f1, f2), (f3, f4))
 
     def mixed_tensors_vanish():
         for (g, f) in pairs:
             c = F.coc(g, f)
-            for a in twos_by_tgt0.get(dom.src(1, f), ()):
+            for a in dom.by_tgt(2, dom.src(1, f), 0):
                 t = cod.tensor(c, F(2, a))
                 yield _is_id3(cod, t), ("tensor-cocycle-left", (g, f), a)
-            for a in twos_by_src0.get(dom.tgt(1, g), ()):
+            for a in dom.by_src(2, dom.tgt(1, g), 0):
                 t = cod.tensor(F(2, a), c)
                 yield _is_id3(cod, t), ("tensor-cocycle-right", a, (g, f))
 

@@ -110,6 +110,14 @@ def test_faults_command():
     assert "detected" in r.output
 
 
+def test_faults_without_a_corruption_exits_2():
+    """Every table of T1 lands in a one-cell dimension: nothing to swap."""
+    r = run("faults", "T1", "--count", "3")
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output.count("error:") == 1 and "Traceback" not in r.output
+
+
 def test_failure_exit_code_1(tmp_path):
     from graypath.faults import corrupt_graycat
     bad, _ = corrupt_graycat(fixture("PAIR"), seed=11)

@@ -154,7 +154,7 @@ def test_modifications_and_vertical_composite(intbig):
         for a in ts:
             for b in ts:
                 if a.F is b.F and a.G is b.G:
-                    for A in enumerate_modifications(a, b):
+                    for A in enumerate_modifications(a, b)[0]:
                         assert all(r.ok for r in validate_modification(A))
                         Am = mod_to_pseudo(A, tower)
                         assert all_pass(validate_pseudo_map(Am))
@@ -163,7 +163,7 @@ def test_modifications_and_vertical_composite(intbig):
     # vertical composite against the mbar evaluation of the conversions
     for ts in trans.values():
         for a in ts:
-            mods_aa = enumerate_modifications(a, a)
+            mods_aa = enumerate_modifications(a, a)[0]
             for A in mods_aa:
                 for B in mods_aa:
                     BA = compose_mods(B, A, tower)
@@ -186,8 +186,8 @@ def test_tensor_of_modifications_lands_over_hcomps(intbig):
                 continue
             for a in ts:
                 for b in us:
-                    A = enumerate_modifications(a, a)[0]
-                    B = enumerate_modifications(b, b)[0]
+                    A = enumerate_modifications(a, a)[0][0]
+                    B = enumerate_modifications(b, b)[0][0]
                     s = tensor_mods(B, A, tower)
                     assert all(r.ok for r in validate_perturbation(s))
                     # faces are the horizontal composites
@@ -204,11 +204,42 @@ def test_perturbations(intbig):
     found = 0
     for ts in trans.values():
         for a in ts:
-            for A in enumerate_modifications(a, a):
-                for s in enumerate_perturbations(A, A):
+            for A in enumerate_modifications(a, a)[0]:
+                for s in enumerate_perturbations(A, A)[0]:
                     assert all(r.ok for r in validate_perturbation(s))
                     found += 1
     assert found > 0
+
+
+def test_modification_enumeration_stops_at_its_cap():
+    """T1 -> TWIST has a pair of transformations with two modifications:
+    cap 2 passes with both, cap 1 keeps one and reports the hit cap."""
+    G, H = fixture("T1"), fixture("TWIST")
+    funs, _ = enumerate_strict_functors(G, H)
+    pseudos = [strict_as_pseudo(F) for F in funs]
+    ts = [t for F in pseudos for Gp in pseudos
+          for t in enumerate_transformations(F, Gp)[0]]
+    a, b = next((a, b) for a in ts for b in ts
+                if len(enumerate_modifications(a, b)[0]) == 2)
+    both, reports = enumerate_modifications(a, b, cap=2)
+    assert len(both) == 2
+    assert [r.as_dict() for r in reports] == [
+        {"law": "enumeration-cap", "status": "pass", "tuples_checked": 2,
+         "counterexample": None}]
+    capped, reports = enumerate_modifications(a, b, cap=1)
+    assert [A.key() for A in capped] == [both[0].key()]
+    assert [r.as_dict() for r in reports] == [
+        {"law": "enumeration-cap", "status": "fail", "tuples_checked": 1,
+         "counterexample": ["CapExceeded", 1]}]
+
+
+def test_perturbation_enumeration_reports_its_cap(intbig):
+    G, H, _, _, trans = intbig
+    a = next(t for ts in trans.values() for t in ts)
+    A = enumerate_modifications(a, a)[0][0]
+    perts, reports = enumerate_perturbations(A, A)
+    assert perts and [r.status for r in reports] == ["pass"]
+    assert reports[0].tuples_checked == len(perts)
 
 
 def test_pert_square_and_compose_perts_match_conversion(intbig):
@@ -217,10 +248,10 @@ def test_pert_square_and_compose_perts_match_conversion(intbig):
     G, H, _, _, trans = intbig
     tower = Tower(H)
     mods = [A for ts in trans.values() for a in ts for b in ts
-            for A in enumerate_modifications(a, b)]
+            for A in enumerate_modifications(a, b)[0]]
     perts = [s for A in mods for B in mods
              if A.alpha is B.alpha and A.beta is B.beta
-             for s in enumerate_perturbations(A, B)]
+             for s in enumerate_perturbations(A, B)[0]]
     images = [pert_to_pseudo(s, tower) for s in perts]
     for s, P in zip(perts, images):
         for x in G.cells[0]:
@@ -325,7 +356,7 @@ def test_rho_nontrivial_pseudo_map():
 def test_perturbation_missing_component_fails(intbig):
     G, H, _, _, trans = intbig
     a = next(t for ts in trans.values() for t in ts)
-    A = next(iter(enumerate_modifications(a, a)))
+    A = next(iter(enumerate_modifications(a, a)[0]))
     dropped = G.cells[0][0]
     at0 = {x: H.ident(2, A.at0[x]) for x in G.cells[0] if x != dropped}
     reports = validate_perturbation(Perturbation(A, A, at0))

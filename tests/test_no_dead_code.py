@@ -83,9 +83,21 @@ def _own_nodes(func):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _bound_names(target):
+    """The names a plain or unpacking target binds."""
+    if isinstance(target, ast.Name):
+        yield target
+    elif isinstance(target, ast.Starred):
+        yield from _bound_names(target.value)
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _bound_names(elt)
+
+
 def test_every_local_is_read():
-    """A local bound by a plain `name = expr` is read in its function (reads
-    in nested functions count); `_` is exempt."""
+    """A local bound by `name = expr`, or by a tuple or list target of an
+    assignment or a `for` loop, is read in its function (reads in nested
+    functions count); `_` is exempt."""
     dead = []
     for path, tree in _trees():
         if not path.is_relative_to(ROOT / "src" / "graypath"):
@@ -100,11 +112,17 @@ def test_every_local_is_read():
                      if isinstance(n, ast.AugAssign)
                      and isinstance(n.target, ast.Name)}
             for node in _own_nodes(func):
-                if not isinstance(node, ast.Assign):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif (isinstance(node, (ast.For, ast.AsyncFor))
+                      and isinstance(node.target, (ast.Tuple, ast.List))):
+                    targets = [node.target]
+                else:
                     continue
-                for target in node.targets:
-                    if (isinstance(target, ast.Name) and target.id != "_"
-                            and target.id not in read):
-                        dead.append(f"{path.relative_to(ROOT)}:{node.lineno} "
-                                    f"{func.name}: {target.id}")
+                for target in targets:
+                    for name in _bound_names(target):
+                        if name.id != "_" and name.id not in read:
+                            dead.append(f"{path.relative_to(ROOT)}:"
+                                        f"{name.lineno} {func.name}: "
+                                        f"{name.id}")
     assert not dead, "locals that are never read:\n" + "\n".join(sorted(dead))

@@ -58,6 +58,17 @@ def test_dangling_id_reported():
     assert any("ghost" in str(v) for v in err.value.violations)
 
 
+def test_undeclared_face_of_a_3cell_reported():
+    doc = pres.to_document(fixture("BIG"))
+    for e in doc["three_cells"]:
+        if e["id"] == "id[alpha]":
+            e["src"] = "ghost"
+    with pytest.raises(ValidationError) as err:
+        pres.from_document(doc)
+    assert "3-cell 'id[alpha]': src 'ghost' not a declared 2-cell" in \
+        err.value.violations
+
+
 def test_missing_identity_reported():
     doc = pres.to_document(fixture("T1"))
     doc["identities"]["0"] = []
