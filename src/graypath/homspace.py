@@ -76,7 +76,11 @@ class LaxTransformation:
 
 
 class Modification:
-    """A: alpha => beta with a 2-cell at each 0-cell, a 3-cell at each 1-cell."""
+    """A: alpha => beta with a 2-cell at each 0-cell, a 3-cell at each 1-cell.
+
+    A modification does not change once built, so the 2-path it assigns to
+    each 1-cell is built once (see mod_cell1).
+    """
 
     def __init__(self, alpha, beta, at0, at1, name=""):
         self.alpha = alpha
@@ -86,6 +90,7 @@ class Modification:
         self.at0 = dict(at0)
         self.at1 = dict(at1)
         self.name = name
+        self._cell1 = {}
 
     def a1(self, f):
         if f in self.at1:
@@ -171,6 +176,8 @@ def mod_bigon(A, x):
 def mod_cell1(A, f):
     """The 2-path a modification assigns to a 1-cell; construction checks
     the 2-cell compatibility condition."""
+    if f in A._cell1:
+        return A._cell1[f]
     H, dom = A.H, A.dom
     PH_view = PathView(H)
     x, y = dom.src(1, f), dom.tgt(1, f)
@@ -181,7 +188,8 @@ def mod_cell1(A, f):
     Gf = A.alpha.G(1, f)
     Ff = A.alpha.F(1, f)
     q2 = p2(H, A.a1(f), H.ident(1, Ff), H.ident(1, Gf), gq, hq)
-    return sq(PH_view, q2, asq, bsq, T, B)
+    A._cell1[f] = sq(PH_view, q2, asq, bsq, T, B)
+    return A._cell1[f]
 
 
 def mod_to_pseudo(A, tower):

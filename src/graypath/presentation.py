@@ -9,6 +9,7 @@ synthesizes them.  Arrays are sorted so save/load round trips are bit-exact.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .kernel import GrayCat, GrayError, ValidationError, structural_violations
 from .fixtures import fixture, fixture_names, UnknownFixture  # re-exported
@@ -19,6 +20,8 @@ __all__ = [
 ]
 
 FORMAT = "graycat/1"
+
+_compact = json.JSONEncoder(sort_keys=True).encode
 
 _TABLES = [
     "comp0", "whisk_l12", "whisk_r12", "whisk_l13", "whisk_r13",
@@ -46,53 +49,119 @@ def _enc(cell):
     return cell
 
 
-def _dec(cell):
-    if isinstance(cell, list):
-        return tuple(_dec(c) for c in cell)
-    return cell
+def _decoder():
+    """A decoder from JSON values to cells that returns one object per
+    distinct cell, as a built GrayCat has: arrays become tuples, and equal
+    strings or arrays decode to the same object, so table hits stop at
+    identity.  Arrays are looked up by their repr, which, unlike the
+    tuple, tells 1, 1.0 and true apart.
+    """
+    strings, tuples = {}, {}
 
+    def dec(x):
+        if type(x) is str:
+            return strings.setdefault(x, x)
+        if type(x) in (list, tuple):
+            k = repr(x)
+            t = tuples.get(k)
+            if t is None:
+                t = tuples[k] = tuple(map(dec, x))
+            return t
+        return x
 
-def _key(cell):
-    return json.dumps(_enc(cell), sort_keys=True)
+    return dec
 
 
 def to_document(C):
+    """The document of C; cells are tuples, which json writes as arrays."""
+    key = _Text().key
+
+    def faces(d):
+        return sorted(({"id": c, "src": C.src(d, c), "tgt": C.tgt(d, c)}
+                       for c in C.cells[d]), key=lambda e: key(e["id"]))
+
+    def pairs(table):
+        return sorted(([c, i] for c, i in table.items()),
+                      key=lambda e: key(e[0]))
+
     doc = {
         "format": FORMAT,
         "name": C.name,
         "flags": {"is_groupoid": C.is_groupoid},
-        "objects": sorted(({"id": _enc(c)} for c in C.cells[0]),
-                          key=lambda e: _key(e["id"])),
-        "morphisms": sorted(({"id": _enc(c), "src": _enc(C.src(1, c)),
-                              "tgt": _enc(C.tgt(1, c))} for c in C.cells[1]),
-                            key=lambda e: _key(e["id"])),
-        "two_cells": sorted(({"id": _enc(c), "src": _enc(C.src(2, c)),
-                              "tgt": _enc(C.tgt(2, c))} for c in C.cells[2]),
-                            key=lambda e: _key(e["id"])),
-        "three_cells": sorted(({"id": _enc(c), "src": _enc(C.src(3, c)),
-                                "tgt": _enc(C.tgt(3, c))} for c in C.cells[3]),
-                              key=lambda e: _key(e["id"])),
-        "identities": {
-            str(d): sorted(([_enc(c), _enc(i)] for c, i in C.id_up[d].items()),
-                           key=lambda e: _key(e[0]))
-            for d in (0, 1, 2)
-        },
+        "objects": sorted(({"id": c} for c in C.cells[0]),
+                          key=lambda e: key(e["id"])),
+        "morphisms": faces(1),
+        "two_cells": faces(2),
+        "three_cells": faces(3),
+        "identities": {str(d): pairs(C.id_up[d]) for d in (0, 1, 2)},
         "tables": {
-            t: sorted(([_enc(l), _enc(r), _enc(v)]
-                       for (l, r), v in getattr(C, _ATTR[t]).items()),
-                      key=lambda e: (_key(e[0]), _key(e[1])))
+            t: sorted(([l, r, v] for (l, r), v in getattr(C, _ATTR[t]).items()),
+                      key=lambda e: (key(e[0]), key(e[1])))
             for t in _TABLES
         },
     }
     if C.generators is not None:
-        doc["flags"]["generators"] = [_enc(g) for g in C.generators]
+        doc["flags"]["generators"] = list(C.generators)
     if C.is_groupoid:
-        doc["inverses"] = {
-            str(d): sorted(([_enc(c), _enc(i)] for c, i in table.items()),
-                           key=lambda e: _key(e[0]))
-            for d, table in ((1, C.inv1), (2, C.inv2), (3, C.inv3))
-        }
+        doc["inverses"] = {str(d): pairs(table)
+                           for d, table in ((1, C.inv1), (2, C.inv2), (3, C.inv3))}
     return doc
+
+
+class _Text:
+    """The JSON text of cells, each computed once.
+
+    key(c) is `json.dumps(c, sort_keys=True)`, the compact text documents
+    sort by, computed once per cell object.  at(c, depth) is c as
+    `json.dumps(..., indent=1)` writes it nested depth levels deep, kept
+    per compact text, so equal cells share it; the text, unlike the cell,
+    tells 1, 1.0 and true apart.
+    """
+
+    def __init__(self):
+        self.keys = {}
+        self.texts = {}
+
+    def key(self, c):
+        if type(c) is str:
+            return _quote(c)
+        k = self.keys.get(id(c))
+        if k is None:
+            k = self.keys[id(c)] = _compact(c)
+        return k
+
+    def at(self, c, depth):
+        if type(c) is str:
+            return _quote(c)
+        k = (self.key(c), depth)
+        text = self.texts.get(k)
+        if text is None:
+            if depth:
+                # a JSON string holds no raw newline, so indenting every
+                # line of the depth-0 text nests it
+                text = self.at(c, 0).replace("\n", "\n" + " " * depth)
+            elif isinstance(c, tuple) and c:
+                text = "[\n " + ",\n ".join(self.at(x, 1) for x in c) + "\n]"
+            else:
+                text = json.dumps(c, indent=1, sort_keys=True)
+            self.texts[k] = text
+        return text
+
+    def document(self, x, depth=0):
+        """x (dicts and lists around cells) as `json.dumps(x, indent=1,
+        sort_keys=True)` writes it."""
+        if not isinstance(x, (dict, list)):
+            return self.at(x, depth)
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        pad = "\n" + " " * (depth + 1)
+        end = "\n" + " " * depth
+        if isinstance(x, dict):
+            return "{" + ",".join(
+                f"{pad}{_quote(k)}: {self.document(v, depth + 1)}"
+                for k, v in sorted(x.items())) + end + "}"
+        return "[" + ",".join(pad + self.document(v, depth + 1)
+                              for v in x) + end + "]"
 
 
 def from_document(doc, max_violations=20):
@@ -118,31 +187,34 @@ def from_document(doc, max_violations=20):
 
 
 def _build(doc):
+    dec = _decoder()
     C = GrayCat(doc.get("name", ""))
     for e in doc["objects"]:
-        C.add_cell(0, _dec(e["id"]))
+        C.add_cell(0, dec(e["id"]))
     for dd, field in ((1, "morphisms"), (2, "two_cells"), (3, "three_cells")):
         for e in doc[field]:
-            C.add_cell(dd, _dec(e["id"]), _dec(e["src"]), _dec(e["tgt"]))
+            C.add_cell(dd, dec(e["id"]), dec(e["src"]), dec(e["tgt"]))
     for d in (0, 1, 2):
         for c, i in doc.get("identities", {}).get(str(d), []):
-            C.id_up[d][_dec(c)] = _dec(i)
+            C.id_up[d][dec(c)] = dec(i)
     for t in _TABLES:
         table = getattr(C, _ATTR[t])
         for l, r, v in doc.get("tables", {}).get(t, []):
-            table[(_dec(l), _dec(r))] = _dec(v)
+            table[(dec(l), dec(r))] = dec(v)
     flags = doc.get("flags", {})
     C.is_groupoid = bool(flags.get("is_groupoid"))
     if "generators" in flags:
-        C.generators = [_dec(g) for g in flags["generators"]]
+        C.generators = [dec(g) for g in flags["generators"]]
     for d, attr in ((1, "inv1"), (2, "inv2"), (3, "inv3")):
         for c, i in doc.get("inverses", {}).get(str(d), []):
-            getattr(C, attr)[_dec(c)] = _dec(i)
+            getattr(C, attr)[dec(c)] = dec(i)
     return C
 
 
 def dumps(C):
-    return json.dumps(to_document(C), indent=1, sort_keys=True) + "\n"
+    """The text of C's document: json.dumps(to_document(C), indent=1,
+    sort_keys=True) and a newline, written from each cell's cached text."""
+    return _Text().document(to_document(C)) + "\n"
 
 
 def loads(text):

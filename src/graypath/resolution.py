@@ -825,8 +825,9 @@ def pseudo_map_to_doc(F):
 
 
 def pseudo_map_from_doc(doc, dom, cod):
-    from .presentation import _dec
-    assign = {int(d): {_dec(c): _dec(v) for c, v in entries}
+    from .presentation import _decoder
+    dec = _decoder()
+    assign = {int(d): {dec(c): dec(v) for c, v in entries}
               for d, entries in doc["assignment"].items()}
-    coc = {(_dec(f1), _dec(f2)): _dec(v) for f1, f2, v in doc["cocycle"]}
+    coc = {(dec(f1), dec(f2)): dec(v) for f1, f2, v in doc["cocycle"]}
     return PseudoMap(dom, cod, assign, coc, name=doc.get("name", ""))

@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, exit codes, reproducible reports."""
 
+import functools
 import json
+import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from graypath.cli import main
 from graypath import presentation as pres
@@ -185,3 +189,68 @@ def test_gray_report_ignores_threads_variable():
     threaded = CliRunner().invoke(main, argv, env={"GRAYPATH_THREADS": "2"})
     assert plain.exit_code == threaded.exit_code == 0
     assert plain.stdout == threaded.stdout
+
+
+def test_undeclared_source_of_a_2cell_exits_2(tmp_path):
+    doc = pres.to_document(fixture("BIG"))
+    for e in doc["two_cells"]:
+        if e["id"] == "alpha":
+            e["src"] = "ghost"
+    path = tmp_path / "ghost.graycat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    r = run("validate", str(path))
+    assert r.exit_code == 2, r.output
+    assert "2-cell 'alpha': src 'ghost' not a declared 1-cell" in r.output
+
+
+@functools.lru_cache(maxsize=None)
+def _document_text(name):
+    from graypath.pathspace import build_pathspace
+    C = fixture(name) if name == "BIG" else build_pathspace(fixture("PAIR"))
+    return pres.dumps(C)
+
+
+_CELLS = ("objects", "morphisms", "two_cells", "three_cells")
+
+
+@st.composite
+def _mutated_document(draw):
+    """BIG's or path(PAIR)'s document with one field changed: a face or id
+    set to an undeclared string, or one table entry dropped or doubled."""
+    doc = json.loads(_document_text(draw(st.sampled_from(["BIG", "path(PAIR)"]))))
+    kind = draw(st.sampled_from(["cell", "identity", "entry", "drop", "double"]))
+    ghost = draw(st.sampled_from(["ghost", "", "id[ghost]"]))
+    if kind == "cell":
+        entries = doc[draw(st.sampled_from(_CELLS))]
+        e = entries[draw(st.integers(0, len(entries) - 1))]
+        e[draw(st.sampled_from(sorted(e)))] = ghost
+        return doc
+    if kind == "identity":
+        rows = doc["identities"][draw(st.sampled_from(["0", "1", "2"]))]
+    else:
+        rows = doc["tables"][draw(st.sampled_from(
+            sorted(t for t, rows in doc["tables"].items() if rows)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "drop":
+        del rows[i]
+    elif kind == "double":
+        rows.insert(i, list(rows[i]))
+    else:
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = ghost
+    return doc
+
+
+@given(_mutated_document())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mutated_documents_exit_0_1_or_2(doc):
+    """A one-field mutation ends with exit 0, 1 or 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.graycat.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["validate", path], ["check", "gray", path]):
+            r = run(*argv)
+            assert r.exit_code in (0, 1, 2), (argv, r.output)
+            assert r.exception is None or isinstance(r.exception, SystemExit), \
+                (argv, repr(r.exception))
+            assert "Traceback" not in r.output

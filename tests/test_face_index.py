@@ -102,3 +102,18 @@ def test_non_globular_faces_follow_the_source_walk():
     assert C.by_tgt(3, "g", 1) == ("G",)
     assert_index_matches_scan(C)
 
+
+
+@pytest.mark.parametrize("name", ["BIG", "TWIST", "CHAIN4", "path(BIG)"])
+def test_either_is_a_scan_with_an_or_condition(name):
+    """either(d, xs, ys) keeps the cells a scan of cells[d] keeps when a
+    cell is in xs or in ys, in the same order; the checker's two-condition
+    loops depend on that order."""
+    C = build_pathspace(fixture("BIG")) if name == "path(BIG)" else fixture(name)
+    for d in (1, 2, 3):
+        lookups = [()] + [by(d, x) for x in C.cells[d - 1]
+                          for by in (C.by_src, C.by_tgt)]
+        for xs in lookups:
+            for ys in lookups:
+                assert C.either(d, xs, ys) == tuple(
+                    c for c in C.cells[d] if c in xs or c in ys)

@@ -7,6 +7,8 @@ import pytest
 from graypath import presentation as pres
 from graypath.fixtures import fixture
 from graypath.kernel import ValidationError, all_pass, check_gray_axioms
+from graypath.pathcomp import build_pullback
+from graypath.pathspace import build_pathspace
 
 ALL = ["T1", "INT", "BIG", "PAIR", "CYC2", "TWIST", "CHAIN3", "CHAIN4"]
 
@@ -174,3 +176,101 @@ def test_pathspace_serializes_with_nested_payloads(tmp_path):
     # nested tuples survive the json round trip
     bigon = ("sq", "alpha", "idx", "idy", "f", "g")
     assert P2.has_cell(1, bigon)
+
+
+def test_undeclared_source_of_a_2cell_reported():
+    """The tensor closure check skips the 2-cell whose source dangles, so
+    the loader reports where the document is wrong instead of a KeyError."""
+    doc = pres.to_document(fixture("BIG"))
+    for e in doc["two_cells"]:
+        if e["id"] == "alpha":
+            e["src"] = "ghost"
+    with pytest.raises(ValidationError) as err:
+        pres.from_document(doc)
+    assert "2-cell 'alpha': src 'ghost' not a declared 1-cell" in \
+        err.value.violations
+
+
+def _odd_names_category():
+    """Two objects with their identity towers, named with non-ASCII text,
+    '"' and '\\', built through the DSL."""
+    lines = ["name odd"]
+    for x in ('é"x\\', 'Ω\\"y'):
+        f, a, g = f"1{x}", f"2{x}", f"3{x}"
+        lines += [f"object {x}", f"1cell {f} : {x} -> {x}",
+                  f"2cell {a} : {f} => {f}", f"3cell {g} : {a} -> {a}",
+                  f"id {x} = {f}", f"id {f} = {a}", f"id {a} = {g}",
+                  f"comp0 {f} {f} = {f}", f"comp1 {a} {a} = {a}",
+                  f"comp2 {g} {g} = {g}", f"tensor {a} {a} = {g}",
+                  f"whisk_l12 {f} {a} = {a}", f"whisk_r12 {a} {f} = {a}",
+                  f"whisk_l13 {f} {g} = {g}", f"whisk_r13 {g} {f} = {g}",
+                  f"whisk_l23 {a} {g} = {g}", f"whisk_r23 {g} {a} = {g}"]
+    return pres.from_document(pres.parse_dsl("\n".join(lines)))
+
+
+def _oracle_inputs():
+    for name in ALL:
+        H = fixture(name)
+        PH = build_pathspace(H)
+        yield H
+        yield PH
+        if name == "PAIR":
+            yield build_pullback(PH, H, 2)
+    yield _odd_names_category()
+
+
+def test_dumps_is_json_dumps_of_the_document():
+    """The cached writer writes what the json module writes."""
+    for C in _oracle_inputs():
+        assert pres.dumps(C) == \
+            json.dumps(pres.to_document(C), indent=1, sort_keys=True) + "\n", \
+            C.name
+
+
+def test_odd_names_round_trip():
+    C = _odd_names_category()
+    text = pres.dumps(C)
+    assert "\\u00e9\\\"x\\\\" in text
+    assert pres.dumps(pres.loads(text)) == text
+    assert all_pass(check_gray_axioms(pres.loads(text)))
+
+
+@pytest.mark.parametrize("name", ["BIG", "path(PAIR)"])
+def test_loaded_cells_are_shared(name):
+    """Every face, identity and table entry of a loaded document is the
+    declared cell itself, not an equal copy."""
+    C = fixture("BIG") if name == "BIG" else build_pathspace(fixture("PAIR"))
+    C = pres.loads(pres.dumps(C))
+    declared = {d: {c: c for c in C.cells[d]} for d in C.DIMS}
+
+    def same(d, c):
+        return declared[d][c] is c
+
+    for d in (1, 2, 3):
+        for c in C.cells[d]:
+            assert same(d - 1, C.src(d, c)) and same(d - 1, C.tgt(d, c))
+    for d in (0, 1, 2):
+        for c, i in C.id_up[d].items():
+            assert same(d, c) and same(d + 1, i)
+    for attr, dl, dr, dout in [
+            ("comp0_11", 1, 1, 1), ("whisk_l12", 1, 2, 2), ("whisk_r12", 2, 1, 2),
+            ("whisk_l13", 1, 3, 3), ("whisk_r13", 3, 1, 3), ("comp1_22", 2, 2, 2),
+            ("whisk_l23", 2, 3, 3), ("whisk_r23", 3, 2, 3), ("comp2_33", 3, 3, 3),
+            ("tensor_", 2, 2, 3)]:
+        for (l, r), v in getattr(C, attr).items():
+            assert same(dl, l) and same(dr, r) and same(dout, v), attr
+
+
+def test_ids_that_compare_equal_but_print_differently():
+    """1, true and 1.0 are equal Python values; the loader keeps them apart
+    and the writer prints each as it was."""
+    text = pres.dumps(fixture("T1"))
+    for old, new in (('"*"', "[1]"), ('"id*"', "[true]"),
+                     ('"id[id*]"', "[1.0]"), ('"id[id[id*]]"', '[[1], "1"]')):
+        text = text.replace(old, new)
+    C = pres.loads(text)
+    assert C.cells[1][0][0] is True and type(C.cells[2][0][0]) is float
+    out = pres.dumps(C)
+    assert out == json.dumps(pres.to_document(C), indent=1, sort_keys=True) + "\n"
+    assert "true" in out and "1.0" in out
+    assert pres.dumps(pres.loads(out)) == out
