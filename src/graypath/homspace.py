@@ -5,7 +5,12 @@ pseudo functors, lax transformations, modifications, perturbations.  The
 data is stored componentwise (the validators read off the component
 conditions directly); conversion to and from stage-valued pseudo maps is
 provided and every hom-level operation is post-composition with the
-corresponding internal operation, evaluated pointwise.
+corresponding internal operation, evaluated pointwise.  Component families
+never change once built, so the keys of transformations, modifications and
+perturbations, the composite compose_0(b, a), and the conversions
+trans_to_pseudo and mod_to_pseudo are built once per argument and kept on
+the object they are built from; a construction that raises keeps nothing,
+so it raises again on the next call.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ class LaxTransformation:
     at0[x] is a 1-cell Fx -> Gx; at1[f]: Gf #0 at0[x] => at0[y] #0 Ff;
     at2[g] is the 3-cell between the two whiskered pastings; coc[(f2, f1)]
     is the invertible cocycle 3-cell, normalized on identities.  A
-    transformation does not change once built, so its key is computed once.
+    transformation does not change once built, so its key, its composites
+    b * self (see compose_0) and its path-space pseudo maps (see
+    trans_to_pseudo) are built once.
     """
 
     def __init__(self, F, G, at0, at1, at2=None, coc=None, name=""):
@@ -42,6 +49,8 @@ class LaxTransformation:
         self.coc = dict(coc or {})
         self.name = name
         self._key = None
+        self._after = {}    # b -> compose_0(b, self)
+        self._pseudo = {}   # PH -> trans_to_pseudo(self, PH)
 
     def a2(self, g):
         if g in self.at2:
@@ -78,8 +87,9 @@ class LaxTransformation:
 class Modification:
     """A: alpha => beta with a 2-cell at each 0-cell, a 3-cell at each 1-cell.
 
-    A modification does not change once built, so the 2-path it assigns to
-    each 1-cell is built once (see mod_cell1).
+    A modification does not change once built, so its key, the 2-path it
+    assigns to each 1-cell (see mod_cell1) and its bigon-space pseudo maps
+    (see mod_to_pseudo) are built once.
     """
 
     def __init__(self, alpha, beta, at0, at1, name=""):
@@ -90,7 +100,9 @@ class Modification:
         self.at0 = dict(at0)
         self.at1 = dict(at1)
         self.name = name
+        self._key = None
         self._cell1 = {}
+        self._pseudo = {}   # tower -> mod_to_pseudo(self, tower)
 
     def a1(self, f):
         if f in self.at1:
@@ -98,13 +110,18 @@ class Modification:
         raise Mismatch(f"missing 1-cell component for {f!r}")
 
     def key(self):
-        return ("mod", self.alpha.key(), self.beta.key(),
-                tuple(sorted(self.at0.items(), key=repr)),
-                tuple(sorted(self.at1.items(), key=repr)))
+        if self._key is None:
+            self._key = ("mod", self.alpha.key(), self.beta.key(),
+                         tuple(sorted(self.at0.items(), key=repr)),
+                         tuple(sorted(self.at1.items(), key=repr)))
+        return self._key
 
 
 class Perturbation:
-    """sigma: A => B with a 3-cell at each 0-cell."""
+    """sigma: A => B with a 3-cell at each 0-cell.
+
+    A perturbation does not change once built, so its key is computed once.
+    """
 
     def __init__(self, A, B, at0, name=""):
         self.A = A
@@ -113,10 +130,13 @@ class Perturbation:
         self.H = A.H
         self.at0 = dict(at0)
         self.name = name
+        self._key = None
 
     def key(self):
-        return ("pert", self.A.key(), self.B.key(),
-                tuple(sorted(self.at0.items(), key=repr)))
+        if self._key is None:
+            self._key = ("pert", self.A.key(), self.B.key(),
+                         tuple(sorted(self.at0.items(), key=repr)))
+        return self._key
 
 
 # -- conversions into the tower stages ------------------------------------------
@@ -135,7 +155,14 @@ def trans_p2(t, g):
 
 
 def trans_to_pseudo(t, PH):
-    """The path-space-valued pseudo map a transformation amounts to."""
+    """The path-space-valued pseudo map a transformation amounts to, built
+    once per path space."""
+    if PH not in t._pseudo:
+        t._pseudo[PH] = _trans_to_pseudo(t, PH)
+    return t._pseudo[PH]
+
+
+def _trans_to_pseudo(t, PH):
     H, dom = t.H, t.dom
     V = PathView(H)
     assign = {0: dict(t.at0), 1: {}, 2: {}, 3: {}}
@@ -193,8 +220,15 @@ def mod_cell1(A, f):
 
 
 def mod_to_pseudo(A, tower):
-    """The bigon-space-valued pseudo map; the path 3-cell constructors
-    enforce the 2-cell and cocycle compatibility figures."""
+    """The bigon-space-valued pseudo map, built once per tower; the path
+    3-cell constructors enforce the 2-cell and cocycle compatibility
+    figures."""
+    if tower not in A._pseudo:
+        A._pseudo[tower] = _mod_to_pseudo(A, tower)
+    return A._pseudo[tower]
+
+
+def _mod_to_pseudo(A, tower):
     H, dom = A.H, A.dom
     DD = tower.DD
     aP = trans_to_pseudo(A.alpha, tower.PH)
@@ -554,7 +588,13 @@ def validate_perturbation(s):
 
 
 def compose_0(b, a):
-    """b * a, by the componentwise pasting formulas."""
+    """b * a, by the componentwise pasting formulas, built once per pair."""
+    if b not in a._after:
+        a._after[b] = _compose_0(b, a)
+    return a._after[b]
+
+
+def _compose_0(b, a):
     if a.G is not b.F and a.G.assignment != b.F.assignment:
         raise Mismatch("compose_0: endpoints do not match")
     dom, H = a.dom, a.H
@@ -992,6 +1032,21 @@ def _hcomp_mod(hcomp, B, A, name):
 # -- the mapping space as a tabulated Gray-category -------------------------------
 
 
+def functor_key(F):
+    """The object of [G,H] a strict functor F is: its 1-cell images, then
+    its images of the non-identity 2- and 3-cells when there are any.
+
+    F sends identities to identities, and each 0-cell to the source of its
+    identity 1-cell's image, so this determines every dimension of F; on a
+    domain with no non-identity 2- or 3-cells it is the 1-cell part alone.
+    """
+    dom = F.dom
+    k = ("fun", tuple(sorted(F.assignment[1].items(), key=repr)))
+    higher = tuple((2, a, F(2, a)) for a in dom.cells[2] if not dom.is_id2(a)) \
+        + tuple((3, g, F(3, g)) for g in dom.cells[3] if not dom.is_id3(g))
+    return k + (higher,) if higher else k
+
+
 def hom_graycat(G, H, cap=100000):
     """[G,H] materialized, with every operation installed.
 
@@ -1023,7 +1078,7 @@ def hom_graycat(G, H, cap=100000):
 
     fkeys = {}
     for F in pseudos:
-        k = ("fun", tuple(sorted(F.assignment[1].items(), key=repr)))
+        k = functor_key(F)
         fkeys[id(F)] = k
         add(0, k)
         reg[k] = F

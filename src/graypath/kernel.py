@@ -344,9 +344,6 @@ class GrayCat:
 
     # convenience iterators over composable tuples
 
-    def comp0_pairs(self):
-        return sorted(self.comp0_11, key=repr)
-
     def tensor_pairs(self):
         return sorted(self.tensor_, key=repr)
 
@@ -431,7 +428,24 @@ def check_gray_axioms(C):
     return run_laws(_gray_law_generators(C))
 
 
+def _key_order(table):
+    """The items of an operation table, sorted by the repr of their keys.
+
+    The keys are distinct tuples, and no tuple's repr is a proper prefix of
+    another's, so this is also the order of the items sorted by repr.
+    """
+    return sorted(table.items(), key=lambda kv: repr(kv[0]))
+
+
 def _gray_law_generators(C):
+    # each operation table is sorted once; every law reads it in this order
+    (comp0_11, whisk_l12, whisk_r12, comp1_22, comp2_33, whisk_l13, whisk_r13,
+     whisk_l23, whisk_r23, tensor_) = (
+        _key_order(t) for t in (C.comp0_11, C.whisk_l12, C.whisk_r12,
+                                C.comp1_22, C.comp2_33, C.whisk_l13,
+                                C.whisk_r13, C.whisk_l23, C.whisk_r23,
+                                C.tensor_))
+
     def faces():
         # globularity
         for d in (2, 3):
@@ -447,44 +461,44 @@ def _gray_law_generators(C):
                 ok = i is not None and C.src(d + 1, i) == c and C.tgt(d + 1, i) == c
                 yield ok, ("identity-faces", d, c)
         # table outputs land in the right cell sets with the dictated faces
-        for (g, f), h in sorted(C.comp0_11.items(), key=repr):
+        for (g, f), h in comp0_11:
             ok = (C.has_cell(1, h) and C.src(1, h) == C.src(1, f)
                   and C.tgt(1, h) == C.tgt(1, g))
             yield ok, ("comp0-faces", g, f, h)
-        for (k, a), b in sorted(C.whisk_l12.items(), key=repr):
+        for (k, a), b in whisk_l12:
             ok = (C.has_cell(2, b)
                   and C.src(2, b) == C.comp0(k, C.src(2, a))
                   and C.tgt(2, b) == C.comp0(k, C.tgt(2, a)))
             yield ok, ("whisk_l12-faces", k, a, b)
-        for (a, k), b in sorted(C.whisk_r12.items(), key=repr):
+        for (a, k), b in whisk_r12:
             ok = (C.has_cell(2, b)
                   and C.src(2, b) == C.comp0(C.src(2, a), k)
                   and C.tgt(2, b) == C.comp0(C.tgt(2, a), k))
             yield ok, ("whisk_r12-faces", a, k, b)
-        for (b, a), c in sorted(C.comp1_22.items(), key=repr):
+        for (b, a), c in comp1_22:
             ok = (C.has_cell(2, c) and C.src(2, c) == C.src(2, a)
                   and C.tgt(2, c) == C.tgt(2, b))
             yield ok, ("comp1-faces", b, a, c)
-        for (d3, g3), e3 in sorted(C.comp2_33.items(), key=repr):
+        for (d3, g3), e3 in comp2_33:
             ok = (C.has_cell(3, e3) and C.src(3, e3) == C.src(3, g3)
                   and C.tgt(3, e3) == C.tgt(3, d3))
             yield ok, ("comp2-faces", d3, g3, e3)
-        for (k, g3), h3 in sorted(C.whisk_l13.items(), key=repr):
+        for (k, g3), h3 in whisk_l13:
             ok = (C.has_cell(3, h3)
                   and C.src(3, h3) == C.wl12(k, C.src(3, g3))
                   and C.tgt(3, h3) == C.wl12(k, C.tgt(3, g3)))
             yield ok, ("whisk_l13-faces", k, g3, h3)
-        for (g3, k), h3 in sorted(C.whisk_r13.items(), key=repr):
+        for (g3, k), h3 in whisk_r13:
             ok = (C.has_cell(3, h3)
                   and C.src(3, h3) == C.wr12(C.src(3, g3), k)
                   and C.tgt(3, h3) == C.wr12(C.tgt(3, g3), k))
             yield ok, ("whisk_r13-faces", g3, k, h3)
-        for (c, g3), h3 in sorted(C.whisk_l23.items(), key=repr):
+        for (c, g3), h3 in whisk_l23:
             ok = (C.has_cell(3, h3)
                   and C.src(3, h3) == C.comp1(c, C.src(3, g3))
                   and C.tgt(3, h3) == C.comp1(c, C.tgt(3, g3)))
             yield ok, ("whisk_l23-faces", c, g3, h3)
-        for (g3, c), h3 in sorted(C.whisk_r23.items(), key=repr):
+        for (g3, c), h3 in whisk_r23:
             ok = (C.has_cell(3, h3)
                   and C.src(3, h3) == C.comp1(C.src(3, g3), c)
                   and C.tgt(3, h3) == C.comp1(C.tgt(3, g3), c))
@@ -495,7 +509,7 @@ def _gray_law_generators(C):
             x, y = C.src(1, f), C.tgt(1, f)
             ok = (C.comp0(f, C.id_up[0][x]) == f and C.comp0(C.id_up[0][y], f) == f)
             yield ok, ("comp0-unit", f)
-        for (g, f) in C.comp0_pairs():
+        for (g, f), _ in comp0_11:
             for h in C.by_src(1, C.tgt(1, g)):
                 ok = C.comp0(C.comp0(h, g), f) == C.comp0(h, C.comp0(g, f))
                 yield ok, ("comp0-assoc", h, g, f)
@@ -505,7 +519,7 @@ def _gray_law_generators(C):
             f, g = C.src(2, a), C.tgt(2, a)
             ok = (C.comp1(a, C.id_up[1][f]) == a and C.comp1(C.id_up[1][g], a) == a)
             yield ok, ("comp1-unit", a)
-        for (b, a) in sorted(C.comp1_22, key=repr):
+        for (b, a), _ in comp1_22:
             for c in C.by_src(2, C.tgt(2, b)):
                 ok = C.comp1(C.comp1(c, b), a) == C.comp1(c, C.comp1(b, a))
                 yield ok, ("comp1-assoc", c, b, a)
@@ -513,7 +527,7 @@ def _gray_law_generators(C):
             a, b = C.src(3, g3), C.tgt(3, g3)
             ok = (C.comp2(g3, C.id_up[2][a]) == g3 and C.comp2(C.id_up[2][b], g3) == g3)
             yield ok, ("comp2-unit", g3)
-        for (d3, g3) in sorted(C.comp2_33, key=repr):
+        for (d3, g3), _ in comp2_33:
             for e3 in C.by_src(3, C.tgt(3, d3)):
                 ok = C.comp2(C.comp2(e3, d3), g3) == C.comp2(e3, C.comp2(d3, g3))
                 yield ok, ("comp2-assoc", e3, d3, g3)
@@ -523,12 +537,12 @@ def _gray_law_generators(C):
             f, g = C.src(2, a), C.tgt(2, a)
             ok = (C.wl23(C.id_up[1][g], g3) == g3 and C.wr23(g3, C.id_up[1][f]) == g3)
             yield ok, ("whisk23-unit", g3)
-        for (c, g3) in sorted(C.whisk_l23, key=repr):
+        for (c, g3), _ in whisk_l23:
             for d3 in C.by_src(3, C.tgt(3, g3)):
                 lhs = C.wl23(c, C.comp2(d3, g3))
                 rhs = C.comp2(C.wl23(c, d3), C.wl23(c, g3))
                 yield lhs == rhs, ("whisk_l23-comp2", c, d3, g3)
-        for (g3, c) in sorted(C.whisk_r23, key=repr):
+        for (g3, c), _ in whisk_r23:
             for d3 in C.by_src(3, C.tgt(3, g3)):
                 lhs = C.wr23(C.comp2(d3, g3), c)
                 rhs = C.comp2(C.wr23(d3, c), C.wr23(g3, c))
@@ -544,20 +558,20 @@ def _gray_law_generators(C):
                 yield lhs == rhs, ("local-interchange", d3, g3)
 
     def whisker12():
-        for (k, a) in sorted(C.whisk_l12, key=repr):
+        for (k, a), _ in whisk_l12:
             if C.is_id1(k):
                 yield C.wl12(k, a) == a, ("whisk_l12-unit1", k, a)
             if C.is_id2(a):
                 f = C.src(2, a)
                 yield C.wl12(k, a) == C.id_up[1][C.comp0(k, f)], ("whisk_l12-id2", k, a)
-        for (a, k) in sorted(C.whisk_r12, key=repr):
+        for (a, k), _ in whisk_r12:
             if C.is_id1(k):
                 yield C.wr12(a, k) == a, ("whisk_r12-unit1", a, k)
             if C.is_id2(a):
                 f = C.src(2, a)
                 yield C.wr12(a, k) == C.id_up[1][C.comp0(f, k)], ("whisk_r12-id2", a, k)
         # functorial in #1
-        for (b, a) in sorted(C.comp1_22, key=repr):
+        for (b, a), _ in comp1_22:
             for k in C.either(1, C.by_src(1, C.tgt0(2, a)),
                               C.by_tgt(1, C.src0(2, a))):
                 if C.src(1, k) == C.tgt0(2, a):
@@ -569,12 +583,12 @@ def _gray_law_generators(C):
                     rhs = C.comp1(C.wr12(b, k), C.wr12(a, k))
                     yield lhs == rhs, ("whisk_r12-comp1", b, a, k)
         # associative in the 1-cell
-        for (k, a) in sorted(C.whisk_l12, key=repr):
+        for (k, a), _ in whisk_l12:
             for m in C.by_src(1, C.tgt(1, k)):
                 lhs = C.wl12(C.comp0(m, k), a)
                 rhs = C.wl12(m, C.wl12(k, a))
                 yield lhs == rhs, ("whisk_l12-comp0", m, k, a)
-        for (a, k) in sorted(C.whisk_r12, key=repr):
+        for (a, k), _ in whisk_r12:
             for m in C.by_tgt(1, C.src(1, k)):
                 lhs = C.wr12(a, C.comp0(k, m))
                 rhs = C.wr12(C.wr12(a, k), m)
@@ -585,19 +599,19 @@ def _gray_law_generators(C):
                 yield lhs == rhs, ("whisk12-mixed-assoc", m, a, k)
 
     def whisker13():
-        for (k, g3) in sorted(C.whisk_l13, key=repr):
+        for (k, g3), _ in whisk_l13:
             if C.is_id1(k):
                 yield C.wl13(k, g3) == g3, ("whisk_l13-unit1", k, g3)
             if C.is_id3(g3):
                 a = C.src(3, g3)
                 yield C.wl13(k, g3) == C.id_up[2][C.wl12(k, a)], ("whisk_l13-id3", k, g3)
-        for (g3, k) in sorted(C.whisk_r13, key=repr):
+        for (g3, k), _ in whisk_r13:
             if C.is_id1(k):
                 yield C.wr13(g3, k) == g3, ("whisk_r13-unit1", g3, k)
             if C.is_id3(g3):
                 a = C.src(3, g3)
                 yield C.wr13(g3, k) == C.id_up[2][C.wr12(a, k)], ("whisk_r13-id3", g3, k)
-        for (d3, g3) in sorted(C.comp2_33, key=repr):
+        for (d3, g3), _ in comp2_33:
             for k in C.either(1, C.by_src(1, C.tgt0(3, g3)),
                               C.by_tgt(1, C.src0(3, g3))):
                 if C.src(1, k) == C.tgt0(3, g3):
@@ -609,14 +623,14 @@ def _gray_law_generators(C):
                     rhs = C.comp2(C.wr13(d3, k), C.wr13(g3, k))
                     yield lhs == rhs, ("whisk_r13-comp2", d3, g3, k)
         # 1-whiskers distribute over 2-whiskers of 3-cells
-        for (c, g3) in sorted(C.whisk_l23, key=repr):
+        for (c, g3), _ in whisk_l23:
             for k in C.by_src(1, C.tgt0(3, g3)):
                 lhs = C.wl13(k, C.wl23(c, g3))
                 rhs = C.wl23(C.wl12(k, c), C.wl13(k, g3))
                 yield lhs == rhs, ("whisk13-over-23", k, c, g3)
 
     def tensor_laws():
-        for (b, a) in C.tensor_pairs():
+        for (b, a), _ in tensor_:
             t = C.tensor(b, a)
             ok = (C.has_cell(3, t)
                   and C.src(3, t) == hcomp_left(C, b, a)
@@ -632,7 +646,7 @@ def _gray_law_generators(C):
             if C.is_id2(b) or C.is_id2(a):
                 yield C.is_id3(t), ("tensor-identity-trivial", b, a)
         # naturality in both arguments
-        for (b, a) in C.tensor_pairs():
+        for (b, a), _ in tensor_:
             for g3 in C.either(3, C.by_src(3, a), C.by_src(3, b)):
                 if C.src(3, g3) == a and C.tgt0(3, g3) == C.src0(2, b):
                     a2 = C.tgt(3, g3)
@@ -645,7 +659,7 @@ def _gray_law_generators(C):
                     rhs = C.comp2(C.tensor(b2, a), tensor_whisker_upper(C, g3, a))
                     yield lhs == rhs, ("tensor-natural-upper", g3, a)
         # functorial along #1 in each argument
-        for (b, a) in C.tensor_pairs():
+        for (b, a), _ in tensor_:
             for a2 in C.by_src(2, C.tgt(2, a)):
                 if C.tgt0(2, a2) == C.src0(2, b):
                     g1 = C.tgt(2, b)
@@ -665,7 +679,7 @@ def _gray_law_generators(C):
         # compatibility with 0-whiskers on the outside and in the middle.
         # These are part of the cited element-wise definition; the resolution
         # and path space proofs rely on them, so the checker includes them.
-        for (b, a) in C.tensor_pairs():
+        for (b, a), _ in tensor_:
             for k in C.either(1, C.by_src(1, C.tgt0(2, b)),
                               C.by_tgt(1, C.src0(2, a))):
                 if C.src(1, k) == C.tgt0(2, b):

@@ -183,3 +183,25 @@ def test_cyc2_group_law():
     assert C.comp0("s", "s") == "e"
     assert C.inv_1("s") == "s"
     assert C.is_groupoid
+
+
+def test_one_sort_per_table_keeps_both_orders():
+    """The checker sorts each operation table once, by the repr of its keys,
+    and reads that order both where it used to sort the items by repr and
+    where it used to sort the keys by repr; on these inputs, built and
+    loaded, the three orders agree table by table."""
+    from graypath import presentation
+    from graypath.faults import _TABLES
+    from graypath.homspace import hom_graycat
+    from graypath.kernel import _key_order
+    from graypath.pathspace import build_pathspace
+    path_pair = build_pathspace(fixture("PAIR"))
+    inputs = [fixture(name) for name in ALL] + [
+        path_pair, presentation.loads(presentation.dumps(path_pair)),
+        hom_graycat(fixture("INT"), fixture("BIG"))[0]]
+    for C in inputs:
+        for name in _TABLES:
+            table = getattr(C, name)
+            once = _key_order(table)
+            assert once == sorted(table.items(), key=repr), (C.name, name)
+            assert [k for k, _ in once] == sorted(table, key=repr)
