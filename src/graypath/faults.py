@@ -12,31 +12,13 @@ from __future__ import annotations
 
 import random
 
-from .kernel import (GrayCat, GrayError, all_pass, check_gray_axioms,
-                     structural_violations)
-
-_TABLES = ["comp0_11", "whisk_l12", "whisk_r12", "whisk_l13", "whisk_r13",
-           "comp1_22", "whisk_l23", "whisk_r23", "comp2_33", "tensor_"]
-
-_OUT_DIM = {"comp0_11": 1, "whisk_l12": 2, "whisk_r12": 2, "whisk_l13": 3,
-            "whisk_r13": 3, "comp1_22": 2, "whisk_l23": 3, "whisk_r23": 3,
-            "comp2_33": 3, "tensor_": 3}
+from .kernel import (TABLES, GrayError, all_pass, check_gray_axioms,
+                     structural_violations, sub_graycat)
 
 
 def copy_graycat(C):
-    D = GrayCat(C.name)
-    for d in C.DIMS:
-        for c in C.cells[d]:
-            if d == 0:
-                D.add_cell(0, c)
-            else:
-                D.add_cell(d, c, C.src_[d][c], C.tgt_[d][c])
-    for d in (0, 1, 2):
-        D.id_up[d] = dict(C.id_up[d])
-    for t in _TABLES:
-        setattr(D, t, dict(getattr(C, t)))
-    D.is_groupoid = C.is_groupoid
-    D.inv1, D.inv2, D.inv3 = dict(C.inv1), dict(C.inv2), dict(C.inv3)
+    """A copy of C whose tables can be corrupted without touching C."""
+    D = sub_graycat(C, lambda d, c: True, name=C.name)
     D.generators = list(C.generators) if C.generators is not None else None
     return D
 
@@ -45,15 +27,14 @@ def corrupt_graycat(C, seed):
     """Return (corrupted copy, description) for a random single-entry fault."""
     rng = random.Random(seed)
     D = copy_graycat(C)
-    candidates = [t for t in _TABLES
-                  if getattr(D, t) and len(D.cells[_OUT_DIM[t]]) > 1]
+    candidates = [(attr, dout) for _, attr, _, _, _, dout in TABLES
+                  if getattr(D, attr) and len(D.cells[dout]) > 1]
     if not candidates:
         raise GrayError(f"{C.name}: no table has a second cell to swap in")
-    table_name = rng.choice(candidates)
+    table_name, dim = rng.choice(candidates)
     table = getattr(D, table_name)
     key = rng.choice(sorted(table, key=repr))
     old = table[key]
-    dim = _OUT_DIM[table_name]
     others = [c for c in D.cells[dim] if c != old]
     diff_faces = [c for c in others
                   if (D.src_[dim][c], D.tgt_[dim][c])

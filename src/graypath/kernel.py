@@ -81,10 +81,29 @@ def _jsonable(x):
     return str(x)
 
 
+# The ten operation tables, in the order every loop over all of them uses:
+# (name, GrayCat attribute, guarded operation, dimensions of the left
+# operand, the right operand and the result).  The name keys the table in
+# documents and the DSL.
+TABLES = (
+    ("comp0", "comp0_11", "comp0", 1, 1, 1),
+    ("whisk_l12", "whisk_l12", "wl12", 1, 2, 2),
+    ("whisk_r12", "whisk_r12", "wr12", 2, 1, 2),
+    ("whisk_l13", "whisk_l13", "wl13", 1, 3, 3),
+    ("whisk_r13", "whisk_r13", "wr13", 3, 1, 3),
+    ("comp1", "comp1_22", "comp1", 2, 2, 2),
+    ("whisk_l23", "whisk_l23", "wl23", 2, 3, 3),
+    ("whisk_r23", "whisk_r23", "wr23", 3, 2, 3),
+    ("comp2", "comp2_33", "comp2", 3, 3, 3),
+    ("tensor", "tensor_", "tensor", 2, 2, 3),
+)
+
+
 class GrayCat:
     """A finite Gray-category: 3-globular set plus composition tables.
 
-    Tables (keys are tuples of cells, values cells):
+    Tables (keys are tuples of cells, values cells; TABLES lists them with
+    their operations and dimensions):
       comp0_11[(g, f)]     = g #0 f          (1-cells, src g = tgt f)
       whisk_l12[(k, a)]    = k #0 a          (1-cell k after 2-cell a's hom)
       whisk_r12[(a, k)]    = a #0 k
@@ -341,11 +360,6 @@ class GrayCat:
                 self._inv3_cache[g] = h
                 return h
         raise NotAGroupoid(f"{self.name}: 3-cell {g!r} has no #2-inverse")
-
-    # convenience iterators over composable tuples
-
-    def tensor_pairs(self):
-        return sorted(self.tensor_, key=repr)
 
 
 # -- horizontal composites of 0-composable 2-cells ---------------------------
@@ -762,15 +776,8 @@ def structural_violations(C, limit=20):
             elif C.src_[d + 1][i] != c or C.tgt_[d + 1][i] != c:
                 note(f"{d}-cell {c!r}: identity {i!r} has wrong faces")
 
-    tables = [
-        ("comp0", C.comp0_11, 1, 1, 1), ("whisk_l12", C.whisk_l12, 1, 2, 2),
-        ("whisk_r12", C.whisk_r12, 2, 1, 2), ("whisk_l13", C.whisk_l13, 1, 3, 3),
-        ("whisk_r13", C.whisk_r13, 3, 1, 3), ("comp1", C.comp1_22, 2, 2, 2),
-        ("whisk_l23", C.whisk_l23, 2, 3, 3), ("whisk_r23", C.whisk_r23, 3, 2, 3),
-        ("comp2", C.comp2_33, 3, 3, 3), ("tensor", C.tensor_, 2, 2, 3),
-    ]
-    for name, table, dl, dr, dout in tables:
-        for (l, r), v in table.items():
+    for name, attr, _, dl, dr, dout in TABLES:
+        for (l, r), v in getattr(C, attr).items():
             if l not in C._cellset[dl]:
                 note(f"{name}[{l!r},{r!r}]: left operand not a {dl}-cell")
             if r not in C._cellset[dr]:
@@ -788,6 +795,15 @@ def structural_violations(C, limit=20):
     for key in _expected_tensor(C):
         if key not in C.tensor_:
             note(f"tensor missing entry for 0-composable pair {key!r}")
+    for g in C.generators or ():
+        if g not in C._cellset[1]:
+            note(f"generator {g!r} not a declared 1-cell")
+    for d, table in ((1, C.inv1), (2, C.inv2), (3, C.inv3)):
+        for c, i in table.items():
+            if c not in C._cellset[d]:
+                note(f"inv{d}[{c!r}]: key not a declared {d}-cell")
+            if i not in C._cellset[d]:
+                note(f"inv{d}[{c!r}]: inverse {i!r} not a declared {d}-cell")
     return out
 
 
@@ -954,13 +970,13 @@ def pullback_along_functor(F, G):
 # -- products, subobjects, pullbacks of Gray-categories ----------------------
 
 
-def sub_graycat(C, keep, name=""):
+def sub_graycat(C, keep, name=None):
     """The full substructure on the cells satisfying keep(d, c).
 
     Tables are restricted; closure is asserted (a failure here is a
     construction bug, matching the universal-arrow convention).
     """
-    S = GrayCat(name=name or f"sub({C.name})")
+    S = GrayCat(name=f"sub({C.name})" if name is None else name)
     for d in C.DIMS:
         for c in C.cells[d]:
             if keep(d, c):
@@ -974,29 +990,14 @@ def sub_graycat(C, keep, name=""):
             if not S.has_cell(d + 1, i):
                 raise FactorizationFailed(f"identity of {c!r} escapes the subobject")
             S.id_up[d][c] = i
-
-    def restrict(table, dl, dr):
-        return {(l, r): v for (l, r), v in table.items()
-                if S.has_cell(dl, l) and S.has_cell(dr, r)}
-
-    S.comp0_11 = restrict(C.comp0_11, 1, 1)
-    S.whisk_l12 = restrict(C.whisk_l12, 1, 2)
-    S.whisk_r12 = restrict(C.whisk_r12, 2, 1)
-    S.whisk_l13 = restrict(C.whisk_l13, 1, 3)
-    S.whisk_r13 = restrict(C.whisk_r13, 3, 1)
-    S.comp1_22 = restrict(C.comp1_22, 2, 2)
-    S.whisk_l23 = restrict(C.whisk_l23, 2, 3)
-    S.whisk_r23 = restrict(C.whisk_r23, 3, 2)
-    S.comp2_33 = restrict(C.comp2_33, 3, 3)
-    S.tensor_ = restrict(C.tensor_, 2, 2)
-    for table, dout in [(S.comp0_11, 1), (S.whisk_l12, 2), (S.whisk_r12, 2),
-                        (S.whisk_l13, 3), (S.whisk_r13, 3), (S.comp1_22, 2),
-                        (S.whisk_l23, 3), (S.whisk_r23, 3), (S.comp2_33, 3),
-                        (S.tensor_, 3)]:
+    for _, attr, _, dl, dr, dout in TABLES:
+        table = {(l, r): v for (l, r), v in getattr(C, attr).items()
+                 if S.has_cell(dl, l) and S.has_cell(dr, r)}
         for key, v in table.items():
             if not S.has_cell(dout, v):
                 raise FactorizationFailed(
                     f"{S.name}: table result {v!r} for {key!r} escapes the subobject")
+        setattr(S, attr, table)
     S.is_groupoid = C.is_groupoid
     S.inv1 = {f: g for f, g in C.inv1.items() if S.has_cell(1, f)}
     S.inv2 = {f: g for f, g in C.inv2.items() if S.has_cell(2, f)}
@@ -1019,25 +1020,15 @@ def product_graycat(A, B, name=""):
     for d in (0, 1, 2):
         for (a, b) in P.cells[d]:
             P.id_up[d][(a, b)] = (A.id_up[d][a], B.id_up[d][b])
-
-    def pair_table(ta, tb):
-        out = {}
-        for (l1, r1), v1 in ta.items():
-            for (l2, r2), v2 in tb.items():
-                out[((l1, l2), (r1, r2))] = (v1, v2)
-        return out
-
-    P.comp0_11 = pair_table(A.comp0_11, B.comp0_11)
-    P.whisk_l12 = pair_table(A.whisk_l12, B.whisk_l12)
-    P.whisk_r12 = pair_table(A.whisk_r12, B.whisk_r12)
-    P.whisk_l13 = pair_table(A.whisk_l13, B.whisk_l13)
-    P.whisk_r13 = pair_table(A.whisk_r13, B.whisk_r13)
-    P.comp1_22 = pair_table(A.comp1_22, B.comp1_22)
-    P.whisk_l23 = pair_table(A.whisk_l23, B.whisk_l23)
-    P.whisk_r23 = pair_table(A.whisk_r23, B.whisk_r23)
-    P.comp2_33 = pair_table(A.comp2_33, B.comp2_33)
-    P.tensor_ = pair_table(A.tensor_, B.tensor_)
+    for _, attr, *_ in TABLES:
+        setattr(P, attr, {((l1, l2), (r1, r2)): (v1, v2)
+                          for (l1, r1), v1 in getattr(A, attr).items()
+                          for (l2, r2), v2 in getattr(B, attr).items()})
     P.is_groupoid = A.is_groupoid and B.is_groupoid
+    if P.is_groupoid:
+        # 2- and 3-cell inverses are found by inv_2 and inv_3's search
+        P.inv1 = {(f, g): (fi, gi) for f, fi in A.inv1.items()
+                  for g, gi in B.inv1.items()}
     return P
 
 
@@ -1069,17 +1060,11 @@ class StrictMap:
             for c in A.cells[d]:
                 if self.maps[d + 1][A.id_up[d][c]] != B.id_up[d][self.maps[d][c]]:
                     bad.append(("identity", d, c))
-        tables = [
-            (A.comp0_11, B.comp0, 1, 1, 1), (A.whisk_l12, B.wl12, 1, 2, 2),
-            (A.whisk_r12, B.wr12, 2, 1, 2), (A.whisk_l13, B.wl13, 1, 3, 3),
-            (A.whisk_r13, B.wr13, 3, 1, 3), (A.comp1_22, B.comp1, 2, 2, 2),
-            (A.whisk_l23, B.wl23, 2, 3, 3), (A.whisk_r23, B.wr23, 3, 2, 3),
-            (A.comp2_33, B.comp2, 3, 3, 3), (A.tensor_, B.tensor, 2, 2, 3),
-        ]
-        for table, op, dl, dr, dout in tables:
-            for (l, r), v in table.items():
-                if op(self.maps[dl][l], self.maps[dr][r]) != self.maps[dout][v]:
-                    bad.append(("table", op.__name__, l, r))
+        for _, attr, op, dl, dr, dout in TABLES:
+            apply = getattr(B, op)
+            for (l, r), v in getattr(A, attr).items():
+                if apply(self.maps[dl][l], self.maps[dr][r]) != self.maps[dout][v]:
+                    bad.append(("table", op, l, r))
         if bad:
             raise Mismatch(f"not a strict Gray-functor: {bad[:5]}")
         return True

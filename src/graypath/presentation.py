@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .kernel import GrayCat, GrayError, ValidationError, structural_violations
+from .kernel import (TABLES, GrayCat, GrayError, ValidationError,
+                     structural_violations)
 from .fixtures import fixture, fixture_names, UnknownFixture  # re-exported
 
 __all__ = [
@@ -22,18 +23,6 @@ __all__ = [
 FORMAT = "graycat/1"
 
 _compact = json.JSONEncoder(sort_keys=True).encode
-
-_TABLES = [
-    "comp0", "whisk_l12", "whisk_r12", "whisk_l13", "whisk_r13",
-    "comp1", "whisk_l23", "whisk_r23", "comp2", "tensor",
-]
-
-_ATTR = {
-    "comp0": "comp0_11", "whisk_l12": "whisk_l12", "whisk_r12": "whisk_r12",
-    "whisk_l13": "whisk_l13", "whisk_r13": "whisk_r13", "comp1": "comp1_22",
-    "whisk_l23": "whisk_l23", "whisk_r23": "whisk_r23", "comp2": "comp2_33",
-    "tensor": "tensor_",
-}
 
 
 class ParseError(GrayError):
@@ -95,9 +84,9 @@ def to_document(C):
         "three_cells": faces(3),
         "identities": {str(d): pairs(C.id_up[d]) for d in (0, 1, 2)},
         "tables": {
-            t: sorted(([l, r, v] for (l, r), v in getattr(C, _ATTR[t]).items()),
+            t: sorted(([l, r, v] for (l, r), v in getattr(C, attr).items()),
                       key=lambda e: (key(e[0]), key(e[1])))
-            for t in _TABLES
+            for t, attr, *_ in TABLES
         },
     }
     if C.generators is not None:
@@ -197,14 +186,17 @@ def _build(doc):
     for d in (0, 1, 2):
         for c, i in doc.get("identities", {}).get(str(d), []):
             C.id_up[d][dec(c)] = dec(i)
-    for t in _TABLES:
-        table = getattr(C, _ATTR[t])
+    for t, attr, *_ in TABLES:
+        table = getattr(C, attr)
         for l, r, v in doc.get("tables", {}).get(t, []):
             table[(dec(l), dec(r))] = dec(v)
     flags = doc.get("flags", {})
     C.is_groupoid = bool(flags.get("is_groupoid"))
     if "generators" in flags:
-        C.generators = [dec(g) for g in flags["generators"]]
+        gens = flags["generators"]
+        if not isinstance(gens, list):
+            raise ParseError(f"generators is a list of 1-cells, not {type(gens).__name__}")
+        C.generators = [dec(g) for g in gens]
     for d, attr in ((1, "inv1"), (2, "inv2"), (3, "inv3")):
         for c, i in doc.get("inverses", {}).get(str(d), []):
             getattr(C, attr)[dec(c)] = dec(i)
@@ -243,8 +235,6 @@ def load(path):
 
 # -- the DSL ------------------------------------------------------------
 
-_DSL_TABLES = set(_TABLES)
-
 
 def parse_dsl(text):
     """One declaration per line, compiled to a GrayCatDocument.
@@ -264,7 +254,7 @@ def parse_dsl(text):
         "format": FORMAT, "name": "", "flags": {"is_groupoid": False},
         "objects": [], "morphisms": [], "two_cells": [], "three_cells": [],
         "identities": {"0": [], "1": [], "2": []},
-        "tables": {t: [] for t in _TABLES},
+        "tables": {t: [] for t, *_ in TABLES},
     }
     inverses = {"1": [], "2": [], "3": []}
     dims = {}
@@ -299,7 +289,7 @@ def parse_dsl(text):
                 if c not in dims:
                     raise ParseError(f"identity declared for unknown cell {c!r}", n)
                 doc["identities"][str(dims[c])].append([c, i])
-            elif kw in _DSL_TABLES:
+            elif kw in doc["tables"]:
                 l, r, eq, v = parts[1:]
                 if eq != "=":
                     raise ParseError("expected '='", n)
@@ -310,6 +300,8 @@ def parse_dsl(text):
                 doc["flags"]["generators"] = parts[1:]
             elif kw in ("inv1", "inv2", "inv3"):
                 c, eq, i = parts[1:]
+                if eq != "=":
+                    raise ParseError("expected '='", n)
                 inverses[kw[-1]].append([c, i])
             else:
                 raise ParseError(f"unknown declaration {kw!r}", n)
@@ -319,8 +311,8 @@ def parse_dsl(text):
             raise ParseError(f"malformed declaration {raw!r}", n) from None
     if any(inverses.values()):
         doc["inverses"] = inverses
-    for t in _TABLES:
-        doc["tables"][t].sort()
+    for rows in doc["tables"].values():
+        rows.sort()
     for d in ("0", "1", "2"):
         doc["identities"][d].sort()
     for f in ("objects", "morphisms", "two_cells", "three_cells"):

@@ -16,7 +16,7 @@ come for free).
 
 from __future__ import annotations
 
-from .kernel import (GrayError, Mismatch, NotComposable, NotOneFree,
+from .kernel import (TABLES, GrayError, Mismatch, NotComposable, NotOneFree,
                      hcomp_left, hcomp_right, run_laws)
 
 
@@ -349,15 +349,8 @@ class PseudoMap:
         raise Mismatch(f"{self.name}: no cocycle entry for {key!r}")
 
     def is_strict(self):
-        return all(_is_id2(self.cod, self.coc(f1, f2))
+        return all(self.cod.is_id2(self.coc(f1, f2))
                    for (f1, f2) in _comp_pairs(self.dom))
-
-
-def _is_id2(C, a):
-    if hasattr(C, "is_id2"):
-        return C.is_id2(a)
-    f = C.src(2, a)
-    return C.ident(1, f) == a
 
 
 def _comp_pairs(C):
@@ -424,18 +417,13 @@ def validate_pseudo_map(F):
                     ("identity", d, c)
 
     def local_sesqui():
-        for (b, a) in sorted(dom.comp1_22, key=repr):
-            yield F(2, dom.comp1(b, a)) == cod.comp1(F(2, b), F(2, a)), \
-                ("comp1", b, a)
-        for (d3, g3) in sorted(dom.comp2_33, key=repr):
-            yield F(3, dom.comp2(d3, g3)) == cod.comp2(F(3, d3), F(3, g3)), \
-                ("comp2", d3, g3)
-        for (c, g3) in sorted(dom.whisk_l23, key=repr):
-            yield F(3, dom.wl23(c, g3)) == cod.wl23(F(2, c), F(3, g3)), \
-                ("whisk_l23", c, g3)
-        for (g3, c) in sorted(dom.whisk_r23, key=repr):
-            yield F(3, dom.wr23(g3, c)) == cod.wr23(F(3, g3), F(2, c)), \
-                ("whisk_r23", g3, c)
+        rows = {row[0]: row for row in TABLES}
+        for name in ("comp1", "comp2", "whisk_l23", "whisk_r23"):
+            _, attr, op, dl, dr, dout = rows[name]
+            dom_op, cod_op = getattr(dom, op), getattr(cod, op)
+            for (l, r) in sorted(getattr(dom, attr), key=repr):
+                yield F(dout, dom_op(l, r)) == cod_op(F(dl, l), F(dr, r)), \
+                    (name, l, r)
 
     def cocycle():
         for (f1, f2) in pairs:
@@ -450,7 +438,7 @@ def validate_pseudo_map(F):
                 ok = False
             yield ok, ("cocycle-invertible", f1, f2)
             if dom.is_id1(f1) or dom.is_id1(f2):
-                yield _is_id2(cod, c), ("cocycle-normalized", f1, f2)
+                yield cod.is_id2(c), ("cocycle-normalized", f1, f2)
         for (f1, f2) in pairs:
             for f3 in dom.by_tgt(1, dom.src(1, f2)):
                 lhs = cod.comp1(F.coc(f1, dom.comp0(f2, f3)),
@@ -499,18 +487,18 @@ def validate_pseudo_map(F):
             for f3 in dom.by_tgt(1, dom.src(1, f2)):
                 for f4 in dom.by_tgt(1, dom.src(1, f3)):
                     t = cod.tensor(F.coc(f1, f2), F.coc(f3, f4))
-                    yield _is_id3(cod, t), ("compositor-tensor-trivial",
-                                            (f1, f2), (f3, f4))
+                    yield cod.is_id3(t), ("compositor-tensor-trivial",
+                                          (f1, f2), (f3, f4))
 
     def mixed_tensors_vanish():
         for (g, f) in pairs:
             c = F.coc(g, f)
             for a in dom.by_tgt(2, dom.src(1, f), 0):
                 t = cod.tensor(c, F(2, a))
-                yield _is_id3(cod, t), ("tensor-cocycle-left", (g, f), a)
+                yield cod.is_id3(t), ("tensor-cocycle-left", (g, f), a)
             for a in dom.by_src(2, dom.tgt(1, g), 0):
                 t = cod.tensor(F(2, a), c)
-                yield _is_id3(cod, t), ("tensor-cocycle-right", a, (g, f))
+                yield cod.is_id3(t), ("tensor-cocycle-right", a, (g, f))
 
     return run_laws([
         ("globular-and-identities", globular()),
@@ -522,13 +510,6 @@ def validate_pseudo_map(F):
         ("compositor-tensors-trivial", compositor_tensors_trivial()),
         ("mixed-tensors-vanish", mixed_tensors_vanish()),
     ])
-
-
-def _is_id3(C, g):
-    if hasattr(C, "is_id3"):
-        return C.is_id3(g)
-    a = C.src(3, g)
-    return C.ident(2, a) == g
 
 
 # -- tilde / vee -------------------------------------------------------------

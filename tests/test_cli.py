@@ -254,3 +254,36 @@ def test_mutated_documents_exit_0_1_or_2(doc):
             assert r.exception is None or isinstance(r.exception, SystemExit), \
                 (argv, repr(r.exception))
             assert "Traceback" not in r.output
+
+
+def _ghost_generator(doc):
+    doc["flags"]["generators"].append("ghost")
+
+
+def _ghost_inverse(doc):
+    doc["inverses"]["1"] = [[c, "ghost" if c == "s" else i]
+                            for c, i in doc["inverses"]["1"]]
+
+
+def _string_generators(doc):
+    doc["flags"]["generators"] = "c01"
+
+
+@pytest.mark.parametrize("name, mutate, command, message", [
+    ("CHAIN3", _ghost_generator, "comonad",
+     "generator 'ghost' not a declared 1-cell"),
+    ("CYC2", _ghost_inverse, "gray",
+     "inv1['s']: inverse 'ghost' not a declared 1-cell"),
+    ("CHAIN3", _string_generators, "comonad",
+     "generators is a list of 1-cells, not str"),
+], ids=["generator", "inverse", "string-generators"])
+def test_undeclared_generator_or_inverse_exits_2(tmp_path, name, mutate,
+                                                command, message):
+    doc = pres.to_document(fixture(name))
+    mutate(doc)
+    path = tmp_path / "ghost.graycat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(path)], ["check", command, str(path)]):
+        r = run(*argv)
+        assert r.exit_code == 2, (argv, r.output)
+        assert f"error: {message}" in r.output, (argv, r.output)

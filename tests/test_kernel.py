@@ -48,7 +48,7 @@ def test_hcomp_t1_identity():
 def test_hcomp_sides_agree_on_identities_and_tensor_trivial():
     for name in ALL:
         C = fixture(name)
-        for (b, a) in C.tensor_pairs():
+        for (b, a) in sorted(C.tensor_, key=repr):
             if C.is_id2(b) or C.is_id2(a):
                 assert hcomp_left(C, b, a) == hcomp_right(C, b, a)
                 assert C.is_id3(C.tensor(b, a))
@@ -191,17 +191,80 @@ def test_one_sort_per_table_keeps_both_orders():
     where it used to sort the keys by repr; on these inputs, built and
     loaded, the three orders agree table by table."""
     from graypath import presentation
-    from graypath.faults import _TABLES
     from graypath.homspace import hom_graycat
-    from graypath.kernel import _key_order
+    from graypath.kernel import TABLES, _key_order
     from graypath.pathspace import build_pathspace
     path_pair = build_pathspace(fixture("PAIR"))
     inputs = [fixture(name) for name in ALL] + [
         path_pair, presentation.loads(presentation.dumps(path_pair)),
         hom_graycat(fixture("INT"), fixture("BIG"))[0]]
     for C in inputs:
-        for name in _TABLES:
+        for _, name, *_ in TABLES:
             table = getattr(C, name)
             once = _key_order(table)
             assert once == sorted(table.items(), key=repr), (C.name, name)
             assert [k for k, _ in once] == sorted(table, key=repr)
+
+
+def _keep_all(d, c):
+    return True
+
+
+@pytest.mark.parametrize("name", ALL + ["path(PAIR)"])
+def test_sub_graycat_keeping_everything_is_a_copy(name):
+    from graypath.kernel import sub_graycat
+    from graypath.pathspace import build_pathspace
+    from graypath.presentation import dumps
+    C = build_pathspace(fixture("PAIR")) if name == "path(PAIR)" else fixture(name)
+    S = sub_graycat(C, _keep_all, name=C.name)
+    S.generators = C.generators
+    assert dumps(S) == dumps(C)
+
+
+def test_sub_graycat_without_an_identity_fails():
+    from graypath.kernel import FactorizationFailed, sub_graycat
+    B = fixture("BIG")
+    dropped = B.ident(1, "f")
+    with pytest.raises(FactorizationFailed):
+        sub_graycat(B, lambda d, c: c != dropped)
+
+
+@pytest.mark.parametrize("left, right, counts", [
+    ("BIG", "PAIR", [6, 24, 30, 30]),
+    ("INT", "TWIST", [6, 33, 57, 63]),
+    ("CYC2", "CYC2", [1, 4, 4, 4]),
+])
+def test_product_graycat_is_a_gray_category(left, right, counts):
+    from graypath.kernel import product_graycat
+    P = product_graycat(fixture(left), fixture(right))
+    assert [len(P.cells[d]) for d in range(4)] == counts
+    assert structural_violations(P) == []
+    reports = check_gray_axioms(P)
+    assert all_pass(reports), [r for r in reports if not r.ok]
+    assert P.is_groupoid == (left == right == "CYC2")
+
+
+# (name in messages, GrayCat attribute, left, right and result dimensions)
+_TABLE_DIMS = [
+    ("comp0", "comp0_11", 1, 1, 1), ("whisk_l12", "whisk_l12", 1, 2, 2),
+    ("whisk_r12", "whisk_r12", 2, 1, 2), ("whisk_l13", "whisk_l13", 1, 3, 3),
+    ("whisk_r13", "whisk_r13", 3, 1, 3), ("comp1", "comp1_22", 2, 2, 2),
+    ("whisk_l23", "whisk_l23", 2, 3, 3), ("whisk_r23", "whisk_r23", 3, 2, 3),
+    ("comp2", "comp2_33", 3, 3, 3), ("tensor", "tensor_", 2, 2, 3),
+]
+
+
+@pytest.mark.parametrize("name, attr, dl, dr, dout", _TABLE_DIMS)
+def test_dangling_table_row_is_located(name, attr, dl, dr, dout):
+    from graypath.faults import copy_graycat
+    C = copy_graycat(fixture("BIG"))
+    table = getattr(C, attr)
+    (l, r), v = sorted(table.items(), key=repr)[0]
+    table[("ghost", r)] = v
+    table[(l, "ghost")] = v
+    table[(l, r)] = "ghost"
+    assert structural_violations(C) == [
+        f"{name}[{l!r},{r!r}]: result 'ghost' not a {dout}-cell",
+        f"{name}['ghost',{r!r}]: left operand not a {dl}-cell",
+        f"{name}[{l!r},'ghost']: right operand not a {dr}-cell",
+    ]

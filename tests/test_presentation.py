@@ -274,3 +274,35 @@ def test_ids_that_compare_equal_but_print_differently():
     assert out == json.dumps(pres.to_document(C), indent=1, sort_keys=True) + "\n"
     assert "true" in out and "1.0" in out
     assert pres.dumps(pres.loads(out)) == out
+
+
+def test_undeclared_generator_reported():
+    doc = pres.to_document(fixture("CHAIN3"))
+    doc["flags"]["generators"].append("ghost")
+    with pytest.raises(ValidationError) as err:
+        pres.from_document(doc)
+    assert err.value.violations == ["generator 'ghost' not a declared 1-cell"]
+
+
+def test_undeclared_inverse_reported():
+    doc = pres.to_document(fixture("CYC2"))
+    doc["inverses"]["1"] = [["s", "ghost"], ["ghost", "e"]]
+    with pytest.raises(ValidationError) as err:
+        pres.from_document(doc)
+    assert err.value.violations == [
+        "inv1['s']: inverse 'ghost' not a declared 1-cell",
+        "inv1['ghost']: key not a declared 1-cell",
+    ]
+
+
+def test_generators_must_be_a_list():
+    doc = pres.to_document(fixture("CHAIN3"))
+    doc["flags"]["generators"] = "c01"
+    with pytest.raises(pres.ParseError, match="generators is a list"):
+        pres.from_document(doc)
+
+
+def test_dsl_inverse_needs_equals():
+    with pytest.raises(pres.ParseError) as err:
+        pres.parse_dsl("object x\n1cell idx : x -> x\ninv1 idx BOGUS idx\n")
+    assert str(err.value) == "line 3: expected '='"
