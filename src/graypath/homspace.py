@@ -120,7 +120,8 @@ class Modification:
 class Perturbation:
     """sigma: A => B with a 3-cell at each 0-cell.
 
-    A perturbation does not change once built, so its key is computed once.
+    A perturbation does not change once built, so its key and the 3-path it
+    assigns to each 0-cell of each tower (see pert_square) are built once.
     """
 
     def __init__(self, A, B, at0, name=""):
@@ -131,6 +132,7 @@ class Perturbation:
         self.at0 = dict(at0)
         self.name = name
         self._key = None
+        self._square = {}   # (tower, x) -> pert_square(self, x, tower)
 
     def key(self):
         if self._key is None:
@@ -270,7 +272,13 @@ def _mod_to_pseudo(A, tower):
 
 def pert_square(s, x, tower):
     """The 3-path a perturbation assigns to the 0-cell x: the explicit
-    square between the two modification bigons."""
+    square between the two modification bigons, built once per tower."""
+    if (tower, x) not in s._square:
+        s._square[(tower, x)] = _pert_square(s, x, tower)
+    return s._square[(tower, x)]
+
+
+def _pert_square(s, x, tower):
     H, PH, V = s.H, tower.PH, tower.V
     T, B = mod_bigon(s.A, x), mod_bigon(s.B, x)
     al0 = s.A.alpha.at0[x]

@@ -775,6 +775,9 @@ def structural_violations(C, limit=20):
                 note(f"{d}-cell {c!r}: identity {i!r} not declared")
             elif C.src_[d + 1][i] != c or C.tgt_[d + 1][i] != c:
                 note(f"{d}-cell {c!r}: identity {i!r} has wrong faces")
+        for c in C.id_up[d]:
+            if c not in C._cellset[d]:
+                note(f"identities[{d}][{c!r}]: key not a declared {d}-cell")
 
     for name, attr, _, dl, dr, dout in TABLES:
         for (l, r), v in getattr(C, attr).items():

@@ -5,9 +5,12 @@ its 2-cocycle resolves the interchange between 'composite of images' and
 'image of composites' and has identity 2-cell components, so the face maps
 of the resulting internal category are strict even though m is not.
 
-The associativity check composes m with the induced maps of the triple
-pullback through kleisli_compose and compares cells and cocycles; it never
-re-derives the composite ad hoc.
+m_cocycle runs once per composable pair of the 2-fold pullback, when m is
+built; its results are m's cocycle table.  The associativity check composes
+m with the induced maps m x 1 and 1 x m of the triple pullback through
+kleisli_compose and compares cells and cocycles.  The induced maps have m's
+cocycle as their cocycle, so they read it from m's table, and their identity
+components from path(H)'s tables; nothing is re-derived ad hoc.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ class TupleView:
 
     def __init__(self, V, n, name=""):
         self.V = V
-        self.n = n
         self.name = name or f"{V.name}^{n}"
         self.is_groupoid = V.is_groupoid
 
     def _zip(self, op, *tuples):
-        return tuple(op(*(t[i] for t in tuples)) for i in range(self.n))
+        return tuple(map(op, *tuples))
 
     def src(self, d, c):
         return tuple(self.V.src(d, x) for x in c)
@@ -202,10 +204,15 @@ def _pair_map(K3, K, comp, coc_fn, name):
 
 def verify_internal_category(H):
     """m is a pseudo map, then the face conditions, units and associativity
-    of the internal category."""
+    of the internal category.
+
+    The induced maps m x 1 and 1 x m of the triple pullback read their
+    cocycles from m's cocycle table, which validate_pseudo_map(m) checks in
+    the same report, and their identity components from path(H)'s tables;
+    m_cocycle runs only when m is built, once per composable pair.
+    """
     PH, K, m = m_pseudo(H)
     K3 = build_pullback(PH, H, 3)
-    V = PathView(H)
 
     def faces():
         for d in (0, 1, 2, 3):
@@ -228,12 +235,12 @@ def verify_internal_category(H):
 
     def assoc():
         def mx1_coc(t, s):
-            inner = m_cocycle(H, V, (t[0], t[1]), (s[0], s[1]))
-            return (inner, V.ident(1, V.comp0(t[2], s[2])))
+            return (m.coc((t[0], t[1]), (s[0], s[1])),
+                    PH.ident(1, PH.comp0(t[2], s[2])))
 
         def x1m_coc(t, s):
-            inner = m_cocycle(H, V, (t[1], t[2]), (s[1], s[2]))
-            return (V.ident(1, V.comp0(t[0], s[0])), inner)
+            return (PH.ident(1, PH.comp0(t[0], s[0])),
+                    m.coc((t[1], t[2]), (s[1], s[2])))
 
         mx1 = _pair_map(K3, K, lambda d, c: (m(d, (c[0], c[1])), c[2]),
                         mx1_coc, "mx1")

@@ -265,6 +265,10 @@ def _ghost_inverse(doc):
                             for c, i in doc["inverses"]["1"]]
 
 
+def _ghost_identity(doc):
+    doc["identities"]["0"].append(["ghost", "idx"])
+
+
 def _string_generators(doc):
     doc["flags"]["generators"] = "c01"
 
@@ -276,7 +280,9 @@ def _string_generators(doc):
      "inv1['s']: inverse 'ghost' not a declared 1-cell"),
     ("CHAIN3", _string_generators, "comonad",
      "generators is a list of 1-cells, not str"),
-], ids=["generator", "inverse", "string-generators"])
+    ("BIG", _ghost_identity, "gray",
+     "identities[0]['ghost']: key not a declared 0-cell"),
+], ids=["generator", "inverse", "string-generators", "identity"])
 def test_undeclared_generator_or_inverse_exits_2(tmp_path, name, mutate,
                                                 command, message):
     doc = pres.to_document(fixture(name))
@@ -287,3 +293,4 @@ def test_undeclared_generator_or_inverse_exits_2(tmp_path, name, mutate,
         r = run(*argv)
         assert r.exit_code == 2, (argv, r.output)
         assert f"error: {message}" in r.output, (argv, r.output)
+        assert r.output.count("error:") == 1, (argv, r.output)

@@ -3,7 +3,9 @@
 The sha256 values were taken from the code before pullbacks were tabulated
 through path(H)'s tables and before each hom cell was converted only once;
 the `check gray` and seeded-corruption digests were taken before the face
-index replaced the checker's scans, so they pin failing reports too.  A
+index replaced the checker's scans, so they pin failing reports too; the
+`check m` PAIR and CHAIN3 digests were taken before the associativity law
+read m's cocycle table instead of re-deriving each cocycle.  A
 change that alters one of these outputs on purpose must say so and pin the
 new value.  T1's entry changed that way: every table of T1 lands in a
 dimension with one cell, so there is no corruption to make, and
@@ -30,6 +32,10 @@ REPORTS = {
         "37e264392904e599ca8c31611450996cefce16194109433f72b25d82c33f0f45",
     ("check", "m", "CYC2"):
         "f65be1fe041c81242bf2f9ffc59ca0740856e00cf70a5e0cf356c92ca1b62fff",
+    ("check", "m", "PAIR"):
+        "3663ae252ba8f8ecd7cbc7ba89754045769bd28d1a9aee826739d2946c891340",
+    ("check", "m", "CHAIN3"):
+        "98b0c791a6e5e3fca1c16081e00addaaa3cf479bee0377cfcb19d7fa2955c602",
     ("tower", "BIG"):
         "5ca078f7dbc12f2c6455d27fd62e8ef6b1a39ec49668be3b60f42a02e76a771c",
     ("tower", "CYC2"):

@@ -1,10 +1,10 @@
 """Hom-space constructions are built once per argument and keep their checks.
 
-compose_0, trans_to_pseudo and mod_to_pseudo keep their results on the
-objects they are built from.  These tests check that a memoized result is
-the formula's result, that a construction that raises raises again, that
-[G,H] runs each un-memoized body once per distinct argument, and that the
-objects of [G,H] are keyed by the whole functor.
+compose_0, trans_to_pseudo, mod_to_pseudo and pert_square keep their
+results on the objects they are built from.  These tests check that a
+memoized result is the formula's result, that a construction that raises
+raises again, that [G,H] runs each un-memoized body once per distinct
+argument, and that the objects of [G,H] are keyed by the whole functor.
 """
 
 import pytest
@@ -13,11 +13,13 @@ from graypath import homspace
 from graypath.fixtures import fixture
 from graypath.highercells import Tower
 from graypath.homspace import (Modification, compose_0, compose_0_oracle,
-                               enumerate_modifications,
+                               Perturbation, enumerate_modifications,
+                               enumerate_perturbations,
                                enumerate_strict_functors,
                                enumerate_transformations, functor_key,
-                               hom_graycat, mod_to_pseudo, trans_to_pseudo)
-from graypath.kernel import GrayError, Mismatch
+                               hom_graycat, mod_to_pseudo, pert_square,
+                               trans_to_pseudo)
+from graypath.kernel import GrayError, Mismatch, NotComposable
 from graypath.pathcomp import m_pseudo
 from graypath.resolution import strict_as_pseudo
 
@@ -106,14 +108,49 @@ def test_corrupted_modification_raises_every_time():
     assert not bad._pseudo and f not in bad._cell1
 
 
+def test_pert_square_memo_matches_a_fresh_square():
+    G, H, trans = _transformations("INT", "BIG")
+    tower = Tower(H)
+    other = Tower(H)
+    perts = [s for A in _modifications(trans)
+             for s in enumerate_perturbations(A, A)[0]]
+    assert len(perts) == 19
+    for s in perts:
+        for x in G.cells[0]:
+            P = pert_square(s, x, tower)
+            assert pert_square(s, x, tower) is P
+            assert pert_square(s, x, other) == P
+            assert homspace._pert_square(s, x, tower) == P
+        assert len(s._square) == 2 * len(G.cells[0])
+
+
+def test_pert_square_that_raises_raises_every_time():
+    """A 3-cell with the wrong faces raises on every call and leaves no
+    entry behind."""
+    G, H, trans = _transformations("INT", "BIG")
+    tower = Tower(H)
+    A = next(_modifications(trans))
+    x = G.cells[0][0]
+    wrong = next(g3 for g3 in H.cells[3]
+                 if H.src(3, g3) != A.at0[x])
+    s = Perturbation(A, A, {**{y: H.ident(2, A.at0[y]) for y in G.cells[0]},
+                            x: wrong})
+    for _ in range(2):
+        with pytest.raises(NotComposable):
+            pert_square(s, x, tower)
+    assert not s._square
+
+
 @pytest.mark.parametrize("gname,counts", [
-    ("INT", {"_compose_0": 30, "_mod_to_pseudo": 19, "_trans_to_pseudo": 14}),
-    ("PAIR", {"_compose_0": 80, "_mod_to_pseudo": 45, "_trans_to_pseudo": 30}),
+    ("INT", {"_compose_0": 30, "_mod_to_pseudo": 19, "_trans_to_pseudo": 14,
+             "_pert_square": 38}),
+    ("PAIR", {"_compose_0": 80, "_mod_to_pseudo": 45, "_trans_to_pseudo": 30,
+              "_pert_square": 135}),
 ])
 def test_hom_graycat_builds_each_construction_once(monkeypatch, gname,
                                                    counts):
     """One call of each un-memoized body per distinct argument: on
-    [PAIR,BIG] the bodies used to run 1,780, 135 and 90 times."""
+    [PAIR,BIG] the bodies used to run 1,780, 135, 90 and 1,407 times."""
     calls = dict.fromkeys(counts, 0)
     for name in counts:
         body = getattr(homspace, name)
@@ -122,12 +159,15 @@ def test_hom_graycat_builds_each_construction_once(monkeypatch, gname,
             calls[_name] += 1
             return _body(*args)
         monkeypatch.setattr(homspace, name, counted)
-    C, _, reports = hom_graycat(fixture(gname), fixture("BIG"))
+    G = fixture(gname)
+    C, _, reports = hom_graycat(G, fixture("BIG"))
     assert all(r.ok for r in reports)
     assert calls == counts
     # each transformation and each modification is converted once
     assert calls["_trans_to_pseudo"] == len(C.cells[1])
     assert calls["_mod_to_pseudo"] == len(C.cells[2])
+    # each perturbation gets one square per 0-cell of G
+    assert calls["_pert_square"] == len(C.cells[3]) * len(G.cells[0])
 
 
 def test_functor_key_tells_apart_functors_that_agree_on_1_cells():

@@ -6,7 +6,9 @@ somewhere outside its own body: as an identifier, an attribute or a string
 perfbench/.  Dunder methods and click commands are called by the runtime
 and are exempt.  Names are matched without regard to their owner, so this
 is a coarse guard: it catches helpers nobody calls, not every unused method.
-A second guard fails on locals that are bound and never read.
+A second guard fails on locals that are bound and never read, and a third
+on module-level imports that the module never reads and does not list in
+its __all__.
 """
 
 import ast
@@ -126,3 +128,53 @@ def test_every_local_is_read():
                                         f"{name.lineno} {func.name}: "
                                         f"{name.id}")
     assert not dead, "locals that are never read:\n" + "\n".join(sorted(dead))
+
+
+def _unused_imports(tree):
+    """The names a module's top-level imports bind that the module never
+    reads and its __all__ does not list; __future__ imports are exempt."""
+    bound = {}       # name -> line
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported |= {e.value for e in ast.walk(node.value)
+                         if isinstance(e, ast.Constant)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read and name not in exported)
+
+
+def test_every_import_is_read():
+    unused = []
+    for path, tree in _trees():
+        if path.is_relative_to(ROOT / "src" / "graypath"):
+            unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for line, name in _unused_imports(tree)]
+    assert not unused, "imports that are never read:\n" + "\n".join(unused)
+
+
+def test_unused_import_guard_has_teeth(tmp_path):
+    """A module that imports a name and never reads it is caught; one that
+    reads it, or re-exports it through __all__, is not."""
+    module = tmp_path / "scratch.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import json\n"
+                      "import os.path\n"
+                      "from itertools import chain as _chain, product\n"
+                      "__all__ = ['product']\n"
+                      "def f():\n"
+                      "    return os.path.join('a', 'b')\n",
+                      encoding="utf-8")
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == [(2, "json"), (4, "_chain")]

@@ -4,7 +4,7 @@ import pytest
 
 from graypath.fixtures import fixture
 from graypath.kernel import StrictMap, all_pass, identity_map
-from graypath import presentation
+from graypath import pathcomp, presentation
 from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
                                m_apply, m_cocycle, m_naturality_check,
                                m_pseudo, o_cell, o_pseudo,
@@ -174,3 +174,39 @@ def test_pullback_lookup_matches_formula_oracle(name):
                              name=f"pb{n}({H.name})")
         assert presentation.dumps(build_pullback(PH, H, n)) == \
             presentation.dumps(oracle)
+
+
+@pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2", "CHAIN3"])
+def test_tabulated_cocycles_and_identities_match_the_formulas(name):
+    """The associativity law reads m's cocycle table and path(H)'s
+    identities; both agree with the path formulas they replace."""
+    H = fixture(name)
+    V = PathView(H)
+    PH, K, m = m_pseudo(H)
+    for (q, p) in K.comp0_11:
+        assert m.coc(q, p) == m_cocycle(H, V, q, p)
+    for (a, b) in PH.comp0_11:
+        assert PH.ident(1, PH.comp0(a, b)) == V.ident(1, V.comp0(a, b))
+
+
+@pytest.mark.parametrize("name, pairs", [
+    ("BIG", 80), ("PAIR", 175), ("CYC2", 256), ("CHAIN3", 980)])
+def test_internal_category_derives_each_cocycle_once(monkeypatch, name,
+                                                     pairs):
+    """m_cocycle runs once per composable pair of the 2-fold pullback, when
+    m is built; the induced maps of the triple pullback read m's table.
+    Re-deriving them ran it 416, 1,155, 4,352 and 9,212 times."""
+    calls = []
+    body = pathcomp.m_cocycle
+
+    def counted(*args):
+        calls.append(args[2:])
+        return body(*args)
+    monkeypatch.setattr(pathcomp, "m_cocycle", counted)
+    reports = verify_internal_category(fixture(name))
+    assert all_pass(reports), [r for r in reports if not r.ok]
+    assert len(calls) == pairs
+    H = fixture(name)
+    K = build_pullback(build_pathspace(H), H, 2)
+    assert len(K.comp0_11) == pairs
+    assert set(calls) == set(K.comp0_11)

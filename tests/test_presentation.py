@@ -71,6 +71,15 @@ def test_undeclared_face_of_a_3cell_reported():
         err.value.violations
 
 
+def test_identity_row_for_an_undeclared_cell_reported():
+    doc = pres.to_document(fixture("BIG"))
+    doc["identities"]["0"].append(["ghost", "idx"])
+    with pytest.raises(ValidationError) as err:
+        pres.from_document(doc)
+    assert err.value.violations == \
+        ["identities[0]['ghost']: key not a declared 0-cell"]
+
+
 def test_missing_identity_reported():
     doc = pres.to_document(fixture("T1"))
     doc["identities"]["0"] = []
