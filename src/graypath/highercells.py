@@ -100,6 +100,11 @@ class Tower:
         self._ddd = None
         self._p2 = None
         self._fillers = None
+        # (d, x, y) -> mbar, w_l and w_r's value; a body that raises stores
+        # nothing
+        self._mbars = {}
+        self._wls = {}
+        self._wrs = {}
 
     # stage 2: bigons ---------------------------------------------------
 
@@ -136,9 +141,9 @@ class Tower:
     # multiplications and whiskers ---------------------------------------
 
     def mbar(self, d, b, a):
-        out = m_apply(self.PH, d, b, a)
-        if not self.DD.has_cell(d, out):
-            raise FactorizationFailed("mbar output escaped the bigon space")
+        out = self._mbars.get((d, b, a))
+        if out is None:
+            out = self._mbars[(d, b, a)] = _mbar(self, d, b, a)
         return out
 
     def mbar_coc(self, q, p):
@@ -157,15 +162,15 @@ class Tower:
 
     def w_r(self, d, p, A):
         """Whisker a bigon-space cell A by an earlier path cell p."""
-        out = self._pm.cell(d, zip_path(d, degeneracy(self.PH, d, p), A))
-        if not self.DD.has_cell(d, out):
-            raise FactorizationFailed("w_r output escaped the bigon space")
+        out = self._wrs.get((d, p, A))
+        if out is None:
+            out = self._wrs[(d, p, A)] = _w_r(self, d, p, A)
         return out
 
     def w_l(self, d, A, p):
-        out = self._pm.cell(d, zip_path(d, A, degeneracy(self.PH, d, p)))
-        if not self.DD.has_cell(d, out):
-            raise FactorizationFailed("w_l output escaped the bigon space")
+        out = self._wls.get((d, A, p))
+        if out is None:
+            out = self._wls[(d, A, p)] = _w_l(self, d, A, p)
         return out
 
     def w_r_coc(self, pair1, pair2):
@@ -345,6 +350,30 @@ class Tower:
 
 
 # -- the assembled internal Gray-category --------------------------------------
+
+
+def _mbar(tw, d, b, a):
+    return _bigon(tw, d, m_apply(tw.PH, d, b, a), "mbar")
+
+
+def _w_r(tw, d, p, A):
+    out = tw._pm.cell(d, zip_path(d, degeneracy(tw.PH, d, p), A))
+    return _bigon(tw, d, out, "w_r")
+
+
+def _w_l(tw, d, A, p):
+    out = tw._pm.cell(d, zip_path(d, A, degeneracy(tw.PH, d, p)))
+    return _bigon(tw, d, out, "w_l")
+
+
+def _bigon(tw, d, out, name):
+    """The bigon-space d-cell equal to out, as DD stores it, so that the
+    memos of mbar, w_l and w_r hold no second copy of a cell."""
+    try:
+        return tw.DD.canonical(d, out)
+    except KeyError:
+        raise FactorizationFailed(
+            f"{name} output escaped the bigon space") from None
 
 
 def check_1cartesian(tower):

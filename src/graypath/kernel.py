@@ -1,9 +1,12 @@
 """Tabulated Gray-categories and the exhaustive axiom checker.
 
 Cells are opaque hashable keys (interned strings for base fixtures, nested
-tuples for derived cells).  All operations are partial tables guarded by
-composability predicates; calling an operation on a non-composable tuple
-raises NotComposable instead of silently returning garbage.  Equality of
+tuples for derived cells).  All operations are partial tables whose keys
+are exactly the composable tuples: the loader and the incidence-and-faces
+law check every key against its operation's composability predicate.  An
+operation reads its table first and runs the predicate only on a miss, to
+raise NotComposable for a non-composable tuple (instead of silently
+returning garbage) and MissingTableEntry for a composable one.  Equality of
 cells is structural and exact: there are no tolerances anywhere.
 """
 
@@ -98,6 +101,25 @@ TABLES = (
     ("tensor", "tensor_", "tensor", 2, 2, 3),
 )
 
+_TABLE_NAME = {op: name for name, _, op, *_ in TABLES}
+
+# Each operation's composability predicate on its (left, right) operands,
+# keyed by the operation.  A table's keys are exactly its composable pairs:
+# the loader and the incidence-and-faces law check every key, and an
+# operation runs its predicate only when its table has no entry.
+COMPOSABLE = {
+    "comp0": lambda C, g, f: C.src_[1][g] == C.tgt_[1][f],
+    "wl12": lambda C, k, a: C.src_[1][k] == C.tgt0(2, a),
+    "wr12": lambda C, a, k: C.src0(2, a) == C.tgt_[1][k],
+    "wl13": lambda C, k, g: C.src_[1][k] == C.tgt0(3, g),
+    "wr13": lambda C, g, k: C.src0(3, g) == C.tgt_[1][k],
+    "comp1": lambda C, b, a: C.src_[2][b] == C.tgt_[2][a],
+    "wl23": lambda C, c, g: C.src_[2][c] == C.tgt_[2][C.src_[3][g]],
+    "wr23": lambda C, g, c: C.tgt_[2][c] == C.src_[2][C.src_[3][g]],
+    "comp2": lambda C, d, g: C.src_[3][d] == C.tgt_[3][g],
+    "tensor": lambda C, b, a: C.src0(2, b) == C.tgt0(2, a),
+}
+
 
 class GrayCat:
     """A finite Gray-category: 3-globular set plus composition tables.
@@ -114,6 +136,13 @@ class GrayCat:
       whisk_r23[(G, c)]    = G #1 c
       comp2_33[(D, G)]     = D #2 G
       tensor[(b, a)]       = b (x) a         (interchanger, 0-composable pair)
+
+    A table's keys are exactly the composable tuples of its operation
+    (COMPOSABLE); structural_violations and the incidence-and-faces law
+    check that.  The operations comp0 ... tensor read the table first and
+    run the composability guard only when the key is missing, to say
+    whether the tuple is not composable (NotComposable) or the table lacks
+    its entry (MissingTableEntry).
 
     Optional inversion tables inv1/inv2/inv3 mark groupoid structure.
     Instances are immutable after construction by convention.
@@ -171,6 +200,11 @@ class GrayCat:
 
     def has_cell(self, d, c):
         return c in self._cellset[d]
+
+    def canonical(self, d, c):
+        """The object cells[d] holds for the d-cell equal to c, so that a
+        cell kept for later shares that object; KeyError if there is none."""
+        return self.cells[d][self._index()[("rank", d)][c]]
 
     # -- faces ---------------------------------------------------------
 
@@ -260,61 +294,74 @@ class GrayCat:
 
     # -- guarded operations ---------------------------------------------
 
-    def _table(self, table, key, err):
-        try:
-            return table[key]
-        except KeyError:
-            raise MissingTableEntry(f"{self.name}: no {err} entry for {key!r}") from None
+    def _miss(self, op, l, r):
+        """The error for operands that op's table has no entry for: op's
+        guard tells a non-composable pair from a missing entry."""
+        if not COMPOSABLE[op](self, l, r):
+            sep = " after " if op.startswith("comp") else " "
+            return NotComposable(f"{op} {l!r}{sep}{r!r}")
+        return MissingTableEntry(
+            f"{self.name}: no {_TABLE_NAME[op]} entry for {(l, r)!r}")
 
     def comp0(self, g, f):
-        if self.src_[1][g] != self.tgt_[1][f]:
-            raise NotComposable(f"comp0 {g!r} after {f!r}")
-        return self._table(self.comp0_11, (g, f), "comp0")
+        try:
+            return self.comp0_11[(g, f)]
+        except KeyError:
+            raise self._miss("comp0", g, f) from None
 
     def wl12(self, k, a):
-        if self.src_[1][k] != self.tgt0(2, a):
-            raise NotComposable(f"wl12 {k!r} {a!r}")
-        return self._table(self.whisk_l12, (k, a), "whisk_l12")
+        try:
+            return self.whisk_l12[(k, a)]
+        except KeyError:
+            raise self._miss("wl12", k, a) from None
 
     def wr12(self, a, k):
-        if self.src0(2, a) != self.tgt_[1][k]:
-            raise NotComposable(f"wr12 {a!r} {k!r}")
-        return self._table(self.whisk_r12, (a, k), "whisk_r12")
+        try:
+            return self.whisk_r12[(a, k)]
+        except KeyError:
+            raise self._miss("wr12", a, k) from None
 
     def wl13(self, k, g):
-        if self.src_[1][k] != self.tgt0(3, g):
-            raise NotComposable(f"wl13 {k!r} {g!r}")
-        return self._table(self.whisk_l13, (k, g), "whisk_l13")
+        try:
+            return self.whisk_l13[(k, g)]
+        except KeyError:
+            raise self._miss("wl13", k, g) from None
 
     def wr13(self, g, k):
-        if self.src0(3, g) != self.tgt_[1][k]:
-            raise NotComposable(f"wr13 {g!r} {k!r}")
-        return self._table(self.whisk_r13, (g, k), "whisk_r13")
+        try:
+            return self.whisk_r13[(g, k)]
+        except KeyError:
+            raise self._miss("wr13", g, k) from None
 
     def comp1(self, b, a):
-        if self.src_[2][b] != self.tgt_[2][a]:
-            raise NotComposable(f"comp1 {b!r} after {a!r}")
-        return self._table(self.comp1_22, (b, a), "comp1")
+        try:
+            return self.comp1_22[(b, a)]
+        except KeyError:
+            raise self._miss("comp1", b, a) from None
 
     def wl23(self, c, g):
-        if self.src_[2][c] != self.tgt_[2][self.src_[3][g]]:
-            raise NotComposable(f"wl23 {c!r} {g!r}")
-        return self._table(self.whisk_l23, (c, g), "whisk_l23")
+        try:
+            return self.whisk_l23[(c, g)]
+        except KeyError:
+            raise self._miss("wl23", c, g) from None
 
     def wr23(self, g, c):
-        if self.tgt_[2][c] != self.src_[2][self.src_[3][g]]:
-            raise NotComposable(f"wr23 {g!r} {c!r}")
-        return self._table(self.whisk_r23, (g, c), "whisk_r23")
+        try:
+            return self.whisk_r23[(g, c)]
+        except KeyError:
+            raise self._miss("wr23", g, c) from None
 
     def comp2(self, d, g):
-        if self.src_[3][d] != self.tgt_[3][g]:
-            raise NotComposable(f"comp2 {d!r} after {g!r}")
-        return self._table(self.comp2_33, (d, g), "comp2")
+        try:
+            return self.comp2_33[(d, g)]
+        except KeyError:
+            raise self._miss("comp2", d, g) from None
 
     def tensor(self, b, a):
-        if self.src0(2, b) != self.tgt0(2, a):
-            raise NotComposable(f"tensor {b!r} {a!r}")
-        return self._table(self.tensor_, (b, a), "tensor")
+        try:
+            return self.tensor_[(b, a)]
+        except KeyError:
+            raise self._miss("tensor", b, a) from None
 
     # -- derived -----------------------------------------------------
 
@@ -474,46 +521,48 @@ def _gray_law_generators(C):
                 i = C.id_up[d].get(c)
                 ok = i is not None and C.src(d + 1, i) == c and C.tgt(d + 1, i) == c
                 yield ok, ("identity-faces", d, c)
-        # table outputs land in the right cell sets with the dictated faces
+        # table keys are composable, and outputs land in the right cell sets
+        # with the dictated faces
         for (g, f), h in comp0_11:
-            ok = (C.has_cell(1, h) and C.src(1, h) == C.src(1, f)
-                  and C.tgt(1, h) == C.tgt(1, g))
+            ok = (COMPOSABLE["comp0"](C, g, f) and C.has_cell(1, h)
+                  and C.src(1, h) == C.src(1, f) and C.tgt(1, h) == C.tgt(1, g))
             yield ok, ("comp0-faces", g, f, h)
         for (k, a), b in whisk_l12:
-            ok = (C.has_cell(2, b)
+            ok = (COMPOSABLE["wl12"](C, k, a) and C.has_cell(2, b)
                   and C.src(2, b) == C.comp0(k, C.src(2, a))
                   and C.tgt(2, b) == C.comp0(k, C.tgt(2, a)))
             yield ok, ("whisk_l12-faces", k, a, b)
         for (a, k), b in whisk_r12:
-            ok = (C.has_cell(2, b)
+            ok = (COMPOSABLE["wr12"](C, a, k) and C.has_cell(2, b)
                   and C.src(2, b) == C.comp0(C.src(2, a), k)
                   and C.tgt(2, b) == C.comp0(C.tgt(2, a), k))
             yield ok, ("whisk_r12-faces", a, k, b)
         for (b, a), c in comp1_22:
-            ok = (C.has_cell(2, c) and C.src(2, c) == C.src(2, a)
-                  and C.tgt(2, c) == C.tgt(2, b))
+            ok = (COMPOSABLE["comp1"](C, b, a) and C.has_cell(2, c)
+                  and C.src(2, c) == C.src(2, a) and C.tgt(2, c) == C.tgt(2, b))
             yield ok, ("comp1-faces", b, a, c)
         for (d3, g3), e3 in comp2_33:
-            ok = (C.has_cell(3, e3) and C.src(3, e3) == C.src(3, g3)
+            ok = (COMPOSABLE["comp2"](C, d3, g3) and C.has_cell(3, e3)
+                  and C.src(3, e3) == C.src(3, g3)
                   and C.tgt(3, e3) == C.tgt(3, d3))
             yield ok, ("comp2-faces", d3, g3, e3)
         for (k, g3), h3 in whisk_l13:
-            ok = (C.has_cell(3, h3)
+            ok = (COMPOSABLE["wl13"](C, k, g3) and C.has_cell(3, h3)
                   and C.src(3, h3) == C.wl12(k, C.src(3, g3))
                   and C.tgt(3, h3) == C.wl12(k, C.tgt(3, g3)))
             yield ok, ("whisk_l13-faces", k, g3, h3)
         for (g3, k), h3 in whisk_r13:
-            ok = (C.has_cell(3, h3)
+            ok = (COMPOSABLE["wr13"](C, g3, k) and C.has_cell(3, h3)
                   and C.src(3, h3) == C.wr12(C.src(3, g3), k)
                   and C.tgt(3, h3) == C.wr12(C.tgt(3, g3), k))
             yield ok, ("whisk_r13-faces", g3, k, h3)
         for (c, g3), h3 in whisk_l23:
-            ok = (C.has_cell(3, h3)
+            ok = (COMPOSABLE["wl23"](C, c, g3) and C.has_cell(3, h3)
                   and C.src(3, h3) == C.comp1(c, C.src(3, g3))
                   and C.tgt(3, h3) == C.comp1(c, C.tgt(3, g3)))
             yield ok, ("whisk_l23-faces", c, g3, h3)
         for (g3, c), h3 in whisk_r23:
-            ok = (C.has_cell(3, h3)
+            ok = (COMPOSABLE["wr23"](C, g3, c) and C.has_cell(3, h3)
                   and C.src(3, h3) == C.comp1(C.src(3, g3), c)
                   and C.tgt(3, h3) == C.comp1(C.tgt(3, g3), c))
             yield ok, ("whisk_r23-faces", g3, c, h3)
@@ -646,7 +695,7 @@ def _gray_law_generators(C):
     def tensor_laws():
         for (b, a), _ in tensor_:
             t = C.tensor(b, a)
-            ok = (C.has_cell(3, t)
+            ok = (COMPOSABLE["tensor"](C, b, a) and C.has_cell(3, t)
                   and C.src(3, t) == hcomp_left(C, b, a)
                   and C.tgt(3, t) == hcomp_right(C, b, a))
             yield ok, ("tensor-faces", b, a)
@@ -779,14 +828,20 @@ def structural_violations(C, limit=20):
             if c not in C._cellset[d]:
                 note(f"identities[{d}][{c!r}]: key not a declared {d}-cell")
 
-    for name, attr, _, dl, dr, dout in TABLES:
+    for name, attr, op, dl, dr, dout in TABLES:
+        composable = COMPOSABLE[op]
         for (l, r), v in getattr(C, attr).items():
+            declared = True
             if l not in C._cellset[dl]:
                 note(f"{name}[{l!r},{r!r}]: left operand not a {dl}-cell")
+                declared = False
             if r not in C._cellset[dr]:
                 note(f"{name}[{l!r},{r!r}]: right operand not a {dr}-cell")
+                declared = False
             if v not in C._cellset[dout]:
                 note(f"{name}[{l!r},{r!r}]: result {v!r} not a {dout}-cell")
+            if declared and not _face_composable(composable, C, l, r):
+                note(f"{name}[{l!r},{r!r}]: operands not composable")
 
     # tables defined exactly on composable tuples
     for (g, f) in _expected_comp0(C):
@@ -808,6 +863,16 @@ def structural_violations(C, limit=20):
             if i not in C._cellset[d]:
                 note(f"inv{d}[{c!r}]: inverse {i!r} not a declared {d}-cell")
     return out
+
+
+def _face_composable(composable, C, l, r):
+    """composable(C, l, r) for declared operands; an operand whose faces
+    lead to an undeclared cell counts as composable here, because the
+    first loop of structural_violations has already located that face."""
+    try:
+        return composable(C, l, r)
+    except KeyError:
+        return True
 
 
 def _expected_comp0(C):

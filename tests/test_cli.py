@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from graypath.cli import main
 from graypath import presentation as pres
 from graypath.fixtures import fixture
+from graypath.kernel import TABLES
 
 
 def run(*args):
@@ -211,14 +212,17 @@ def _document_text(name):
 
 
 _CELLS = ("objects", "morphisms", "two_cells", "three_cells")
+_OPERAND_DIMS = {name: (dl, dr) for name, _, _, dl, dr, _ in TABLES}
 
 
 @st.composite
 def _mutated_document(draw):
     """BIG's or path(PAIR)'s document with one field changed: a face or id
-    set to an undeclared string, or one table entry dropped or doubled."""
+    set to an undeclared string, one table entry dropped or doubled, or one
+    operand of a table row set to another declared cell of its dimension."""
     doc = json.loads(_document_text(draw(st.sampled_from(["BIG", "path(PAIR)"]))))
-    kind = draw(st.sampled_from(["cell", "identity", "entry", "drop", "double"]))
+    kind = draw(st.sampled_from(["cell", "identity", "entry", "drop", "double",
+                                 "rekey"]))
     ghost = draw(st.sampled_from(["ghost", "", "id[ghost]"]))
     if kind == "cell":
         entries = doc[draw(st.sampled_from(_CELLS))]
@@ -228,9 +232,16 @@ def _mutated_document(draw):
     if kind == "identity":
         rows = doc["identities"][draw(st.sampled_from(["0", "1", "2"]))]
     else:
-        rows = doc["tables"][draw(st.sampled_from(
-            sorted(t for t, rows in doc["tables"].items() if rows)))]
+        table = draw(st.sampled_from(
+            sorted(t for t, rows in doc["tables"].items() if rows)))
+        rows = doc["tables"][table]
     i = draw(st.integers(0, len(rows) - 1))
+    if kind == "rekey":
+        j = draw(st.integers(0, 1))
+        cells = doc[_CELLS[_OPERAND_DIMS[table][j]]]
+        rows[i][j] = draw(st.sampled_from(
+            [e["id"] for e in cells if e["id"] != rows[i][j]]))
+        return doc
     if kind == "drop":
         del rows[i]
     elif kind == "double":
@@ -254,6 +265,32 @@ def test_mutated_documents_exit_0_1_or_2(doc):
             assert r.exception is None or isinstance(r.exception, SystemExit), \
                 (argv, repr(r.exception))
             assert "Traceback" not in r.output
+
+
+# one pair of declared BIG cells per table that its operation cannot compose
+_NOT_COMPOSABLE = [
+    ("comp0", "f", "f"), ("whisk_l12", "f", "alpha"),
+    ("whisk_r12", "alpha", "f"), ("whisk_l13", "f", "id[alpha]"),
+    ("whisk_r13", "id[alpha]", "f"), ("comp1", "alpha", "alpha"),
+    ("whisk_l23", "alpha", "id[alpha]"), ("whisk_r23", "id[alpha]", "alpha"),
+    ("comp2", "id[alpha]", "id[id[f]]"), ("tensor", "alpha", "alpha"),
+]
+
+
+@pytest.mark.parametrize("table, left, right", _NOT_COMPOSABLE)
+def test_non_composable_table_row_exits_2(tmp_path, table, left, right):
+    """BIG's document with one table row re-keyed onto operands that do not
+    compose is bad input for every loading command."""
+    doc = pres.to_document(fixture("BIG"))
+    doc["tables"][table][0][:2] = [left, right]
+    path = tmp_path / "rekeyed.graycat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"error: {table}[{left!r},{right!r}]: operands not composable"
+    for argv in (["validate", str(path)], ["check", "gray", str(path)]):
+        r = run(*argv)
+        assert r.exit_code == 2, (argv, r.output)
+        assert message in r.output, (argv, r.output)
+        assert r.output.count("error:") == 1, (argv, r.output)
 
 
 def _ghost_generator(doc):

@@ -268,3 +268,39 @@ def test_dangling_table_row_is_located(name, attr, dl, dr, dout):
         f"{name}['ghost',{r!r}]: left operand not a {dl}-cell",
         f"{name}[{l!r},'ghost']: right operand not a {dr}-cell",
     ]
+
+
+# one pair of declared BIG cells per table that its operation cannot compose
+_NOT_COMPOSABLE = [
+    ("comp0", "comp0_11", "f", "f"),
+    ("whisk_l12", "whisk_l12", "f", "alpha"),
+    ("whisk_r12", "whisk_r12", "alpha", "f"),
+    ("whisk_l13", "whisk_l13", "f", "id[alpha]"),
+    ("whisk_r13", "whisk_r13", "id[alpha]", "f"),
+    ("comp1", "comp1_22", "alpha", "alpha"),
+    ("whisk_l23", "whisk_l23", "alpha", "id[alpha]"),
+    ("whisk_r23", "whisk_r23", "id[alpha]", "alpha"),
+    ("comp2", "comp2_33", "id[alpha]", "id[id[f]]"),
+    ("tensor", "tensor_", "alpha", "alpha"),
+]
+
+
+@pytest.mark.parametrize("name, attr, l, r", _NOT_COMPOSABLE)
+def test_non_composable_table_row_is_located(name, attr, l, r):
+    """A table row re-keyed onto declared cells that do not compose is a
+    structural violation, and the checker's faces entry for that table
+    fails on it: a table's keys are exactly its composable pairs."""
+    from graypath.faults import copy_graycat
+    C = copy_graycat(fixture("BIG"))
+    table = getattr(C, attr)
+    v = table.pop(sorted(table, key=repr)[0])
+    table[(l, r)] = v
+    violations = structural_violations(C)
+    assert violations[0] == f"{name}[{l!r},{r!r}]: operands not composable"
+    assert sum("not composable" in msg for msg in violations) == 1
+    # the tensor's faces entry opens the tensor laws; the others are
+    # incidence-and-faces entries
+    law = "tensor-laws" if name == "tensor" else "incidence-and-faces"
+    report = next(rep for rep in check_gray_axioms(C) if rep.law == law)
+    assert not report.ok
+    assert report.counterexample[:3] == (f"{name}-faces", l, r)

@@ -315,3 +315,19 @@ def test_dsl_inverse_needs_equals():
     with pytest.raises(pres.ParseError) as err:
         pres.parse_dsl("object x\n1cell idx : x -> x\ninv1 idx BOGUS idx\n")
     assert str(err.value) == "line 3: expected '='"
+
+
+def test_non_composable_table_row_is_rejected():
+    """A comp0 row re-keyed onto (f, f), two declared 1-cells x -> y that
+    do not compose, fails validation where the row is, and the composable
+    pair it left is reported missing."""
+    doc = pres.to_document(fixture("BIG"))
+    row = doc["tables"]["comp0"][0]
+    g, f = row[:2]
+    row[:2] = ["f", "f"]
+    with pytest.raises(ValidationError) as err:
+        pres.from_document(doc)
+    assert err.value.violations == [
+        "comp0['f','f']: operands not composable",
+        f"comp0 missing entry for composable pair ({g!r},{f!r})",
+    ]
