@@ -84,14 +84,16 @@ def fault_detected(C):
 def run_fault_trials(make_fixture, names, count, seed=0):
     """Corrupt `count` seeded single entries across the named fixtures.
 
-    Returns (detected, total, misses); the acceptance demands
-    detected == total.
+    Each fixture is built once: corrupt_graycat corrupts a copy.  Returns
+    (detected, total, misses); the acceptance demands detected == total.
     """
+    built = {}
     misses = []
     for i in range(count):
         name = names[i % len(names)]
-        C = make_fixture(name)
-        D, info = corrupt_graycat(C, seed + i)
+        if name not in built:
+            built[name] = make_fixture(name)
+        D, info = corrupt_graycat(built[name], seed + i)
         if not fault_detected(D):
             misses.append((name, seed + i, info))
     return count - len(misses), count, misses

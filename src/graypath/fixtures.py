@@ -15,7 +15,7 @@ tuples, with identity-padded entries filled in programmatically.
 
 from __future__ import annotations
 
-from .kernel import GrayCat, GrayError, hcomp_left
+from .kernel import GrayCat, GrayError, composable_keys, hcomp_left
 
 
 class UnknownFixture(GrayError):
@@ -52,12 +52,10 @@ def _finish(C):
         x, y = C.src0(2, a), C.tgt0(2, a)
         C.whisk_l12.setdefault((C.id_up[0][y], a), a)
         C.whisk_r12.setdefault((a, C.id_up[0][x]), a)
-    for k in C.cells[1]:
-        for f in C.cells[1]:
-            if C.src(1, k) == C.tgt(1, f):
-                kf = C.comp0_11[(k, f)]
-                C.whisk_l12.setdefault((k, C.id_up[1][f]), C.id_up[1][kf])
-                C.whisk_r12.setdefault((C.id_up[1][k], f), C.id_up[1][kf])
+    for k, f in composable_keys(C, "comp0"):
+        kf = C.comp0_11[(k, f)]
+        C.whisk_l12.setdefault((k, C.id_up[1][f]), C.id_up[1][kf])
+        C.whisk_r12.setdefault((C.id_up[1][k], f), C.id_up[1][kf])
     # comp1 with identity 2-cells
     for a in C.cells[2]:
         f, g = C.src(2, a), C.tgt(2, a)
@@ -68,39 +66,31 @@ def _finish(C):
         x, y = C.src0(3, g3), C.tgt0(3, g3)
         C.whisk_l13.setdefault((C.id_up[0][y], g3), g3)
         C.whisk_r13.setdefault((g3, C.id_up[0][x]), g3)
-    for k in C.cells[1]:
-        for a in C.cells[2]:
-            if C.src(1, k) == C.tgt0(2, a):
-                C.whisk_l13.setdefault((k, C.id_up[2][a]),
-                                       C.id_up[2][C.whisk_l12[(k, a)]])
-            if C.tgt(1, k) == C.src0(2, a):
-                C.whisk_r13.setdefault((C.id_up[2][a], k),
-                                       C.id_up[2][C.whisk_r12[(a, k)]])
+    for k, a in composable_keys(C, "wl12"):
+        C.whisk_l13.setdefault((k, C.id_up[2][a]),
+                               C.id_up[2][C.whisk_l12[(k, a)]])
+    for a, k in composable_keys(C, "wr12"):
+        C.whisk_r13.setdefault((C.id_up[2][a], k),
+                               C.id_up[2][C.whisk_r12[(a, k)]])
     # 2-on-3 whiskers with identity 3-cells
     for g3 in C.cells[3]:
         a = C.src(3, g3)
         f, g = C.src(2, a), C.tgt(2, a)
         C.whisk_l23.setdefault((C.id_up[1][g], g3), g3)
         C.whisk_r23.setdefault((g3, C.id_up[1][f]), g3)
-    for c in C.cells[2]:
-        for a in C.cells[2]:
-            if C.src(2, c) == C.tgt(2, a):
-                comp = C.comp1_22[(c, a)]
-                C.whisk_l23.setdefault((c, C.id_up[2][a]), C.id_up[2][comp])
-            if C.tgt(2, c) == C.src(2, a):
-                comp = C.comp1_22[(a, c)]
-                C.whisk_r23.setdefault((C.id_up[2][a], c), C.id_up[2][comp])
+    for b, a in composable_keys(C, "comp1"):
+        ba = C.id_up[2][C.comp1_22[(b, a)]]
+        C.whisk_l23.setdefault((b, C.id_up[2][a]), ba)
+        C.whisk_r23.setdefault((C.id_up[2][b], a), ba)
     # comp2 with identities
     for g3 in C.cells[3]:
         a, b = C.src(3, g3), C.tgt(3, g3)
         C.comp2_33.setdefault((g3, C.id_up[2][a]), g3)
         C.comp2_33.setdefault((C.id_up[2][b], g3), g3)
     # tensors with an identity 2-cell collapse to identity 3-cells
-    for b in C.cells[2]:
-        for a in C.cells[2]:
-            if C.src0(2, b) == C.tgt0(2, a) and (b, a) not in C.tensor_:
-                if C.is_id2(b) or C.is_id2(a):
-                    C.tensor_[(b, a)] = C.id_up[2][hcomp_left(C, b, a)]
+    for b, a in composable_keys(C, "tensor"):
+        if (b, a) not in C.tensor_ and (C.is_id2(b) or C.is_id2(a)):
+            C.tensor_[(b, a)] = C.id_up[2][hcomp_left(C, b, a)]
     return C
 
 

@@ -11,11 +11,11 @@ subobject - a failed assertion is a construction bug, not an input error.
 from __future__ import annotations
 
 from .kernel import (FactorizationFailed, GrayError, NotComposable,
-                     law_report, run_laws)
+                     law_report, pullback, run_laws)
 from .kernel import hcomp_left as base_hcomp_left, hcomp_right as base_hcomp_right
 from .pathspace import (PPrime, PathView, build_pathspace, degeneracy,
                         materialize, path_cells, path_map, pd0, pd1, pdim)
-from .pathcomp import TupleView, build_pullback, m_apply, m_cocycle, m_pseudo
+from .pathcomp import build_pullback, m_apply, m_cocycle, m_pseudo
 from .resolution import PseudoMap
 
 
@@ -298,18 +298,11 @@ class Tower:
     @property
     def P2(self):
         if self._p2 is None:
-            DD = self.DD
-            cells = []
-            for d in (0, 1, 2, 3):
-                level = []
-                for u in DD.cells[d]:
-                    for v in DD.cells[d]:
-                        if (pd0(self.PH, d, u) == pd0(self.PH, d, v)
-                                and pd1(self.PH, d, u) == pd1(self.PH, d, v)):
-                            level.append((u, v))
-                cells.append(level)
-            self._p2 = materialize(TupleView(self.PV, 2), tuple(cells),
-                                   name=f"P2({self.H.name})")
+            DD, PH = self.DD, self.PH
+            ends = {d: {u: (pd0(PH, d, u), pd1(PH, d, u)) for u in DD.cells[d]}
+                    for d in DD.DIMS}
+            self._p2 = pullback(DD, ends, DD, ends, lambda u, v: (u, v),
+                                f"P2({self.H.name})")
         return self._p2
 
     def tensor_obj(self, bg, bf):

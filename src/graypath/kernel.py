@@ -3,7 +3,8 @@
 Cells are opaque hashable keys (interned strings for base fixtures, nested
 tuples for derived cells).  All operations are partial tables whose keys
 are exactly the composable tuples: the loader and the incidence-and-faces
-law check every key against its operation's composability predicate.  An
+law check every key against its operation's composability predicate, and
+the loader names every composable tuple (composable_keys) without one.  An
 operation reads its table first and runs the predicate only on a miss, to
 raise NotComposable for a non-composable tuple (instead of silently
 returning garbage) and MissingTableEntry for a composable one.  Equality of
@@ -120,6 +121,41 @@ COMPOSABLE = {
     "tensor": lambda C, b, a: C.src0(2, b) == C.tgt0(2, a),
 }
 
+# Each operation's composable (left, right) operands in C, found through the
+# face index, keyed by the operation: the keys its table must have.  Every
+# table fill and the loader's missing-row check read them.  The tensor's
+# enumerator skips a 2-cell whose source is undeclared, because it has no
+# 0-source; the loader has already located that face.
+_COMPOSABLE_KEYS = {
+    "comp0": lambda C: ((h, g) for g in C.cells[1]
+                        for h in C.by_src(1, C.tgt_[1][g])),
+    "wl12": lambda C: ((k, a) for k in C.cells[1]
+                       for a in C.by_tgt(2, C.src_[1][k], 0)),
+    "wr12": lambda C: ((a, k) for k in C.cells[1]
+                       for a in C.by_src(2, C.tgt_[1][k], 0)),
+    "wl13": lambda C: ((k, g) for k in C.cells[1]
+                       for g in C.by_tgt(3, C.src_[1][k], 0)),
+    "wr13": lambda C: ((g, k) for k in C.cells[1]
+                       for g in C.by_src(3, C.tgt_[1][k], 0)),
+    "comp1": lambda C: ((b, a) for a in C.cells[2]
+                        for b in C.by_src(2, C.tgt_[2][a])),
+    "wl23": lambda C: ((c, g) for c in C.cells[2]
+                       for g in C.by_tgt(3, C.src_[2][c], 1)),
+    "wr23": lambda C: ((g, c) for c in C.cells[2]
+                       for g in C.by_src(3, C.tgt_[2][c], 1)),
+    "comp2": lambda C: ((d, g) for g in C.cells[3]
+                        for d in C.by_src(3, C.tgt_[3][g])),
+    "tensor": lambda C: ((b, a) for b in C.cells[2]
+                         if C.src_[2][b] in C._cellset[1]
+                         for a in C.by_tgt(2, C.src0(2, b), 0)),
+}
+
+
+def composable_keys(C, op):
+    """The (left, right) pairs of C's cells that op composes, each once:
+    for the outer operand in cells order, the inner ones in cells order."""
+    return _COMPOSABLE_KEYS[op](C)
+
 
 class GrayCat:
     """A finite Gray-category: 3-globular set plus composition tables.
@@ -138,11 +174,15 @@ class GrayCat:
       tensor[(b, a)]       = b (x) a         (interchanger, 0-composable pair)
 
     A table's keys are exactly the composable tuples of its operation
-    (COMPOSABLE); structural_violations and the incidence-and-faces law
-    check that.  The operations comp0 ... tensor read the table first and
-    run the composability guard only when the key is missing, to say
-    whether the tuple is not composable (NotComposable) or the table lacks
-    its entry (MissingTableEntry).
+    (COMPOSABLE, composable_keys): structural_violations checks every key
+    and names every composable tuple without one, and the
+    incidence-and-faces law checks every key.  The operations comp0 ...
+    tensor read the table first and run the composability guard only when
+    the key is missing, to say whether the tuple is not composable
+    (NotComposable) or the table lacks its entry (MissingTableEntry).  On a
+    loaded or built Gray-category a miss can only mean "not composable":
+    the loader rejects a missing row, and materialize and pullback fill
+    every composable tuple.
 
     Optional inversion tables inv1/inv2/inv3 mark groupoid structure.
     Instances are immutable after construction by convention.
@@ -844,15 +884,11 @@ def structural_violations(C, limit=20):
                 note(f"{name}[{l!r},{r!r}]: operands not composable")
 
     # tables defined exactly on composable tuples
-    for (g, f) in _expected_comp0(C):
-        if (g, f) not in C.comp0_11:
-            note(f"comp0 missing entry for composable pair ({g!r},{f!r})")
-    for key in _expected_comp1(C):
-        if key not in C.comp1_22:
-            note(f"comp1 missing entry for composable pair {key!r}")
-    for key in _expected_tensor(C):
-        if key not in C.tensor_:
-            note(f"tensor missing entry for 0-composable pair {key!r}")
+    for name, attr, op, *_ in TABLES:
+        table = getattr(C, attr)
+        for l, r in composable_keys(C, op):
+            if (l, r) not in table:
+                note(f"{name} missing entry for composable pair ({l!r},{r!r})")
     for g in C.generators or ():
         if g not in C._cellset[1]:
             note(f"generator {g!r} not a declared 1-cell")
@@ -873,27 +909,6 @@ def _face_composable(composable, C, l, r):
         return composable(C, l, r)
     except KeyError:
         return True
-
-
-def _expected_comp0(C):
-    for g in C.cells[1]:
-        for f in C.by_tgt(1, C.src_[1][g]):
-            yield (g, f)
-
-
-def _expected_comp1(C):
-    for a in C.cells[2]:
-        for b in C.by_src(2, C.tgt_[2][a]):
-            yield (b, a)
-
-
-def _expected_tensor(C):
-    # a 2-cell with an undeclared source has no 0-source; the first loop of
-    # structural_violations has already located it
-    for b in C.cells[2]:
-        if C.src_[2][b] in C._cellset[1]:
-            for a in C.by_tgt(2, C.src0(2, b), 0):
-                yield (b, a)
 
 
 # -- finite plain categories and pullback along a functor --------------------
@@ -1073,31 +1088,70 @@ def sub_graycat(C, keep, name=None):
     return S
 
 
-def product_graycat(A, B, name=""):
-    """Componentwise product A x B."""
-    P = GrayCat(name=name or f"{A.name}x{B.name}")
+def pullback(A, fa, B, fb, pair, name=""):
+    """The strict pullback of two strict maps into one Gray-category, given
+    by their images: fa[d][x] of each d-cell x of A and fb[d][y] of each
+    d-cell y of B.
+
+    Its d-cells are pair(x, y) for the x in A and y in B with fa[d][x] ==
+    fb[d][y], in A's cell order and, for each x, in B's.  Faces,
+    identities, the groupoid flag and inv1 are taken componentwise (2- and
+    3-cell inverses are found by inv_2 and inv_3's search).  Each table is
+    filled over composable_keys, reading each component through its
+    factor's guarded operation; a value that is not a cell of the pullback
+    raises FactorizationFailed.
+    """
+    P = GrayCat(name=name)
+    cell = {d: {} for d in P.DIMS}     # (x, y) -> pair(x, y), as P holds it
+    parts = {d: {} for d in P.DIMS}    # pair(x, y) -> (x, y)
+
+    def lift(d, x, y):
+        try:
+            return cell[d][(x, y)]
+        except KeyError:
+            raise FactorizationFailed(
+                f"{name}: ({x!r}, {y!r}) is not a {d}-cell of the pullback"
+            ) from None
+
     for d in P.DIMS:
-        for a in A.cells[d]:
-            for b in B.cells[d]:
+        over = {}
+        for y in B.cells[d]:
+            over.setdefault(fb[d][y], []).append(y)
+        for x in A.cells[d]:
+            for y in over.get(fa[d][x], ()):
+                c = cell[d][(x, y)] = pair(x, y)
+                parts[d][c] = (x, y)
                 if d == 0:
-                    P.add_cell(0, (a, b))
+                    P.add_cell(0, c)
                 else:
-                    P.add_cell(d, (a, b),
-                               (A.src_[d][a], B.src_[d][b]),
-                               (A.tgt_[d][a], B.tgt_[d][b]))
+                    P.add_cell(d, c, lift(d - 1, A.src_[d][x], B.src_[d][y]),
+                               lift(d - 1, A.tgt_[d][x], B.tgt_[d][y]))
     for d in (0, 1, 2):
-        for (a, b) in P.cells[d]:
-            P.id_up[d][(a, b)] = (A.id_up[d][a], B.id_up[d][b])
-    for _, attr, *_ in TABLES:
-        setattr(P, attr, {((l1, l2), (r1, r2)): (v1, v2)
-                          for (l1, r1), v1 in getattr(A, attr).items()
-                          for (l2, r2), v2 in getattr(B, attr).items()})
+        for c in P.cells[d]:
+            x, y = parts[d][c]
+            P.id_up[d][c] = lift(d + 1, A.id_up[d][x], B.id_up[d][y])
+    for _, attr, op, dl, dr, dout in TABLES:
+        table = getattr(P, attr)
+        op_a, op_b = getattr(A, op), getattr(B, op)
+        for l, r in composable_keys(P, op):
+            (lx, ly), (rx, ry) = parts[dl][l], parts[dr][r]
+            table[(l, r)] = lift(dout, op_a(lx, rx), op_b(ly, ry))
     P.is_groupoid = A.is_groupoid and B.is_groupoid
     if P.is_groupoid:
-        # 2- and 3-cell inverses are found by inv_2 and inv_3's search
-        P.inv1 = {(f, g): (fi, gi) for f, fi in A.inv1.items()
-                  for g, gi in B.inv1.items()}
+        for c in P.cells[1]:
+            x, y = parts[1][c]
+            if x in A.inv1 and y in B.inv1:
+                P.inv1[c] = lift(1, A.inv1[x], B.inv1[y])
     return P
+
+
+def product_graycat(A, B, name=""):
+    """Componentwise product A x B: the pullback over a point."""
+    def point(C):
+        return {d: dict.fromkeys(C.cells[d], ()) for d in C.DIMS}
+
+    return pullback(A, point(A), B, point(B), lambda a, b: (a, b),
+                    name or f"{A.name}x{B.name}")
 
 
 class StrictMap:

@@ -15,14 +15,19 @@ components from path(H)'s tables; nothing is re-derived ad hoc.
 
 from __future__ import annotations
 
-from .kernel import NotAGroupoid, NotComposable, law_report, run_laws
-from .pathspace import (PathView, build_pathspace, degeneracy, materialize,
-                        p2, p3, pd0, pd1, pdim, sq)
+from .kernel import (NotAGroupoid, NotComposable, law_report, pullback,
+                     run_laws)
+from .pathspace import (PathView, build_pathspace, degeneracy, face_map, p2,
+                        p3, pd0, pd1, pdim, sq)
 from .resolution import PseudoMap, kleisli_compose, validate_pseudo_map
 
 
 class TupleView:
-    """Componentwise operations on n-tuples of path cells over one view."""
+    """Componentwise operations on n-tuples of path cells over one view.
+
+    With composable_tuples and pathspace.materialize it is the formula
+    oracle that the tests compare build_pullback against.
+    """
 
     def __init__(self, V, n, name=""):
         self.V = V
@@ -38,23 +43,8 @@ class TupleView:
     def tgt(self, d, c):
         return tuple(self.V.tgt(d, x) for x in c)
 
-    def src0(self, d, c):
-        return tuple(self.V.src0(d, x) for x in c)
-
-    def tgt0(self, d, c):
-        return tuple(self.V.tgt0(d, x) for x in c)
-
     def ident(self, d, c):
         return tuple(self.V.ident(d, x) for x in c)
-
-    def is_id1(self, c):
-        return all(self.V.is_id1(x) for x in c)
-
-    def is_id2(self, c):
-        return all(self.V.is_id2(x) for x in c)
-
-    def is_id3(self, c):
-        return all(self.V.is_id3(x) for x in c)
 
     def comp0(self, h, g):
         return self._zip(self.V.comp0, h, g)
@@ -86,12 +76,6 @@ class TupleView:
     def tensor(self, b, a):
         return self._zip(self.V.tensor, b, a)
 
-    def inv_2(self, a):
-        return self._zip(self.V.inv_2, a)
-
-    def inv_3(self, g):
-        return self._zip(self.V.inv_3, g)
-
 
 def composable_tuples(PH, H, n):
     """n-tuples of path cells, adjacent ones matched by d0 = d1."""
@@ -111,14 +95,23 @@ def composable_tuples(PH, H, n):
 def build_pullback(PH, H, n=2, name=""):
     """The strict pullback path(H) x_H .. x_H path(H), tabulated.
 
-    Every component is a cell of the tabulated PH, so each entry is a lookup
-    in its checked tables; the tuple view over the path formulas of H is the
-    oracle the tests compare against.
+    Its cells are the n-tuples of composable_tuples, in that order.  It is
+    built by kernel.pullback one factor at a time, so every entry is a
+    lookup in PH's checked tables.
     """
-    V = TupleView(PH, n)
-    cells = composable_tuples(PH, H, n)
-    return materialize(V, (cells[0], cells[1], cells[2], cells[3]),
-                       name=name or f"pb{n}({H.name})")
+    K = pullback(PH, face_map(PH, H, 0).maps, PH, face_map(PH, H, 1).maps,
+                 lambda x, y: (x, y), name or f"pb2({H.name})")
+    for k in range(3, n + 1):
+        K = extend_pullback(K, PH, H, name or f"pb{k}({H.name})")
+    return K
+
+
+def extend_pullback(K, PH, H, name):
+    """K x_H path(H) for an n-fold pullback K: the (n+1)-fold pullback, whose
+    cells t + (c,) match the last component of t to c by d0 = d1."""
+    last = {d: {t: pd0(H, d, t[-1]) for t in K.cells[d]} for d in K.DIMS}
+    return pullback(K, last, PH, face_map(PH, H, 1).maps,
+                    lambda t, c: t + (c,), name)
 
 
 # -- the composite of paths ----------------------------------------------------
@@ -206,13 +199,14 @@ def verify_internal_category(H):
     """m is a pseudo map, then the face conditions, units and associativity
     of the internal category.
 
-    The induced maps m x 1 and 1 x m of the triple pullback read their
+    The triple pullback extends m's 2-fold pullback K by path(H).  The
+    induced maps m x 1 and 1 x m of the triple pullback read their
     cocycles from m's cocycle table, which validate_pseudo_map(m) checks in
     the same report, and their identity components from path(H)'s tables;
     m_cocycle runs only when m is built, once per composable pair.
     """
     PH, K, m = m_pseudo(H)
-    K3 = build_pullback(PH, H, 3)
+    K3 = extend_pullback(K, PH, H, f"pb3({H.name})")
 
     def faces():
         for d in (0, 1, 2, 3):

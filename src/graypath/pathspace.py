@@ -26,7 +26,8 @@ The alternative reading fails those checks on the first nontrivial input.
 
 from __future__ import annotations
 
-from .kernel import GrayCat, GrayError, NotComposable, StrictMap
+from .kernel import (TABLES, GrayCat, GrayError, NotComposable, StrictMap,
+                     composable_keys)
 from .resolution import PseudoMap, Q1Layer, q1_normalize, q1_tag, q2_cell, q3_cell
 
 
@@ -140,18 +141,6 @@ class PathView:
 
     def tgt(self, d, c):
         return c[5] if d <= 2 else c[4]
-
-    def src0(self, d, c):
-        while d > 1:
-            c = self.src(d, c)
-            d -= 1
-        return c[4]
-
-    def tgt0(self, d, c):
-        while d > 1:
-            c = self.src(d, c)
-            d -= 1
-        return c[5]
 
     def ident(self, d, c):
         B = self.base
@@ -363,39 +352,10 @@ def materialize(view, cells, name=""):
         for c in C.cells[d]:
             C.id_up[d][c] = place(d + 1, view.ident(d, c), "identity")
 
-    for g in c1:
-        for h in C.by_src(1, view.tgt(1, g)):
-            C.comp0_11[(h, g)] = place(1, view.comp0(h, g), "comp0")
-
-    for k in c1:
-        for a in C.by_tgt(2, view.src(1, k), 0):
-            C.whisk_l12[(k, a)] = place(2, view.wl12(k, a), "whisk_l12")
-        for a in C.by_src(2, view.tgt(1, k), 0):
-            C.whisk_r12[(a, k)] = place(2, view.wr12(a, k), "whisk_r12")
-
-    for k in c1:
-        for g3 in C.by_tgt(3, view.src(1, k), 0):
-            C.whisk_l13[(k, g3)] = place(3, view.wl13(k, g3), "whisk_l13")
-        for g3 in C.by_src(3, view.tgt(1, k), 0):
-            C.whisk_r13[(g3, k)] = place(3, view.wr13(g3, k), "whisk_r13")
-
-    for a in c2:
-        for b in C.by_src(2, view.tgt(2, a)):
-            C.comp1_22[(b, a)] = place(2, view.comp1(b, a), "comp1")
-
-    for c in c2:
-        for g3 in C.by_tgt(3, view.src(2, c), 1):
-            C.whisk_l23[(c, g3)] = place(3, view.wl23(c, g3), "whisk_l23")
-        for g3 in C.by_src(3, view.tgt(2, c), 1):
-            C.whisk_r23[(g3, c)] = place(3, view.wr23(g3, c), "whisk_r23")
-
-    for g3 in c3:
-        for d3 in C.by_src(3, view.tgt(3, g3)):
-            C.comp2_33[(d3, g3)] = place(3, view.comp2(d3, g3), "comp2")
-
-    for b in c2:
-        for a in C.by_tgt(2, view.src0(2, b), 0):
-            C.tensor_[(b, a)] = place(3, view.tensor(b, a), "tensor")
+    for table_name, attr, op, _, _, dout in TABLES:
+        table, apply = getattr(C, attr), getattr(view, op)
+        for l, r in composable_keys(C, op):
+            table[(l, r)] = place(dout, apply(l, r), table_name)
 
     if getattr(view, "is_groupoid", False):
         C.is_groupoid = True

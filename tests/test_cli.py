@@ -331,3 +331,20 @@ def test_undeclared_generator_or_inverse_exits_2(tmp_path, name, mutate,
         assert r.exit_code == 2, (argv, r.output)
         assert f"error: {message}" in r.output, (argv, r.output)
         assert r.output.count("error:") == 1, (argv, r.output)
+
+
+@pytest.mark.parametrize("table", [name for name, *_ in TABLES])
+def test_missing_table_row_exits_2(tmp_path, table):
+    """BIG's document without the first row of one table is bad input for
+    every loading command, located at the composable pair it lacks."""
+    doc = pres.to_document(fixture("BIG"))
+    left, right, _ = doc["tables"][table].pop(0)
+    path = tmp_path / "missing.graycat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = (f"error: {table} missing entry for composable pair "
+               f"({left!r},{right!r})")
+    for argv in (["validate", str(path)], ["check", "gray", str(path)]):
+        r = run(*argv)
+        assert r.exit_code == 2, (argv, r.output)
+        assert message in r.output, (argv, r.output)
+        assert r.output.count("error:") == 1, (argv, r.output)

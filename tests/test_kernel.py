@@ -235,13 +235,23 @@ def test_sub_graycat_without_an_identity_fails():
     ("CYC2", "CYC2", [1, 4, 4, 4]),
 ])
 def test_product_graycat_is_a_gray_category(left, right, counts):
-    from graypath.kernel import product_graycat
-    P = product_graycat(fixture(left), fixture(right))
+    """The product is a Gray-category whose tables and 1-cell inverses are
+    the componentwise products of its factors'."""
+    from graypath.kernel import TABLES, product_graycat
+    A, B = fixture(left), fixture(right)
+    P = product_graycat(A, B)
     assert [len(P.cells[d]) for d in range(4)] == counts
     assert structural_violations(P) == []
     reports = check_gray_axioms(P)
     assert all_pass(reports), [r for r in reports if not r.ok]
     assert P.is_groupoid == (left == right == "CYC2")
+    for _, attr, *_ in TABLES:
+        assert getattr(P, attr) == {
+            ((l1, l2), (r1, r2)): (v1, v2)
+            for (l1, r1), v1 in getattr(A, attr).items()
+            for (l2, r2), v2 in getattr(B, attr).items()}, attr
+    assert P.inv1 == ({(f, g): (fi, gi) for f, fi in A.inv1.items()
+                       for g, gi in B.inv1.items()} if P.is_groupoid else {})
 
 
 # (name in messages, GrayCat attribute, left, right and result dimensions)
