@@ -2,19 +2,23 @@
 
 The 2-path space over H collects the cells of path(path(H)) whose
 componentwise face images are degenerate; 3-paths iterate the construction
-once more.  All whiskers and horizontal composites are evaluated through
-the path-space action on the pseudo map m (never through ad-hoc pasting),
-and every universally induced value is asserted to land in its declared
-subobject - a failed assertion is a construction bug, not an input error.
+once more, and are built as the lift of P2, the space of pairs of 2-path
+cells with the same faces in path(H): one 3-path over each pair.  All
+whiskers and horizontal composites are evaluated through the path-space
+action on the pseudo map m (never through ad-hoc pasting), and every
+universally induced value is asserted to land in its declared subobject -
+a failed assertion is a construction bug, not an input error.
 """
 
 from __future__ import annotations
 
-from .kernel import (FactorizationFailed, GrayError, NotComposable,
-                     law_report, pullback, run_laws)
+from .kernel import (TABLES, FactorizationFailed, GrayCat, GrayError,
+                     NotComposable, composable_keys, law_report, pullback,
+                     run_laws)
 from .kernel import hcomp_left as base_hcomp_left, hcomp_right as base_hcomp_right
 from .pathspace import (PPrime, PathView, build_pathspace, degeneracy,
-                        materialize, path_cells, path_map, pd0, pd1, pdim)
+                        materialize, p3, path_cells, path_map, pd0, pd1, pdim,
+                        src_paste, tgt_paste)
 from .pathcomp import build_pullback, m_apply, m_cocycle, m_pseudo
 from .resolution import PseudoMap
 
@@ -99,7 +103,8 @@ class Tower:
         self._dd = None
         self._ddd = None
         self._p2 = None
-        self._fillers = None
+        # d -> P2 d-cell -> the 3-path d-cell over it, filled with DDD
+        self._lift = None
         # (d, x, y) -> mbar, w_l and w_r's value; a body that raises stores
         # nothing
         self._mbars = {}
@@ -203,34 +208,33 @@ class Tower:
 
     @property
     def DDD(self):
+        """The 3-path space, built as the lift of P2.
+
+        c -> (dj0 c, dj1 c) is a bijection from the 3-paths onto P2 (the
+        1-Cartesian property).  So P2's cells are lifted in order, one
+        dimension at a time: over each P2 d-cell, with its faces already
+        lifted, exactly one candidate path cell over DD must pass tri_keep,
+        or FactorizationFailed names the P2 cell and the count found.
+        Identities and tables are P2's, carried through the bijection.
+        """
         if self._ddd is None:
-            DD = self.DD
-            cells = path_cells(DD)
-            kept = tuple([c for c in cs if self.tri_keep(d, c)]
-                         for d, cs in enumerate(cells))
-            self._ddd = materialize(PathView(DD), kept,
-                                    name=f"tri({self.H.name})")
+            self._ddd, self._lift = _lift_p2(self)
         return self._ddd
 
     def filler(self, d, src, tgt, im0, im1):
-        """The 3-path d-cell from src to tgt over the bigon cells (im0, im1).
+        """The 3-path d-cell (d >= 1) from src to tgt over the bigon cells
+        (im0, im1).
 
-        It exists and is unique by the 1-Cartesianness of (dj0, dj1); the
-        index over DDD is built on first use.
+        It exists and is unique by the 1-Cartesianness of (dj0, dj1): it is
+        the lift of the P2 cell (im0, im1), looked up, and its faces must
+        be src and tgt.
         """
-        if self._fillers is None:
-            DDD, DD = self.DDD, self.DD
-            self._fillers = {}
-            for e in (1, 2, 3):
-                for w in DDD.cells[e]:
-                    key = (e, DDD.src(e, w), DDD.tgt(e, w),
-                           pd0(DD, e, w), pd1(DD, e, w))
-                    self._fillers.setdefault(key, []).append(w)
-        found = self._fillers.get((d, src, tgt, im0, im1), ())
-        if len(found) != 1:
+        DDD = self.DDD
+        c = self._lift[d].get((im0, im1))
+        if d == 0 or c is None or DDD.src(d, c) != src or DDD.tgt(d, c) != tgt:
             raise FactorizationFailed(
-                f"expected a unique {d}-cell filler, found {len(found)}")
-        return found[0]
+                f"expected a unique {d}-cell filler, found 0")
+        return c
 
     def mbarbar(self, d, b, a):
         out = m_apply(self.DD, d, b, a)
@@ -367,6 +371,55 @@ def _bigon(tw, d, out, name):
     except KeyError:
         raise FactorizationFailed(
             f"{name} output escaped the bigon space") from None
+
+
+def _lift_candidates(DD, d, u, v, s, t):
+    """The path d-cells over DD with dj-images u and v, source s and target
+    t (s and t unused in dimension 0)."""
+    if d == 0:
+        return DD.between(1, u, v)
+    if d == 1:
+        return [("sq", U, u, v, s, t)
+                for U in DD.between(2, DD.comp0(v, s), DD.comp0(t, u))]
+    if d == 2:
+        return [("p2", T, u, v, s, t)
+                for T in DD.between(3, src_paste(DD, u, s),
+                                    tgt_paste(DD, v, t, s[4]))]
+    try:
+        return [p3(DD, u, v, s, t)]
+    except NotComposable:
+        return []
+
+
+def _lift_p2(tw):
+    """DDD and the lift {d: {P2 d-cell: 3-path}}: see Tower.DDD."""
+    DD, P2 = tw.DD, tw.P2
+    C = GrayCat(name=f"tri({tw.H.name})")
+    lift = {d: {} for d in C.DIMS}
+    down = {d: {} for d in C.DIMS}
+    for d in C.DIMS:
+        for uv in P2.cells[d]:
+            s = lift[d - 1][P2.src_[d][uv]] if d else None
+            t = lift[d - 1][P2.tgt_[d][uv]] if d else None
+            kept = [c for c in _lift_candidates(DD, d, *uv, s, t)
+                    if tw.tri_keep(d, c)]
+            if len(kept) != 1:
+                raise FactorizationFailed(
+                    f"{C.name}: the P2 {d}-cell {uv!r} lifts to "
+                    f"{len(kept)} 3-paths, expected 1")
+            c = lift[d][uv] = kept[0]
+            down[d][c] = uv
+            C.add_cell(d, c, s, t)
+    for d in (0, 1, 2):
+        for c in C.cells[d]:
+            C.id_up[d][c] = lift[d + 1][P2.id_up[d][down[d][c]]]
+    for _, attr, op, dl, dr, dout in TABLES:
+        table, below = getattr(C, attr), getattr(P2, attr)
+        for l, r in composable_keys(C, op):
+            table[(l, r)] = lift[dout][below[(down[dl][l], down[dr][r])]]
+    C.is_groupoid = P2.is_groupoid
+    C.inv1 = {lift[1][x]: lift[1][y] for x, y in P2.inv1.items()}
+    return C, lift
 
 
 def check_1cartesian(tower):

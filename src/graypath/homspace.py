@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .kernel import CheckReport, GrayError, Mismatch, StrictMap, run_laws
+from .kernel import (TABLES, CheckReport, GrayError, Mismatch, StrictMap,
+                     composable_keys, run_laws)
 from .pathspace import PathView, p2, p3, sq, src_paste, tgt_paste
 from .highercells import Tower
 from .resolution import (PseudoMap, _comp_pairs, generator_decomposition,
@@ -1134,67 +1135,33 @@ def hom_graycat(G, H, cap=100000):
                            name="id")
         C.id_up[2][A.key()] = idp.key()
 
-    # operation tables
-    by_src1 = {}
-    for t in trans:
-        by_src1.setdefault(C.src(1, t.key()), []).append(t)
-    for t in trans:
-        for u in by_src1.get(C.tgt(1, t.key()), ()):
-            C.comp0_11[(u.key(), t.key())] = add(1, compose_0(u, t),
-                                                 C.src(1, t.key()),
-                                                 C.tgt(1, u.key()))
-    mod_by_src = {}
-    for A in mods:
-        mod_by_src.setdefault(A.alpha.key(), []).append(A)
-    for A in mods:
-        for B in mod_by_src.get(A.beta.key(), ()):
-            C.comp1_22[(B.key(), A.key())] = add(
-                2, compose_mods(B, A, tower), A.alpha.key(), B.beta.key())
-    pert_by_src = {}
-    for s in perts:
-        pert_by_src.setdefault(s.A.key(), []).append(s)
-    for s in perts:
-        for u in pert_by_src.get(s.B.key(), ()):
-            C.comp2_33[(u.key(), s.key())] = add(
-                3, compose_perts(u, s, tower), s.A.key(), u.B.key())
-    # whiskers by transformations
-    for t in trans:
-        for A in mods:
-            if C.tgt(1, A.alpha.key()) == C.src(1, t.key()) \
-                    and A.alpha.G.assignment == t.F.assignment:
-                w = whisker_trans_mod(t, A, tower)
-                C.whisk_l12[(t.key(), A.key())] = add(
-                    2, w, w.alpha.key(), w.beta.key())
-            if C.src(1, A.alpha.key()) == C.tgt(1, t.key()) \
-                    and t.G.assignment == A.alpha.F.assignment:
-                w = whisker_mod_trans(A, t, tower)
-                C.whisk_r12[(A.key(), t.key())] = add(
-                    2, w, w.alpha.key(), w.beta.key())
-        for s in perts:
-            base = s.A.alpha
-            if base.G.assignment == t.F.assignment:
-                w = whisker_trans_pert(t, s, tower, after=True)
-                C.whisk_l13[(t.key(), s.key())] = add(
-                    3, w, w.A.key(), w.B.key())
-            if t.G.assignment == base.F.assignment:
-                w = whisker_trans_pert(t, s, tower, after=False)
-                C.whisk_r13[(s.key(), t.key())] = add(
-                    3, w, w.A.key(), w.B.key())
-    # whiskers of perturbations by modifications
-    for s in perts:
-        for B in mods:
-            if B.alpha.key() == s.A.beta.key():
-                w = whisker_mod_pert(B, s, tower, after=True)
-                C.whisk_l23[(B.key(), s.key())] = add(3, w, w.A.key(), w.B.key())
-            if B.beta.key() == s.A.alpha.key():
-                w = whisker_mod_pert(B, s, tower, after=False)
-                C.whisk_r23[(s.key(), B.key())] = add(3, w, w.A.key(), w.B.key())
-    # tensors of 0-composable modifications
-    for A in mods:
-        for B in mods:
-            if B.alpha.F.assignment == A.alpha.G.assignment:
-                w = tensor_mods(B, A, tower)
-                C.tensor_[(B.key(), A.key())] = add(3, w, w.A.key(), w.B.key())
+    # operation tables, each filled over its composable pairs as they stand
+    # before any fill; a composite's faces are its operands' outer faces,
+    # any other value's are its own
+    ops = {
+        "comp0": compose_0,
+        "wl12": lambda t, A: whisker_trans_mod(t, A, tower),
+        "wr12": lambda A, t: whisker_mod_trans(A, t, tower),
+        "wl13": lambda t, s: whisker_trans_pert(t, s, tower, after=True),
+        "wr13": lambda s, t: whisker_trans_pert(t, s, tower, after=False),
+        "comp1": lambda B, A: compose_mods(B, A, tower),
+        "wl23": lambda B, s: whisker_mod_pert(B, s, tower, after=True),
+        "wr23": lambda s, B: whisker_mod_pert(B, s, tower, after=False),
+        "comp2": lambda u, s: compose_perts(u, s, tower),
+        "tensor": lambda B, A: tensor_mods(B, A, tower),
+    }
+    keys = {op: list(composable_keys(C, op)) for op in ops}
+    for _, attr, op, _, _, dout in TABLES:
+        table = getattr(C, attr)
+        for l, r in keys[op]:
+            w = ops[op](reg[l], reg[r])
+            if op.startswith("comp"):
+                faces = C.src(dout, r), C.tgt(dout, l)
+            elif dout == 2:
+                faces = w.alpha.key(), w.beta.key()
+            else:
+                faces = w.A.key(), w.B.key()
+            table[(l, r)] = add(dout, w, *faces)
     return C, reg, reports
 
 

@@ -15,6 +15,11 @@ def big_tower():
     return Tower(fixture("BIG"))
 
 
+@pytest.fixture(scope="module")
+def twist_tower():
+    return Tower(fixture("TWIST"))
+
+
 def test_bigons_are_2cells_between_shared_endpoints(big_tower):
     """Independent enumeration: bigon count equals the 2-cell count."""
     tw = big_tower
@@ -108,8 +113,8 @@ def test_assemble_with_strict_naturality():
     assert nat and nat[0].tuples_checked > 0
 
 
-def test_tensor_objects_twist_carry_interchanger():
-    tw = Tower(fixture("TWIST"))
+def test_tensor_objects_twist_carry_interchanger(twist_tower):
+    tw = twist_tower
     found = False
     for b in tw.DD.cells[0]:
         for a in tw.DD.cells[0]:
@@ -120,6 +125,15 @@ def test_tensor_objects_twist_carry_interchanger():
                 if t[1][1] == "tau":
                     found = True
     assert found
+
+
+def test_twist_three_paths_lift_p2(twist_tower):
+    """DDD(TWIST), lifted from P2, has the cell counts that enumerating
+    path(DD) and filtering by tri_keep gives, and is 1-Cartesian."""
+    DDD = twist_tower.DDD
+    assert [len(DDD.cells[d]) for d in range(4)] == [21, 322, 745, 817]
+    rep = check_1cartesian(twist_tower)
+    assert rep.ok and rep.tuples_checked > 0
 
 
 def test_tensor_on_one_cells_unique_filler(big_tower):

@@ -6,7 +6,8 @@ from an all-pairs scan and a TupleView over the path formulas of path(H),
 and the bigon pullback of mbar from composable_tuples and a TupleView over
 the bigon space.  Each must agree in cells, faces, identities, tables and
 the order every table was filled in; the P2 and bigon pullbacks also in
-their documents.
+their documents.  The 3-path space DDD, lifted from P2, is checked against
+enumerating path(DD), filtering by tri_keep and the path formulas over DD.
 """
 
 import pytest
@@ -14,11 +15,13 @@ import pytest
 from graypath import pathcomp, presentation
 from graypath.fixtures import fixture, fixture_names
 from graypath.highercells import Tower
-from graypath.kernel import COMPOSABLE, TABLES, composable_keys
+from graypath.kernel import (COMPOSABLE, TABLES, FactorizationFailed,
+                             composable_keys)
 from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
                                extend_pullback, m_pseudo,
                                verify_internal_category)
-from graypath.pathspace import PathView, build_pathspace, materialize, pd0, pd1
+from graypath.pathspace import (PathView, build_pathspace, materialize,
+                                path_cells, pd0, pd1)
 
 TOWER_INPUTS = ["T1", "INT", "BIG", "PAIR", "CYC2", "CHAIN3"]
 
@@ -87,6 +90,61 @@ def test_bigon_pullback_matches_the_tuple_view(tower):
                            f"dblpb({tower.H.name})")
     assert_same_graycat(Kb, oracle)
     assert presentation.dumps(Kb) == presentation.dumps(oracle)
+
+
+def _ddd_oracle(tower):
+    DD = tower.DD
+    kept = tuple([c for c in cs if tower.tri_keep(d, c)]
+                 for d, cs in enumerate(path_cells(DD)))
+    return materialize(PathView(DD), kept, name=f"tri({tower.H.name})")
+
+
+def test_three_paths_lifted_from_p2_match_enumerate_and_filter(tower):
+    """DDD, lifted from P2, equals the enumerated-and-filtered 3-paths in
+    cells, faces, identities, tables and inverses, and filler returns the
+    unique oracle cell over each (source, target, dj0, dj1).
+
+    The lift takes its cells in P2's order.  That is the oracle's order
+    except on BIG, whose 1-cells 11 and 12 change places (and with them
+    the insertion order of the tables they key), so cells are compared as
+    sets and tables as dicts.
+    """
+    DDD, DD = tower.DDD, tower.DD
+    oracle = _ddd_oracle(tower)
+    assert DDD.name == oracle.name
+    for d in range(4):
+        assert set(DDD.cells[d]) == set(oracle.cells[d]), d
+    assert (DDD.src_, DDD.tgt_, DDD.id_up) == \
+        (oracle.src_, oracle.tgt_, oracle.id_up)
+    for _, attr, *_ in TABLES:
+        assert getattr(DDD, attr) == getattr(oracle, attr), attr
+    assert (DDD.is_groupoid, DDD.inv1) == (oracle.is_groupoid, oracle.inv1)
+    for d in (1, 2, 3):
+        over = {}
+        for w in oracle.cells[d]:
+            key = (oracle.src(d, w), oracle.tgt(d, w),
+                   pd0(DD, d, w), pd1(DD, d, w))
+            over.setdefault(key, []).append(w)
+        for key, found in over.items():
+            assert [tower.filler(d, *key)] == found
+
+
+@pytest.mark.parametrize("name, keep", [("BIG", False), ("CYC2", False),
+                                        ("CYC2", True)])
+def test_a_lift_that_is_not_unique_fails_loudly(monkeypatch, name, keep):
+    """With tri_keep rejecting every candidate, or accepting every one, a
+    P2 cell has no lift or two, and building DDD names that cell and the
+    count.  Accepting every candidate is tried on CYC2: on BIG each P2 cell
+    has one candidate before tri_keep, but CYC2 has a P2 0-cell with two."""
+    tw = Tower(fixture(name))
+    monkeypatch.setattr(tw, "tri_keep", lambda d, c: keep)
+    # over a P2 0-cell (u, v) the candidates are the bigon 1-cells u -> v
+    uv, n = next((uv, n) for uv in tw.P2.cells[0]
+                 for n in [len(tw.DD.between(1, *uv)) if keep else 0]
+                 if n != 1)
+    with pytest.raises(FactorizationFailed) as info:
+        tw.DDD
+    assert f"the P2 0-cell {uv!r} lifts to {n} 3-paths" in str(info.value)
 
 
 # the operations whose fill loops ran over the left operand outermost; the
