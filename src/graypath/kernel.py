@@ -533,9 +533,22 @@ def _key_order(table):
     """The items of an operation table, sorted by the repr of their keys.
 
     The keys are distinct tuples, and no tuple's repr is a proper prefix of
-    another's, so this is also the order of the items sorted by repr.
+    another's, so this is also the order of the items sorted by repr.  A
+    key (l, r) sorts by "(" + repr(l) + ", " + repr(r) + ")", which is
+    repr((l, r)) character for character; each operand's repr is taken
+    once, keyed by id while the table holds the operand alive.
     """
-    return sorted(table.items(), key=lambda kv: repr(kv[0]))
+    reprs = {}
+
+    def text(c):
+        try:
+            return reprs[id(c)]
+        except KeyError:
+            t = reprs[id(c)] = repr(c)
+            return t
+
+    return sorted(table.items(),
+                  key=lambda kv: f"({text(kv[0][0])}, {text(kv[0][1])})")
 
 
 def _gray_law_generators(C):
@@ -1088,6 +1101,20 @@ def sub_graycat(C, keep, name=None):
     return S
 
 
+def _by_position(C):
+    """Each d-cell's position in C.cells[d], and each table re-keyed to
+    positions, (rank l, rank r) -> rank v; a row with an operand or a value
+    that is not a cell of C is left out."""
+    rank = {d: {c: i for i, c in enumerate(C.cells[d])} for d in C.DIMS}
+    tables = {}
+    for _, attr, _, dl, dr, dout in TABLES:
+        rl, rr, rv = rank[dl], rank[dr], rank[dout]
+        tables[attr] = {(rl[l], rr[r]): rv[v]
+                        for (l, r), v in getattr(C, attr).items()
+                        if l in rl and r in rr and v in rv}
+    return rank, tables
+
+
 def pullback(A, fa, B, fb, pair, name=""):
     """The strict pullback of two strict maps into one Gray-category, given
     by their images: fa[d][x] of each d-cell x of A and fb[d][y] of each
@@ -1096,18 +1123,28 @@ def pullback(A, fa, B, fb, pair, name=""):
     Its d-cells are pair(x, y) for the x in A and y in B with fa[d][x] ==
     fb[d][y], in A's cell order and, for each x, in B's.  Faces,
     identities, the groupoid flag and inv1 are taken componentwise (2- and
-    3-cell inverses are found by inv_2 and inv_3's search).  Each table is
-    filled over composable_keys, reading each component through its
-    factor's guarded operation; a value that is not a cell of the pullback
-    raises FactorizationFailed.
+    3-cell inverses are found by inv_2 and inv_3's search).
+
+    The tables are a join on cell positions.  Each cell of the pullback is
+    known by the positions (i, j) of its components in A's and B's cells,
+    and each factor's tables are re-keyed once to positions by
+    _by_position (once for both when A is B).  Each table is filled over
+    composable_keys with three lookups per entry: the operands' component
+    positions, the two factor values by integer pair, and the pullback
+    cell at those values.  On a miss (a factor lacks the entry, or the two
+    values do not make a cell of the pullback) the entry is read through
+    the factors' guarded operations instead, so the error is the factor's,
+    or FactorizationFailed for a value outside the pullback.
     """
     P = GrayCat(name=name)
-    cell = {d: {} for d in P.DIMS}     # (x, y) -> pair(x, y), as P holds it
-    parts = {d: {} for d in P.DIMS}    # pair(x, y) -> (x, y)
+    rank_a, tables_a = _by_position(A)
+    rank_b, tables_b = (rank_a, tables_a) if B is A else _by_position(B)
+    at = {d: {} for d in P.DIMS}     # (i, j) -> pair(x_i, y_j), as P holds it
+    pos = {d: {} for d in P.DIMS}    # pair(x_i, y_j) -> (i, j)
 
     def lift(d, x, y):
         try:
-            return cell[d][(x, y)]
+            return at[d][(rank_a[d][x], rank_b[d][y])]
         except KeyError:
             raise FactorizationFailed(
                 f"{name}: ({x!r}, {y!r}) is not a {d}-cell of the pullback"
@@ -1115,31 +1152,38 @@ def pullback(A, fa, B, fb, pair, name=""):
 
     for d in P.DIMS:
         over = {}
-        for y in B.cells[d]:
-            over.setdefault(fb[d][y], []).append(y)
-        for x in A.cells[d]:
-            for y in over.get(fa[d][x], ()):
-                c = cell[d][(x, y)] = pair(x, y)
-                parts[d][c] = (x, y)
+        for j, y in enumerate(B.cells[d]):
+            over.setdefault(fb[d][y], []).append(j)
+        for i, x in enumerate(A.cells[d]):
+            for j in over.get(fa[d][x], ()):
+                y = B.cells[d][j]
+                c = at[d][(i, j)] = pair(x, y)
+                pos[d][c] = (i, j)
                 if d == 0:
                     P.add_cell(0, c)
                 else:
                     P.add_cell(d, c, lift(d - 1, A.src_[d][x], B.src_[d][y]),
                                lift(d - 1, A.tgt_[d][x], B.tgt_[d][y]))
     for d in (0, 1, 2):
-        for c in P.cells[d]:
-            x, y = parts[d][c]
-            P.id_up[d][c] = lift(d + 1, A.id_up[d][x], B.id_up[d][y])
+        for (i, j), c in at[d].items():
+            P.id_up[d][c] = lift(d + 1, A.id_up[d][A.cells[d][i]],
+                                 B.id_up[d][B.cells[d][j]])
     for _, attr, op, dl, dr, dout in TABLES:
         table = getattr(P, attr)
-        op_a, op_b = getattr(A, op), getattr(B, op)
+        ta, tb = tables_a[attr], tables_b[attr]
+        pl, pr, po = pos[dl], pos[dr], at[dout]
         for l, r in composable_keys(P, op):
-            (lx, ly), (rx, ry) = parts[dl][l], parts[dr][r]
-            table[(l, r)] = lift(dout, op_a(lx, rx), op_b(ly, ry))
+            (il, jl), (ir, jr) = pl[l], pr[r]
+            try:
+                table[(l, r)] = po[(ta[(il, ir)], tb[(jl, jr)])]
+            except KeyError:
+                table[(l, r)] = lift(
+                    dout, getattr(A, op)(A.cells[dl][il], A.cells[dr][ir]),
+                    getattr(B, op)(B.cells[dl][jl], B.cells[dr][jr]))
     P.is_groupoid = A.is_groupoid and B.is_groupoid
     if P.is_groupoid:
-        for c in P.cells[1]:
-            x, y = parts[1][c]
+        for (i, j), c in at[1].items():
+            x, y = A.cells[1][i], B.cells[1][j]
             if x in A.inv1 and y in B.inv1:
                 P.inv1[c] = lift(1, A.inv1[x], B.inv1[y])
     return P

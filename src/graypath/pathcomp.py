@@ -5,6 +5,10 @@ its 2-cocycle resolves the interchange between 'composite of images' and
 'image of composites' and has identity 2-cell components, so the face maps
 of the resulting internal category are strict even though m is not.
 
+The n-fold pullbacks are kernel.pullback's join on cell positions, one
+factor at a time: every table entry is an integer lookup in path(H)'s (and
+the previous pullback's) tables, re-keyed once by cell position.
+
 m_cocycle runs once per composable pair of the 2-fold pullback, when m is
 built; its results are m's cocycle table.  The associativity check composes
 m with the induced maps m x 1 and 1 x m of the triple pullback through
@@ -97,7 +101,7 @@ def build_pullback(PH, H, n=2, name=""):
 
     Its cells are the n-tuples of composable_tuples, in that order.  It is
     built by kernel.pullback one factor at a time, so every entry is a
-    lookup in PH's checked tables.
+    lookup in PH's checked tables, joined on cell positions.
     """
     K = pullback(PH, face_map(PH, H, 0).maps, PH, face_map(PH, H, 1).maps,
                  lambda x, y: (x, y), name or f"pb2({H.name})")

@@ -17,7 +17,7 @@ come for free).
 from __future__ import annotations
 
 from .kernel import (TABLES, GrayError, Mismatch, NotComposable, NotOneFree,
-                     hcomp_left, hcomp_right, run_laws)
+                     _key_order, hcomp_left, hcomp_right, run_laws)
 
 
 # -- symbolic cells ----------------------------------------------------------
@@ -421,7 +421,7 @@ def validate_pseudo_map(F):
         for name in ("comp1", "comp2", "whisk_l23", "whisk_r23"):
             _, attr, op, dl, dr, dout = rows[name]
             dom_op, cod_op = getattr(dom, op), getattr(cod, op)
-            for (l, r) in sorted(getattr(dom, attr), key=repr):
+            for (l, r), _ in _key_order(getattr(dom, attr)):
                 yield F(dout, dom_op(l, r)) == cod_op(F(dl, l), F(dr, r)), \
                     (name, l, r)
 
@@ -482,23 +482,62 @@ def validate_pseudo_map(F):
                 rhs = cod.wl23(F.coc(g1, f1), cod.tensor(F(2, b), F(2, a)))
                 yield lhs == rhs, ("tensor-coherent", b, a)
 
+    # The two tensor laws test is_id3(tensor(x, y)) once per distinct pair
+    # of values.  Each value read is paired with the id of the first equal
+    # value met (canon), and verdicts are memoized by those two ids.  Each
+    # pair's cocycle and each 2-cell's image is read once, when a tuple
+    # first needs it; a read, a tensor or an is_id3 that raises stores
+    # nothing, so it raises at the same tuple as an unmemoized law would.
+    canon, verdicts, cocycles, images = {}, {}, {}, {}
+
+    def valued(v):
+        return v, id(canon.setdefault(v, v))
+
+    def read_coc(i):
+        try:
+            return cocycles[i]
+        except KeyError:
+            v = cocycles[i] = valued(F.coc(*pairs[i]))
+            return v
+
+    def image(a):
+        try:
+            return images[a]
+        except KeyError:
+            v = images[a] = valued(F(2, a))
+            return v
+
+    def tensor_is_id3(x, y):
+        (vx, kx), (vy, ky) = x, y
+        try:
+            return verdicts[(kx, ky)]
+        except KeyError:
+            ok = verdicts[(kx, ky)] = cod.is_id3(cod.tensor(vx, vy))
+            return ok
+
     def compositor_tensors_trivial():
-        for (f1, f2) in pairs:
-            for f3 in dom.by_tgt(1, dom.src(1, f2)):
-                for f4 in dom.by_tgt(1, dom.src(1, f3)):
-                    t = cod.tensor(F.coc(f1, f2), F.coc(f3, f4))
-                    yield cod.is_id3(t), ("compositor-tensor-trivial",
-                                          (f1, f2), (f3, f4))
+        # the pairs (f3, f4) ending at each object, in pairs order
+        ending = {}
+        for j, (f3, _) in enumerate(pairs):
+            ending.setdefault(dom.tgt(1, f3), []).append(j)
+        for i, (_, f2) in enumerate(pairs):
+            after = ending.get(dom.src(1, f2))
+            if not after:
+                continue
+            x = read_coc(i)
+            for j in after:
+                yield tensor_is_id3(x, read_coc(j)), \
+                    ("compositor-tensor-trivial", pairs[i], pairs[j])
 
     def mixed_tensors_vanish():
-        for (g, f) in pairs:
-            c = F.coc(g, f)
+        for i, (g, f) in enumerate(pairs):
+            c = read_coc(i)
             for a in dom.by_tgt(2, dom.src(1, f), 0):
-                t = cod.tensor(c, F(2, a))
-                yield cod.is_id3(t), ("tensor-cocycle-left", (g, f), a)
+                yield tensor_is_id3(c, image(a)), \
+                    ("tensor-cocycle-left", pairs[i], a)
             for a in dom.by_src(2, dom.tgt(1, g), 0):
-                t = cod.tensor(F(2, a), c)
-                yield cod.is_id3(t), ("tensor-cocycle-right", a, (g, f))
+                yield tensor_is_id3(image(a), c), \
+                    ("tensor-cocycle-right", a, pairs[i])
 
     return run_laws([
         ("globular-and-identities", globular()),
@@ -649,8 +688,11 @@ def generator_decomposition(C):
 
 def section_k(C, c):
     """The splitting k for a 1-free category, on any cell or q1 list."""
-    words = generator_decomposition(C)
+    return _section_k(C, generator_decomposition(C), c)
 
+
+def _section_k(C, words, c):
+    """section_k with C's generator words already computed."""
     def on(d, cell):
         if d == 0:
             return cell
@@ -723,12 +765,14 @@ def comonad_law_check(C, max_len=3):
             yield lhs == rhs, ("d-coassociative", d, c)
 
     def k_laws():
+        # the generator words are computed once for the whole law
+        words = generator_decomposition(C)
         for d in (0, 1, 2, 3):
             for c in C.cells[d]:
-                kc = section_k(C, c)
+                kc = _section_k(C, words, c)
                 yield q1_counit(C, kc) == c, ("k-section-of-e", d, c)
                 lhs = q1_comult(C, kc)
-                rhs = _q1_k_layer(C, kc)
+                rhs = _q1_k_layer(C, words, kc)
                 yield lhs == rhs, ("d-k-square", d, c)
 
     laws = [("counit-laws", counit_laws()),
@@ -769,10 +813,9 @@ def _q1_d_layer(C, cell):
             _q1_d_layer(C, cell[2]), _q1_d_layer(C, cell[3]))
 
 
-def _q1_k_layer(C, cell):
-    """Q1(k) applied to a Q1 G cell for 1-free G."""
-    words = generator_decomposition(C)
-
+def _q1_k_layer(C, words, cell):
+    """Q1(k) applied to a Q1 G cell for 1-free G, whose generator words
+    are given."""
     def k1(f):
         return ("q1", C.src(1, f), words[f])
 
@@ -783,8 +826,10 @@ def _q1_k_layer(C, cell):
         if tag == "q1":
             return ("q1", c[1], tuple(k1(f) for f in c[2]))
         if tag == "q2":
-            return ("q2", section_k(C, c[1]), k_cell(c[2]), k_cell(c[3]))
-        return ("q3", section_k(C, c[1]), k_cell(c[2]), k_cell(c[3]))
+            return ("q2", _section_k(C, words, c[1]), k_cell(c[2]),
+                    k_cell(c[3]))
+        return ("q3", _section_k(C, words, c[1]), k_cell(c[2]),
+                k_cell(c[3]))
 
     return k_cell(cell)
 

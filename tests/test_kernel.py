@@ -206,6 +206,60 @@ def test_one_sort_per_table_keeps_both_orders():
             assert [k for k, _ in once] == sorted(table, key=repr)
 
 
+def _numbered_document():
+    """BIG's document with its cell ids renamed to JSON numbers, ints and
+    floats whose reprs are prefixes of each other's (1, 12, 1.5, ...)."""
+    import json
+
+    from graypath import presentation
+    doc = json.loads(presentation.dumps(fixture("BIG")))
+    ids = iter([n for k in range(1, 40)
+                for n in (k, 10 * k + 2, k + 0.5)])
+    numbers = {}
+
+    def renamed(x):
+        if isinstance(x, str):
+            if x not in numbers:
+                numbers[x] = next(ids)
+            return numbers[x]
+        if isinstance(x, list):
+            return [renamed(y) for y in x]
+        if isinstance(x, dict):
+            return {k: renamed(v) for k, v in x.items()}
+        return x
+
+    for key in ("objects", "morphisms", "two_cells", "three_cells",
+                "identities", "tables"):
+        doc[key] = renamed(doc[key])
+    doc["flags"]["generators"] = renamed(doc["flags"]["generators"])
+    return presentation.loads(json.dumps(doc))
+
+
+def test_key_order_is_the_order_of_the_keys_reprs():
+    """_key_order, which reads each operand's repr once, sorts every table
+    as sorting its items by the repr of the whole key does: on the
+    fixtures, path(TWIST), pb2(CYC2), [PAIR,BIG] and a loaded document
+    whose cell ids are JSON numbers."""
+    from graypath.homspace import hom_graycat
+    from graypath.kernel import TABLES, _key_order
+    from graypath.pathcomp import build_pullback
+    from graypath.pathspace import build_pathspace
+    cyc2 = fixture("CYC2")
+    numbered = _numbered_document()
+    assert {type(c) for d in numbered.DIMS for c in numbered.cells[d]} == \
+        {int, float}
+    inputs = [fixture(name) for name in ALL] + [
+        build_pathspace(fixture("TWIST")),
+        build_pullback(build_pathspace(cyc2), cyc2, 2),
+        hom_graycat(fixture("PAIR"), fixture("BIG"))[0], numbered]
+    for C in inputs:
+        for _, name, *_ in TABLES:
+            table = getattr(C, name)
+            assert _key_order(table) == \
+                sorted(table.items(), key=lambda kv: repr(kv[0])), \
+                (C.name, name)
+
+
 def _keep_all(d, c):
     return True
 

@@ -210,3 +210,30 @@ def test_internal_category_derives_each_cocycle_once(monkeypatch, name,
     K = build_pullback(build_pathspace(H), H, 2)
     assert len(K.comp0_11) == pairs
     assert set(calls) == set(K.comp0_11)
+
+
+# sha256 of `graypath --report json check m NAME` for the fixtures that
+# tests/test_golden_digests.py does not pin, taken before pullbacks were
+# filled by a join on cell positions and before the tensor laws were
+# memoized per value pair
+CHECK_M_REPORTS = {
+    "T1": "6dde4480618a02fa69a88252afa1057aba319932dedd3821a651df34a0c7a321",
+    "INT": "9fc0674b2485a7db2cd0d0b92b157ccbd2efc852494145dc1ef48ab5b64074e7",
+    "CHAIN4":
+        "028026308ce82f4bcade47a2b7718ae21886ca056a130b44b8e6de8accbc165b",
+    "TWIST":
+        "21ff36b01b2e6253ab4c23457ac0f1d2b3578afc146d7791fe47924c20347e15",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_M_REPORTS))
+def test_check_m_report_digest(name):
+    import hashlib
+
+    from click.testing import CliRunner
+
+    from graypath.cli import main
+    r = CliRunner().invoke(main, ["--report", "json", "check", "m", name])
+    assert r.exit_code == 0, r.output
+    assert hashlib.sha256(r.output.encode("utf-8")).hexdigest() == \
+        CHECK_M_REPORTS[name]

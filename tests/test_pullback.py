@@ -8,20 +8,24 @@ the bigon space.  Each must agree in cells, faces, identities, tables and
 the order every table was filled in; the P2 and bigon pullbacks also in
 their documents.  The 3-path space DDD, lifted from P2, is checked against
 enumerating path(DD), filtering by tri_keep and the path formulas over DD.
+kernel.pullback's join on cell positions is checked against the per-key
+fill it replaced, on every strict pullback the library builds and on
+broken factors, where both must raise the same error.
 """
 
 import pytest
 
-from graypath import pathcomp, presentation
+from graypath import highercells, kernel, pathcomp, presentation
 from graypath.fixtures import fixture, fixture_names
 from graypath.highercells import Tower
 from graypath.kernel import (COMPOSABLE, TABLES, FactorizationFailed,
-                             composable_keys)
+                             GrayCat, GrayError, composable_keys,
+                             product_graycat, sub_graycat)
 from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
                                extend_pullback, m_pseudo,
                                verify_internal_category)
-from graypath.pathspace import (PathView, build_pathspace, materialize,
-                                path_cells, pd0, pd1)
+from graypath.pathspace import (PathView, build_pathspace, face_map,
+                                materialize, path_cells, pd0, pd1)
 
 TOWER_INPUTS = ["T1", "INT", "BIG", "PAIR", "CYC2", "CHAIN3"]
 
@@ -172,3 +176,203 @@ def test_composable_keys_are_the_table_keys(name):
         keys = list(composable_keys(C, op))
         assert keys == _scanned_keys(C, op, dl, dr), op
         assert set(keys) == set(getattr(C, attr)), op
+
+
+# -- the position join against the per-key fill it replaced -------------------
+
+
+def _per_key_pullback(A, fa, B, fb, pair, name=""):
+    """kernel.pullback as it was before the position join: each table entry
+    is read through both factors' guarded operations and lifted by its
+    components.  The oracle for the join's cells, tables, order and errors.
+    """
+    P = GrayCat(name=name)
+    cell = {d: {} for d in P.DIMS}
+    parts = {d: {} for d in P.DIMS}
+
+    def lift(d, x, y):
+        try:
+            return cell[d][(x, y)]
+        except KeyError:
+            raise FactorizationFailed(
+                f"{name}: ({x!r}, {y!r}) is not a {d}-cell of the pullback"
+            ) from None
+
+    for d in P.DIMS:
+        over = {}
+        for y in B.cells[d]:
+            over.setdefault(fb[d][y], []).append(y)
+        for x in A.cells[d]:
+            for y in over.get(fa[d][x], ()):
+                c = cell[d][(x, y)] = pair(x, y)
+                parts[d][c] = (x, y)
+                if d == 0:
+                    P.add_cell(0, c)
+                else:
+                    P.add_cell(d, c, lift(d - 1, A.src_[d][x], B.src_[d][y]),
+                               lift(d - 1, A.tgt_[d][x], B.tgt_[d][y]))
+    for d in (0, 1, 2):
+        for c in P.cells[d]:
+            x, y = parts[d][c]
+            P.id_up[d][c] = lift(d + 1, A.id_up[d][x], B.id_up[d][y])
+    for _, attr, op, dl, dr, dout in TABLES:
+        table = getattr(P, attr)
+        op_a, op_b = getattr(A, op), getattr(B, op)
+        for l, r in composable_keys(P, op):
+            (lx, ly), (rx, ry) = parts[dl][l], parts[dr][r]
+            table[(l, r)] = lift(dout, op_a(lx, rx), op_b(ly, ry))
+    P.is_groupoid = A.is_groupoid and B.is_groupoid
+    if P.is_groupoid:
+        for c in P.cells[1]:
+            x, y = parts[1][c]
+            if x in A.inv1 and y in B.inv1:
+                P.inv1[c] = lift(1, A.inv1[x], B.inv1[y])
+    return P
+
+
+def _snapshot(C):
+    """Everything a pullback build fixes, tables with their insertion order."""
+    return (C.name, C.cells, C.src_, C.tgt_, C.id_up,
+            [list(getattr(C, attr).items()) for _, attr, *_ in TABLES],
+            C.is_groupoid, C.inv1)
+
+
+def _outcome(build):
+    try:
+        return "built", _snapshot(build())
+    except GrayError as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+@pytest.fixture
+def pullback_calls(monkeypatch):
+    """Every kernel.pullback call made while the test runs: its arguments
+    and its result, whichever module made it."""
+    calls = []
+    body = kernel.pullback
+
+    def spy(*args):
+        calls.append((args, body(*args)))
+        return calls[-1][1]
+    for module in (kernel, pathcomp, highercells):
+        monkeypatch.setattr(module, "pullback", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", TOWER_INPUTS)
+def test_position_join_matches_the_per_key_fill(pullback_calls, name):
+    """pb2, pb3, P2 and mbar_map's pullback, as the library builds them,
+    equal the per-key fill on the same arguments: cells, faces,
+    identities, inv1 and every table in insertion order."""
+    H = fixture(name)
+    PH = build_pathspace(H)
+    build_pullback(PH, H, 3)
+    tower = Tower(H)
+    tower.P2
+    tower.mbar_map()
+    assert {P.name for _, P in pullback_calls} == \
+        {f"{pb}({name})" for pb in ("pb2", "pb3", "P2", "dblpb")}
+    for args, P in pullback_calls:
+        assert _snapshot(P) == _snapshot(_per_key_pullback(*args)), P.name
+
+
+def test_product_matches_the_per_key_fill(pullback_calls):
+    P = product_graycat(fixture("CYC2"), fixture("CYC2"))
+    (args, built), = pullback_calls
+    assert built is P and P.inv1
+    assert _snapshot(P) == _snapshot(_per_key_pullback(*args))
+
+
+def _copy(C):
+    return sub_graycat(C, lambda d, c: True, name=C.name)
+
+
+def _broken_factors(C, fa):
+    """Copies of C, each with one table row changed: for each table, its
+    first row dropped, its value moved to another cell of its dimension
+    with another image under fa, and its value replaced by a non-cell."""
+    for _, attr, _, _, _, dout in TABLES:
+        table = getattr(C, attr)
+        if not table:
+            continue
+        key, v = next(iter(table.items()))
+        dropped = _copy(C)
+        del getattr(dropped, attr)[key]
+        yield f"{attr} drops {key!r}", dropped
+        for w in C.cells[dout]:
+            if fa[dout][w] != fa[dout][v]:
+                moved = _copy(C)
+                getattr(moved, attr)[key] = w
+                yield f"{attr} moves {key!r} to {w!r}", moved
+                break
+        stray = _copy(C)
+        getattr(stray, attr)[key] = ("not", "a", "cell")
+        yield f"{attr} sends {key!r} off the cells", stray
+
+
+@pytest.mark.parametrize("name, n", [("BIG", 2), ("CYC2", 2), ("BIG", 3)])
+def test_broken_factor_fails_as_the_per_key_fill_does(name, n):
+    """Built from a factor copy with one table row dropped or one table
+    value moved off the pullback, the join raises the per-key fill's
+    exception type and message, or builds what it builds."""
+    H = fixture(name)
+    PH = build_pathspace(H)
+    d0, d1 = face_map(PH, H, 0).maps, face_map(PH, H, 1).maps
+    if n == 2:
+        left, fa, right, fb = PH, d0, PH, d1
+        pair = lambda x, y: (x, y)
+    else:
+        K = build_pullback(PH, H, 2)
+        left, right, fb = K, PH, d1
+        fa = {d: {t: d0[d][t[-1]] for t in K.cells[d]} for d in K.DIMS}
+        pair = lambda t, c: t + (c,)
+    # (broken copies, the left and right factors built from each copy);
+    # when both factors are one object, the copy is also both of them
+    cases = [(_broken_factors(left, fa), lambda C: (C, right)),
+             (_broken_factors(right, fb), lambda C: (left, C))]
+    if left is right:
+        cases.append((_broken_factors(left, fa), lambda C: (C, C)))
+    seen = set()
+    for copies, factors in cases:
+        for what, C in copies:
+            A, B = factors(C)
+            args = (A, fa, B, fb, pair, f"pb{n}({name})")
+            got = _outcome(lambda: kernel.pullback(*args))
+            assert got == _outcome(lambda: _per_key_pullback(*args)), what
+            seen.add(got[1])
+    assert {"MissingTableEntry", "FactorizationFailed"} <= seen
+    # both factors miss on every entry of one table: the error is the left
+    # factor's, as it was
+    for _, attr, *_ in TABLES:
+        A, B = _copy(left), _copy(right)
+        A.name, B.name = "left copy", "right copy"
+        getattr(A, attr).clear()
+        getattr(B, attr).clear()
+        args = (A, fa, B, fb, pair, f"pb{n}({name})")
+        got = _outcome(lambda: kernel.pullback(*args))
+        assert got == _outcome(lambda: _per_key_pullback(*args)), attr
+        assert got[0] == "raised" and "left copy" in got[2], attr
+
+
+def _refuse_operations(monkeypatch, *factors):
+    def refuse(*operands):
+        raise AssertionError(f"a factor operation ran on {operands!r}")
+    for C in factors:
+        for _, _, op, *_ in TABLES:
+            monkeypatch.setattr(C, op, refuse)
+
+
+def test_a_valid_pullback_calls_no_factor_operation(monkeypatch):
+    """Every entry of a valid pullback is a hit of the join: with the
+    factors' ten operations made to raise, pb3(CYC2) and Tower(BIG).P2
+    still build, and equal the builds with working operations."""
+    H = fixture("CYC2")
+    PH = build_pathspace(H)
+    K = build_pullback(PH, H, 2)
+    expected = _snapshot(extend_pullback(K, PH, H, "pb3(CYC2)"))
+    tower = Tower(fixture("BIG"))
+    DD = tower.DD
+    expected_p2 = _snapshot(Tower(fixture("BIG")).P2)
+    _refuse_operations(monkeypatch, K, PH, DD)
+    assert _snapshot(extend_pullback(K, PH, H, "pb3(CYC2)")) == expected
+    assert _snapshot(tower.P2) == expected_p2

@@ -278,6 +278,41 @@ def test_comonad_laws():
         assert all(r.tuples_checked > 0 for r in reports)
 
 
+# sha256 of `graypath --report json check comonad NAME`, taken before the
+# check computed the generator words once
+COMONAD_REPORTS = {
+    "PAIR": "30ab9f29bc7e80eaac971fe01e9e030f4a2128c1c91364edb5a9017a6e1ef0ed",
+    "TWIST": "68438aca557b0cda9a6ee091a8907ac2c64796eeea4eb0e03c81fca181d3688f",
+    "CHAIN4":
+        "3e8d77472c2626c90ab38a78f6ce973a22fed9bfc62202e700572aa64a5dabe9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMONAD_REPORTS))
+def test_comonad_check_decomposes_the_generators_once(monkeypatch, name):
+    """check comonad computes the generator words once per check, and its
+    JSON report keeps its digest."""
+    import hashlib
+
+    from click.testing import CliRunner
+
+    from graypath import resolution
+    from graypath.cli import main
+    calls = []
+    body = resolution.generator_decomposition
+
+    def counted(C):
+        calls.append(C.name)
+        return body(C)
+    monkeypatch.setattr(resolution, "generator_decomposition", counted)
+    r = CliRunner().invoke(main, ["--report", "json", "check", "comonad",
+                                  name])
+    assert r.exit_code == 0, r.output
+    assert calls == [name]
+    assert hashlib.sha256(r.output.encode("utf-8")).hexdigest() == \
+        COMONAD_REPORTS[name]
+
+
 def test_k_section_of_e_on_one_free():
     I = fixture("INT")
     words = generator_decomposition(I)
