@@ -5,12 +5,17 @@ componentwise face images are degenerate; 3-paths iterate the construction
 once more, and are built as the lift of P2, the space of pairs of 2-path
 cells with the same faces in path(H): one 3-path over each pair.  All
 whiskers and horizontal composites are evaluated through the path-space
-action on the pseudo map m (never through ad-hoc pasting), and every
-universally induced value is asserted to land in its declared subobject -
-a failed assertion is a construction bug, not an input error.
+action on the pseudo map m (never through ad-hoc pasting), the 3-path
+whiskers through one P' per operation and Tower.  Once a stage is built it
+is read, not derived again: every universally induced value is looked up
+in the stage it must land in (a miss is a construction bug, not an input
+error), an inner face is a face of the outer dj-image, and the laws find
+their composable pairs through an index on that face.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .kernel import (TABLES, FactorizationFailed, GrayCat, GrayError,
                      NotComposable, composable_keys, law_report, pullback,
@@ -59,32 +64,35 @@ def zip_path(d, u, v):
             zip_path(2, u[3], v[3]), zip_path(2, u[4], v[4]))
 
 
-class PairOps:
-    """Just enough componentwise structure for PPrime over a mixed pullback."""
-
-    def __init__(self, A, B, name=""):
-        self.A, self.B = A, B
-        self.name = name or "pairops"
-
-    def comp0(self, u, v):
-        return (self.A.comp0(u[0], v[0]), self.B.comp0(u[1], v[1]))
-
-
 class OpMap:
-    """A pseudo-map-shaped wrapper around evaluation callables."""
+    """A Tower's operation op (Tower.mbar, w_l or w_r) on pairs, with its
+    cocycle coc, shaped as the pseudo map into DD that PPrime.cell reads.
+    It holds its Tower weakly: the Tower keeps its OpMaps, and a reference
+    cycle would keep a finished Tower's stages alive until the next full
+    garbage collection."""
 
-    def __init__(self, dom, cod, call, coc, name=""):
-        self.dom = dom
-        self.cod = cod
-        self._call = call
-        self._coc = coc
-        self.name = name
+    def __init__(self, tower, op, coc):
+        self.cod = tower.DD
+        self.name = op.__name__
+        self._tower = weakref.ref(tower)
+        self._op, self._coc = op, coc
 
-    def __call__(self, d, c):
-        return self._call(d, c)
+    def __call__(self, d, pair):
+        return self._op(self._tower(), d, *pair)
 
     def coc(self, f1, f2):
-        return self._coc(f1, f2)
+        return self._coc(self._tower(), f1, f2)
+
+
+def _pairs(cells, left, right):
+    """The pairs (b, a) of cells with left(b) == right(a), in the order of
+    the double loop over cells, found through an index on right."""
+    by = {}
+    for a in cells:
+        by.setdefault(right(a), []).append(a)
+    for b in cells:
+        for a in by.get(left(b), ()):
+            yield b, a
 
 
 # -- the 2-path space ----------------------------------------------------------
@@ -110,6 +118,8 @@ class Tower:
         self._mbars = {}
         self._wls = {}
         self._wrs = {}
+        # Tower.mbar, w_l, w_r -> P' of that operation over DD
+        self._pps = {}
 
     # stage 2: bigons ---------------------------------------------------
 
@@ -127,10 +137,10 @@ class Tower:
         return self._dd
 
     def dbar(self, d, c, which):
-        u = undegenerate(self.H, d, functorial_face(self.H, d, c, which))
-        if u is None:
+        """The inner face dbl(H) -> H: the face of either dj-image."""
+        if not self.DD.has_cell(d, c):
             raise FactorizationFailed(f"cell {c!r} is not a 2-path")
-        return u
+        return (pd0 if which == 0 else pd1)(self.H, d, self.dj(d, c, 0))
 
     def dj(self, d, c, which):
         """The outer path-space face dbl(H) -> path(H)."""
@@ -138,10 +148,7 @@ class Tower:
 
     def ibar(self, d, p):
         """The joint section path(H) -> dbl(H)."""
-        out = degeneracy(self.PH, d, p)
-        if not self.DD.has_cell(d, out):
-            raise FactorizationFailed("ibar output escaped the bigon space")
-        return out
+        return _bigon(self, d, degeneracy(self.PH, d, p), "ibar")
 
     # multiplications and whiskers ---------------------------------------
 
@@ -236,66 +243,44 @@ class Tower:
                 f"expected a unique {d}-cell filler, found 0")
         return c
 
+    def dbar3(self, d, c, which):
+        """The inner face tri(H) -> path(H): the face of either dj-image."""
+        if not self.DDD.has_cell(d, c):
+            raise FactorizationFailed(f"cell {c!r} is not a 3-path")
+        return (pd0 if which == 0 else pd1)(self.PH, d, pd0(self.DD, d, c))
+
     def mbarbar(self, d, b, a):
-        out = m_apply(self.DD, d, b, a)
-        if not self.tri_keep(d, out):
-            raise FactorizationFailed("mbarbar output escaped the 3-path space")
-        return out
+        return _triple(self, d, m_apply(self.DD, d, b, a), "mbarbar")
 
-    def _mbar_opmap(self):
-        def call(d, pair):
-            return self.mbar(d, pair[0], pair[1])
-
-        return OpMap(PairOps(self.DD, self.DD), self.DD, call,
-                     self.mbar_coc, name="mbar")
-
-    def _wl_opmap(self):
-        def call(d, pair):
-            return self.w_l(d, pair[0], pair[1])
-
-        return OpMap(PairOps(self.DD, self.PH), self.DD, call,
-                     self.w_l_coc, name="w_l")
-
-    def _wr_opmap(self):
-        def call(d, pair):
-            return self.w_r(d, pair[0], pair[1])
-
-        return OpMap(PairOps(self.PH, self.DD), self.DD, call,
-                     self.w_r_coc, name="w_r")
+    def _whisker(self, op, coc):
+        """P' of op (Tower.mbar, w_l or w_r) with its cocycle coc, built
+        over DD on first use."""
+        pp = self._pps.get(op)
+        if pp is None:
+            pp = self._pps[op] = PPrime(OpMap(self, op, coc))
+        return pp
 
     def wbar_l(self, d, c, p):
         """Whisker a 3-path by a 1-path, through the path action on w_l."""
-        pp = PPrime(self._wl_opmap(), domops=PairOps(self.DD, self.PH),
-                    codops=PathView(self.DD))
-        out = pp.cell(d, zip_path(d, c, degeneracy(self.PH, d, p)))
-        if not self.tri_keep(d, out):
-            raise FactorizationFailed("wbar_l output escaped the 3-path space")
-        return out
+        out = self._whisker(Tower.w_l, Tower.w_l_coc).cell(
+            d, zip_path(d, c, degeneracy(self.PH, d, p)))
+        return _triple(self, d, out, "wbar_l")
 
     def wbar_r(self, d, p, c):
-        pp = PPrime(self._wr_opmap(), domops=PairOps(self.PH, self.DD),
-                    codops=PathView(self.DD))
-        out = pp.cell(d, zip_path(d, degeneracy(self.PH, d, p), c))
-        if not self.tri_keep(d, out):
-            raise FactorizationFailed("wbar_r output escaped the 3-path space")
-        return out
+        out = self._whisker(Tower.w_r, Tower.w_r_coc).cell(
+            d, zip_path(d, degeneracy(self.PH, d, p), c))
+        return _triple(self, d, out, "wbar_r")
 
     def wtil_l(self, d, c, A):
         """Whisker a 3-path by a 2-path along a 1-path (left form)."""
-        pp = PPrime(self._mbar_opmap(), domops=PairOps(self.DD, self.DD),
-                    codops=PathView(self.DD))
-        out = pp.cell(d, zip_path(d, c, degeneracy(self.DD, d, A)))
-        if not self.tri_keep(d, out):
-            raise FactorizationFailed("wtil_l output escaped the 3-path space")
-        return out
+        out = self._whisker(Tower.mbar, Tower.mbar_coc).cell(
+            d, zip_path(d, c, degeneracy(self.DD, d, A)))
+        return _triple(self, d, out, "wtil_l")
 
     def wtil_r(self, d, A, c):
-        pp = PPrime(self._mbar_opmap(), domops=PairOps(self.DD, self.DD),
-                    codops=PathView(self.DD))
-        out = pp.cell(d, zip_path(d, degeneracy(self.DD, d, A), c))
-        if not self.tri_keep(d, out):
-            raise FactorizationFailed("wtil_r output escaped the 3-path space")
-        return out
+        out = self._whisker(Tower.mbar, Tower.mbar_coc).cell(
+            d, zip_path(d, degeneracy(self.DD, d, A), c))
+        return _triple(self, d, out, "wtil_r")
 
     # the parallel-cell space and the tensor map -------------------------
 
@@ -328,10 +313,7 @@ class Tower:
         tens = H.tensor(bg[1], bf[1])
         W2 = p2(H, tens, H.ident(1, H.ident(0, x)), H.ident(1, H.ident(0, y)),
                 T, B)
-        out = sq(PH, W2, W0, W1, T, B)
-        if not (self.DD.has_cell(1, out) and self.tri_keep(0, out)):
-            raise FactorizationFailed("tensor object escaped the 3-path space")
-        return out
+        return _triple(self, 0, sq(PH, W2, W0, W1, T, B), "tensor_obj")
 
     def tensor_t(self, b, a):
         """t on cells: bigons by formula, their 1-cells by the unique filler
@@ -371,6 +353,15 @@ def _bigon(tw, d, out, name):
     except KeyError:
         raise FactorizationFailed(
             f"{name} output escaped the bigon space") from None
+
+
+def _triple(tw, d, out, name):
+    """The 3-path d-cell equal to out, as DDD stores it."""
+    try:
+        return tw.DDD.canonical(d, out)
+    except KeyError:
+        raise FactorizationFailed(
+            f"{name} output escaped the 3-path space") from None
 
 
 def _lift_candidates(DD, d, u, v, s, t):
@@ -463,12 +454,12 @@ def assemble_internal_graycat(tw, strict_functor=None):
                        and pd1(H, d, a0) == pd1(H, d, a1)), ("globularity", d, c)
 
     def pairs_dj(d):
-        by = {}
-        for a in DD.cells[d]:
-            by.setdefault(tw.dj(d, a, 1), []).append(a)
-        for b in DD.cells[d]:
-            for a in by.get(tw.dj(d, b, 0), ()):
-                yield b, a
+        return _pairs(DD.cells[d], lambda b: tw.dj(d, b, 0),
+                      lambda a: tw.dj(d, a, 1))
+
+    def pairs_dbar(d):
+        return _pairs(DD.cells[d], lambda b: tw.dbar(d, b, 0),
+                      lambda a: tw.dbar(d, a, 1))
 
     def mbar_laws():
         for d in (0, 1, 2, 3):
@@ -492,18 +483,19 @@ def assemble_internal_graycat(tw, strict_functor=None):
     def whisker_laws():
         for d in (0, 1, 2, 3):
             for A in DD.cells[d]:
+                a0, a1 = tw.dbar(d, A, 0), tw.dbar(d, A, 1)
                 for p in PH.cells[d]:
-                    if pd0(H, d, p) == tw.dbar(d, A, 1):
+                    if pd0(H, d, p) == a1:
                         r = tw.w_r(d, p, A)
                         yield tw.dj(d, r, 0) == m_apply(H, d, p, tw.dj(d, A, 0)), \
                             ("w_r-extends-m-d0", d, p, A)
                         yield tw.dj(d, r, 1) == m_apply(H, d, p, tw.dj(d, A, 1)), \
                             ("w_r-extends-m-d1", d, p, A)
-                        yield tw.dbar(d, r, 0) == tw.dbar(d, A, 0), \
+                        yield tw.dbar(d, r, 0) == a0, \
                             ("w_r-outer-face", d, p, A)
                         yield tw.dbar(d, r, 1) == pd1(H, d, p), \
                             ("w_r-outer-face-1", d, p, A)
-                    if pd1(H, d, p) == tw.dbar(d, A, 0):
+                    if pd1(H, d, p) == a0:
                         r = tw.w_l(d, A, p)
                         yield tw.dj(d, r, 0) == m_apply(H, d, tw.dj(d, A, 0), p), \
                             ("w_l-extends-m-d0", d, A, p)
@@ -512,21 +504,23 @@ def assemble_internal_graycat(tw, strict_functor=None):
         # compatibility and associativity of the whiskers
         for d in (0, 1):
             for A in DD.cells[d]:
+                a0, a1 = tw.dbar(d, A, 0), tw.dbar(d, A, 1)
                 for p in PH.cells[d]:
-                    if pd0(H, d, p) != tw.dbar(d, A, 1):
+                    if pd0(H, d, p) != a1:
                         continue
                     for q in PH.cells[d]:
                         if pd0(H, d, q) == pd1(H, d, p):
                             lhs = tw.w_r(d, q, tw.w_r(d, p, A))
                             rhs = tw.w_r(d, m_apply(H, d, q, p), A)
                             yield lhs == rhs, ("w_r-associative", d, q, p, A)
-                        if pd1(H, d, q) == tw.dbar(d, A, 0):
+                        if pd1(H, d, q) == a0:
                             lhs = tw.w_l(d, tw.w_r(d, p, A), q)
                             rhs = tw.w_r(d, p, tw.w_l(d, A, q))
                             yield lhs == rhs, ("w-mixed-compatible", d, p, A, q)
             for A in DD.cells[d]:
+                a0 = tw.dbar(d, A, 0)
                 for p in PH.cells[d]:
-                    if pd1(H, d, p) != tw.dbar(d, A, 0):
+                    if pd1(H, d, p) != a0:
                         continue
                     for q in PH.cells[d]:
                         if pd1(H, d, q) == pd0(H, d, p):
@@ -536,31 +530,25 @@ def assemble_internal_graycat(tw, strict_functor=None):
 
     def hcomp_laws():
         for d in (0, 1, 2):
-            for b in DD.cells[d]:
-                for a in DD.cells[d]:
-                    if tw.dbar(d, b, 0) != tw.dbar(d, a, 1):
-                        continue
-                    for h in (tw.h_l(d, b, a), tw.h_r(d, b, a)):
-                        yield tw.dj(d, h, 0) == m_apply(
-                            H, d, tw.dj(d, b, 0), tw.dj(d, a, 0)), \
-                            ("hcomp-face-d0", d, b, a)
-                        yield tw.dj(d, h, 1) == m_apply(
-                            H, d, tw.dj(d, b, 1), tw.dj(d, a, 1)), \
-                            ("hcomp-face-d1", d, b, a)
+            for b, a in pairs_dbar(d):
+                for h in (tw.h_l(d, b, a), tw.h_r(d, b, a)):
+                    yield tw.dj(d, h, 0) == m_apply(
+                        H, d, tw.dj(d, b, 0), tw.dj(d, a, 0)), \
+                        ("hcomp-face-d0", d, b, a)
+                    yield tw.dj(d, h, 1) == m_apply(
+                        H, d, tw.dj(d, b, 1), tw.dj(d, a, 1)), \
+                        ("hcomp-face-d1", d, b, a)
 
     def djj(d, c, which):
         return (pd0 if which == 0 else pd1)(DD, d, c)
 
     def triple_laws():
         for d in (0, 1, 2, 3):
-            by = {}
-            for a in DDD.cells[d]:
-                by.setdefault(djj(d, a, 1), []).append(a)
-            for b in DDD.cells[d]:
-                for a in by.get(djj(d, b, 0), ()):
-                    r = tw.mbarbar(d, b, a)
-                    yield djj(d, r, 0) == djj(d, a, 0), ("mbarbar-d0", d, b, a)
-                    yield djj(d, r, 1) == djj(d, b, 1), ("mbarbar-d1", d, b, a)
+            for b, a in _pairs(DDD.cells[d], lambda b: djj(d, b, 0),
+                               lambda a: djj(d, a, 1)):
+                r = tw.mbarbar(d, b, a)
+                yield djj(d, r, 0) == djj(d, a, 0), ("mbarbar-d0", d, b, a)
+                yield djj(d, r, 1) == djj(d, b, 1), ("mbarbar-d1", d, b, a)
             for c in DDD.cells[d]:
                 lo = degeneracy(DD, d, djj(d, c, 0))
                 hi = degeneracy(DD, d, djj(d, c, 1))
@@ -616,42 +604,28 @@ def assemble_internal_graycat(tw, strict_functor=None):
                         ("wtil_l-extends-mbar-d1", d, c, A)
                     break
 
-    def dbar3(d, c, which):
-        u = undegenerate(PH, d, functorial_face(PH, d, c, which))
-        if u is None:
-            raise FactorizationFailed(f"cell {c!r} is not a 3-path")
-        return u
-
     def interchange_laws():
         for d in (0, 1):
-            for c in DDD.cells[d]:
-                for c2 in DDD.cells[d]:
-                    try:
-                        if dbar3(d, c, 0) != dbar3(d, c2, 1):
-                            continue
-                        lhs = tw.mbarbar(d, tw.wtil_l(d, c, djj(d, c2, 1)),
-                                         tw.wtil_r(d, djj(d, c, 0), c2))
-                        rhs = tw.mbarbar(d, tw.wtil_r(d, djj(d, c, 1), c2),
-                                         tw.wtil_l(d, c, djj(d, c2, 0)))
-                    except (NotComposable, KeyError, GrayError):
-                        continue
-                    yield lhs == rhs, ("whisk23-interchange", d, c, c2)
+            for c, c2 in _pairs(DDD.cells[d], lambda c: tw.dbar3(d, c, 0),
+                                lambda c2: tw.dbar3(d, c2, 1)):
+                try:
+                    lhs = tw.mbarbar(d, tw.wtil_l(d, c, djj(d, c2, 1)),
+                                     tw.wtil_r(d, djj(d, c, 0), c2))
+                    rhs = tw.mbarbar(d, tw.wtil_r(d, djj(d, c, 1), c2),
+                                     tw.wtil_l(d, c, djj(d, c2, 0)))
+                except (NotComposable, KeyError, GrayError):
+                    continue
+                yield lhs == rhs, ("whisk23-interchange", d, c, c2)
 
     def tensor_laws():
-        for b in DD.cells[0]:
-            for a in DD.cells[0]:
-                if tw.dbar(0, b, 0) != tw.dbar(0, a, 1):
-                    continue
-                t = tw.tensor_obj(b, a)
-                yield t[4] == tw.h_l(0, b, a), ("t-face-hl", b, a)
-                yield t[5] == tw.h_r(0, b, a), ("t-face-hr", b, a)
-        for b in DD.cells[1]:
-            for a in DD.cells[1]:
-                if tw.dbar(1, b, 0) != tw.dbar(1, a, 1):
-                    continue
-                t = tw.tensor_t(b, a)
-                yield pd0(DD, 1, t) == tw.h_l(1, b, a), ("t1-face-hl", b, a)
-                yield pd1(DD, 1, t) == tw.h_r(1, b, a), ("t1-face-hr", b, a)
+        for b, a in pairs_dbar(0):
+            t = tw.tensor_obj(b, a)
+            yield t[4] == tw.h_l(0, b, a), ("t-face-hl", b, a)
+            yield t[5] == tw.h_r(0, b, a), ("t-face-hr", b, a)
+        for b, a in pairs_dbar(1):
+            t = tw.tensor_t(b, a)
+            yield pd0(DD, 1, t) == tw.h_l(1, b, a), ("t1-face-hl", b, a)
+            yield pd1(DD, 1, t) == tw.h_r(1, b, a), ("t1-face-hr", b, a)
 
     def pm_internal_cat():
         # P applied to the internal category over H stays one: faces and

@@ -1011,49 +1011,32 @@ def pullback_along_functor(F, G):
     for c2 in P.cells[2]:
         _, a, f, g = c2
         P.id_up[2][c2] = ("pb3", G.id_up[2][a], c2, c2)
-    P.comp0_11 = dict(C.comp)
-    for c2 in P.cells[2]:
-        _, a, f, g = c2
-        for k in C.morphisms:
-            if C.src[k] == C.tgt[f]:
-                P.whisk_l12[(k, c2)] = ("pb2", G.wl12(im[k], a),
-                                        C.comp[(k, f)], C.comp[(k, g)])
-            if C.tgt[k] == C.src[f]:
-                P.whisk_r12[(c2, k)] = ("pb2", G.wr12(a, im[k]),
-                                        C.comp[(f, k)], C.comp[(g, k)])
-    for c3 in P.cells[3]:
-        _, G3, s2, t2 = c3
-        _, a, f, g = s2
-        _, b, _, _ = t2
-        for k in C.morphisms:
-            if C.src[k] == C.tgt[f]:
-                P.whisk_l13[(k, c3)] = ("pb3", G.wl13(im[k], G3),
-                                        P.whisk_l12[(k, s2)], P.whisk_l12[(k, t2)])
-            if C.tgt[k] == C.src[f]:
-                P.whisk_r13[(c3, k)] = ("pb3", G.wr13(G3, im[k]),
-                                        P.whisk_r12[(s2, k)], P.whisk_r12[(t2, k)])
-    for b2 in P.cells[2]:
-        for a2 in P.by_tgt(2, P.src(2, b2)):
-            P.comp1_22[(b2, a2)] = ("pb2", G.comp1(b2[1], a2[1]),
-                                    P.src(2, a2), P.tgt(2, b2))
-    for c3 in P.cells[3]:
-        s2, t2 = P.src(3, c3), P.tgt(3, c3)
-        for c2 in P.by_src(2, P.tgt(2, s2)):
-            P.whisk_l23[(c2, c3)] = ("pb3", G.wl23(c2[1], c3[1]),
-                                     P.comp1_22[(c2, s2)], P.comp1_22[(c2, t2)])
-        for c2 in P.by_tgt(2, P.src(2, s2)):
-            P.whisk_r23[(c3, c2)] = ("pb3", G.wr23(c3[1], c2[1]),
-                                     P.comp1_22[(s2, c2)], P.comp1_22[(t2, c2)])
-    for d3 in P.cells[3]:
-        for g3 in P.by_tgt(3, P.src(3, d3)):
-            P.comp2_33[(d3, g3)] = ("pb3", G.comp2(d3[1], g3[1]),
-                                    P.src(3, g3), P.tgt(3, d3))
-    # tensor per the pulled-back formula: faces are computed in G
-    for b2 in P.cells[2]:
-        for a2 in P.by_tgt(2, P.src0(2, b2), 0):
-            t3 = G.tensor(b2[1], a2[1])
-            P.tensor_[(b2, a2)] = ("pb3", t3,
-                                   hcomp_left(P, b2, a2), hcomp_right(P, b2, a2))
+    # each operation on P's cells, componentwise: G's operation on the
+    # carried cell, the index category's (or P's own) on the faces
+    ops = {
+        "comp0": lambda g, f: C.comp[(g, f)],
+        "wl12": lambda k, a: ("pb2", G.wl12(im[k], a[1]),
+                              C.comp[(k, a[2])], C.comp[(k, a[3])]),
+        "wr12": lambda a, k: ("pb2", G.wr12(a[1], im[k]),
+                              C.comp[(a[2], k)], C.comp[(a[3], k)]),
+        "wl13": lambda k, c: ("pb3", G.wl13(im[k], c[1]),
+                              P.whisk_l12[(k, c[2])], P.whisk_l12[(k, c[3])]),
+        "wr13": lambda c, k: ("pb3", G.wr13(c[1], im[k]),
+                              P.whisk_r12[(c[2], k)], P.whisk_r12[(c[3], k)]),
+        "comp1": lambda b, a: ("pb2", G.comp1(b[1], a[1]), a[2], b[3]),
+        "wl23": lambda b, c: ("pb3", G.wl23(b[1], c[1]),
+                              P.comp1_22[(b, c[2])], P.comp1_22[(b, c[3])]),
+        "wr23": lambda c, b: ("pb3", G.wr23(c[1], b[1]),
+                              P.comp1_22[(c[2], b)], P.comp1_22[(c[3], b)]),
+        "comp2": lambda c, e: ("pb3", G.comp2(c[1], e[1]), e[2], c[3]),
+        # the tensor per the pulled-back formula: faces are computed in G
+        "tensor": lambda b, a: ("pb3", G.tensor(b[1], a[1]),
+                                hcomp_left(P, b, a), hcomp_right(P, b, a)),
+    }
+    for _, attr, op, *_ in TABLES:
+        table = getattr(P, attr)
+        for l, r in composable_keys(P, op):
+            table[(l, r)] = ops[op](l, r)
     proj = {
         0: {x: F.ob_map[x] for x in C.objects},
         1: dict(F.mor_map),

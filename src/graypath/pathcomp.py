@@ -321,8 +321,8 @@ def o_cocycle(H, V, q, p):
     return p2(H, t, a1, a2, gq, hq)
 
 
-def o_pseudo(H, PH=None):
-    PH = PH or build_pathspace(H)
+def o_pseudo(H):
+    PH = build_pathspace(H)
     V = PathView(H)
     assign = {d: {c: o_cell(H, c) for c in PH.cells[d]} for d in (0, 1, 2, 3)}
     coc = {}

@@ -460,10 +460,8 @@ class PPrime:
     pastings agree by the cocycle coherences, asserted on construction).
     """
 
-    def __init__(self, F, domops=None, codops=None):
+    def __init__(self, F):
         self.F = F
-        self.domview = domops if domops is not None else PathView(F.dom)
-        self.codview = codops if codops is not None else PathView(F.cod)
 
     def cell(self, d, c):
         """The image of a path d-cell; d is explicit since over an iterated
@@ -492,8 +490,8 @@ class PPrime:
             raise NotComposable("PPrime cocycle: pair not composable")
         a1 = F.coc(h[2], g[2])
         a2 = F.coc(h[3], g[3])
-        gq = self.codview.comp0(self.cell(1, h), self.cell(1, g))
-        hq = self.cell(1, self.domview.comp0(h, g))
+        gq = PathView(H).comp0(self.cell(1, h), self.cell(1, g))
+        hq = self.cell(1, PathView(F.dom).comp0(h, g))
         t = H.ident(2, src_paste(H, a1, gq))
         return p2(H, t, a1, a2, gq, hq)
 

@@ -288,6 +288,8 @@ def parse_dsl(text):
                     raise ParseError("expected '='", n)
                 if c not in dims:
                     raise ParseError(f"identity declared for unknown cell {c!r}", n)
+                if dims[c] == 3:
+                    raise ParseError(f"identity declared for the 3-cell {c!r}", n)
                 doc["identities"][str(dims[c])].append([c, i])
             elif kw in doc["tables"]:
                 l, r, eq, v = parts[1:]

@@ -340,13 +340,14 @@ class PseudoMap:
         return self.assignment[d][c]
 
     def coc(self, f1, f2):
-        key = (f1, f2)
-        if key in self.cocycle:
-            return self.cocycle[key]
+        try:
+            return self.cocycle[(f1, f2)]
+        except KeyError:
+            pass
         if self.dom.is_id1(f1) or self.dom.is_id1(f2):
             img = self.cod.comp0(self(1, f1), self(1, f2))
             return self.cod.ident(1, img)
-        raise Mismatch(f"{self.name}: no cocycle entry for {key!r}")
+        raise Mismatch(f"{self.name}: no cocycle entry for {(f1, f2)!r}")
 
     def is_strict(self):
         return all(self.cod.is_id2(self.coc(f1, f2))

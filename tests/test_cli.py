@@ -348,3 +348,84 @@ def test_missing_table_row_exits_2(tmp_path, table):
         assert r.exit_code == 2, (argv, r.output)
         assert message in r.output, (argv, r.output)
         assert r.output.count("error:") == 1, (argv, r.output)
+
+
+def _dsl_text(C):
+    """C's document written as DSL declarations, one per line."""
+    doc = pres.to_document(C)
+    lines = [f"name {doc['name']}"]
+    lines += [f"object {e['id']}" for e in doc["objects"]]
+    for d, (field, arrow) in enumerate([("morphisms", "->"),
+                                        ("two_cells", "=>"),
+                                        ("three_cells", "=>>")], start=1):
+        lines += [f"{d}cell {e['id']} : {e['src']} {arrow} {e['tgt']}"
+                  for e in doc[field]]
+    for rows in doc["identities"].values():
+        lines += [f"id {c} = {i}" for c, i in rows]
+    for table, rows in doc["tables"].items():
+        lines += [f"{table} {l} {r} = {v}" for l, r, v in rows]
+    if doc["flags"]["is_groupoid"]:
+        lines.append("groupoid")
+    if "generators" in doc["flags"]:
+        lines.append(" ".join(["generators", *doc["flags"]["generators"]]))
+    for d, rows in doc.get("inverses", {}).items():
+        lines += [f"inv{d} {c} = {i}" for c, i in rows]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _dsl_lines(name):
+    return tuple(_dsl_text(fixture(name)).splitlines())
+
+
+def test_dsl_text_loads_as_its_fixture(tmp_path):
+    for name in ("BIG", "CYC2"):
+        path = tmp_path / f"{name}.gc"
+        path.write_text("\n".join(_dsl_lines(name)), encoding="utf-8")
+        assert pres.dumps(pres.load(str(path))) == pres.dumps(fixture(name))
+
+
+@st.composite
+def _mutated_dsl(draw):
+    """BIG's or CYC2's DSL text with one edit: a line dropped, doubled or
+    swapped with another, two tokens of a line swapped, or the text cut
+    short."""
+    lines = list(_dsl_lines(draw(st.sampled_from(["BIG", "CYC2"]))))
+    kind = draw(st.sampled_from(["drop", "double", "swap-lines",
+                                 "swap-tokens", "truncate"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "double":
+        lines.insert(i, lines[i])
+    elif kind == "swap-lines":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "swap-tokens":
+        tokens = lines[i].split()
+        if len(tokens) > 1:
+            j, k = draw(st.lists(st.integers(0, len(tokens) - 1), min_size=2,
+                                 max_size=2, unique=True))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        lines[i] = " ".join(tokens)
+    text = "\n".join(lines)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@given(_mutated_dsl())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mutated_dsl_texts_exit_0_1_or_2(text):
+    """A one-edit mutation of a *.gc text ends with exit 0, 1 or 2, never a
+    traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.gc")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["validate", path], ["check", "gray", path]):
+            r = run(*argv)
+            assert r.exit_code in (0, 1, 2), (argv, r.output)
+            assert r.exception is None or isinstance(r.exception, SystemExit), \
+                (argv, repr(r.exception))
+            assert "Traceback" not in r.output

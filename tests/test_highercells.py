@@ -3,11 +3,11 @@
 import pytest
 
 from graypath.fixtures import fixture
-from graypath.highercells import (Tower, assemble_internal_graycat,
+from graypath.highercells import (Tower, _pairs, assemble_internal_graycat,
                                   check_1cartesian, undegenerate,
                                   functorial_face)
-from graypath.kernel import StrictMap, all_pass
-from graypath.pathspace import PathView, pd0, pd1
+from graypath.kernel import FactorizationFailed, GrayError, StrictMap, all_pass
+from graypath.pathspace import PPrime, PathView, pd0, pd1
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +190,169 @@ def test_p2_parallel_pairs(big_tower):
         for (u, v) in tw.P2.cells[d]:
             assert pd0(tw.PH, d, u) == pd0(tw.PH, d, v)
             assert pd1(tw.PH, d, u) == pd1(tw.PH, d, v)
+
+
+# -- the tower reads its own stages --------------------------------------------
+
+TOWER_FIXTURES = ["T1", "INT", "BIG", "PAIR", "CYC2", "CHAIN3"]
+
+
+@pytest.fixture(scope="module")
+def towers():
+    return {}
+
+
+def _tower(towers, name):
+    if name not in towers:
+        towers[name] = Tower(fixture(name))
+    return towers[name]
+
+
+@pytest.mark.parametrize("name", TOWER_FIXTURES)
+def test_faces_by_projection_match_the_degeneracy_oracle(towers, name):
+    """dbar and dbar3 read a face of the dj-image; the oracle undoes the
+    degeneracy of the componentwise face image."""
+    tw = _tower(towers, name)
+    for d in range(4):
+        for c in tw.DD.cells[d]:
+            for w in (0, 1):
+                oracle = undegenerate(tw.H, d, functorial_face(tw.H, d, c, w))
+                assert oracle is not None
+                assert tw.dbar(d, c, w) == oracle
+        for c in tw.DDD.cells[d]:
+            for w in (0, 1):
+                oracle = undegenerate(tw.PH, d,
+                                      functorial_face(tw.PH, d, c, w))
+                assert oracle is not None
+                assert tw.dbar3(d, c, w) == oracle
+
+
+def test_faces_reject_cells_outside_their_stage(big_tower):
+    tw = big_tower
+    p = tw.PH.cells[1][0]
+    with pytest.raises(FactorizationFailed, match="is not a 2-path"):
+        tw.dbar(1, p, 0)
+    with pytest.raises(FactorizationFailed, match="is not a 3-path"):
+        tw.dbar3(0, tw.DD.cells[0][0], 0)
+
+
+@pytest.mark.parametrize("name", ["BIG", "CYC2", "CHAIN3"])
+def test_pairs_by_index_equal_the_filtered_double_loop(towers, name):
+    tw = _tower(towers, name)
+    cases = [(tw.DD, tw.dbar), (tw.DD, tw.dj), (tw.DDD, tw.dbar3)]
+    found = 0
+    for C, face in cases:
+        for d in range(4):
+            cells = C.cells[d]
+            left = lambda b, d=d: face(d, b, 0)
+            right = lambda a, d=d: face(d, a, 1)
+            loop = [(b, a) for b in cells for a in cells if left(b) == right(a)]
+            assert list(_pairs(cells, left, right)) == loop
+            found += len(loop)
+    assert found > 0
+
+
+def _outside(tw, d):
+    """A path cell over DD that is not a 3-path d-cell."""
+    return next(c for c in tw.DD.cells[d + 1] if not tw.DDD.has_cell(d, c))
+
+
+def test_constructions_that_escape_the_3_path_space_fail(monkeypatch):
+    from graypath import highercells, pathspace
+    tw = Tower(fixture("BIG"))
+    out = _outside(tw, 0)
+    c, A, p = tw.DDD.cells[0][0], tw.DD.cells[0][0], tw.PH.cells[0][0]
+    bg, bf = next(_pairs(tw.DD.cells[0], lambda b: tw.dbar(0, b, 0),
+                         lambda a: tw.dbar(0, a, 1)))
+    real_sq = pathspace.sq
+    monkeypatch.setattr(highercells, "m_apply", lambda *args: out)
+    monkeypatch.setattr(PPrime, "cell", lambda self, d, z: out)
+    monkeypatch.setattr(pathspace, "sq", lambda B, *args:
+                        out if B is tw.PH else real_sq(B, *args))
+    for name, call in [("mbarbar", lambda: tw.mbarbar(0, c, c)),
+                       ("wbar_l", lambda: tw.wbar_l(0, c, p)),
+                       ("wtil_r", lambda: tw.wtil_r(0, A, c)),
+                       ("tensor_obj", lambda: tw.tensor_obj(bg, bf))]:
+        with pytest.raises(FactorizationFailed,
+                           match=f"^{name} output escaped the 3-path space$"):
+            call()
+
+
+def test_three_paths_returned_are_the_stored_objects(big_tower):
+    """Like mbar, w_l and w_r for DD, the 3-path constructions return the
+    object DDD stores, not an equal copy."""
+    tw = big_tower
+    DD, DDD, PH = tw.DD, tw.DDD, tw.PH
+    calls = {
+        "mbarbar": [(tw.mbarbar, b, a) for b, a in _pairs(
+            DDD.cells[0], lambda b: pd0(DD, 0, b), lambda a: pd1(DD, 0, a))],
+        "wbar_l": [(tw.wbar_l, c, p) for c in DDD.cells[0] for p in PH.cells[0]],
+        "wbar_r": [(tw.wbar_r, p, c) for c in DDD.cells[0] for p in PH.cells[0]],
+        "wtil_l": [(tw.wtil_l, c, A) for c in DDD.cells[0] for A in DD.cells[0]],
+        "wtil_r": [(tw.wtil_r, A, c) for c in DDD.cells[0] for A in DD.cells[0]],
+    }
+    for name, cases in calls.items():
+        returned = 0
+        for f, x, y in cases:
+            try:
+                r = f(0, x, y)
+            except (GrayError, KeyError):
+                continue
+            assert DDD.canonical(0, r) is r, name
+            returned += 1
+        assert returned > 0, name
+    pairs = list(_pairs(DD.cells[0], lambda b: tw.dbar(0, b, 0),
+                        lambda a: tw.dbar(0, a, 1)))
+    assert pairs
+    for b, a in pairs:
+        t = tw.tensor_obj(b, a)
+        assert DDD.canonical(0, t) is t
+
+
+def test_hom_builds_each_whisker_pprime_once_per_tower(monkeypatch):
+    """[PAIR,BIG] whiskers 3-paths through P' of mbar, w_l and w_r: each is
+    built once per Tower, not once per call."""
+    from graypath import highercells
+    from graypath.homspace import hom_graycat
+    built = []
+
+    class Counted(PPrime):
+        def __init__(self, F):
+            built.append(F)
+            super().__init__(F)
+
+    monkeypatch.setattr(highercells, "PPrime", Counted)
+    C, _, reports = hom_graycat(fixture("PAIR"), fixture("BIG"))
+    assert all(r.ok for r in reports) and C.cells[3]
+    per_tower = {}
+    for F in built:
+        if isinstance(F, highercells.OpMap):
+            per_tower.setdefault(id(F.cod), []).append(F.name)
+    assert per_tower
+    for names in per_tower.values():
+        assert len(names) == len(set(names)) <= 3
+
+
+def test_a_tower_with_its_whiskers_is_freed_without_the_collector():
+    """The Tower keeps P' of mbar, w_l and w_r, and their OpMaps hold it
+    weakly, so dropping the last reference frees it and its stages at once,
+    not at the next full garbage collection."""
+    import gc
+    import weakref
+    tw = Tower(fixture("BIG"))
+    c, A, p = tw.DDD.cells[0][0], tw.DD.cells[0][0], tw.PH.cells[0][0]
+    for call in (lambda: tw.wbar_l(0, c, p), lambda: tw.wbar_r(0, p, c),
+                 lambda: tw.wtil_l(0, c, A)):
+        try:
+            call()
+        except (GrayError, KeyError):
+            pass
+    assert sorted(pp.F.name for pp in tw._pps.values()) == ["mbar", "w_l",
+                                                            "w_r"]
+    ref, dd = weakref.ref(tw), weakref.ref(tw.DD)
+    gc.disable()
+    try:
+        del tw
+        assert ref() is None and dd() is None
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
 """Kernel: axiom checker, horizontal composites, pullback along a functor."""
 
+import hashlib
+
 import pytest
 
 from graypath.fixtures import fixture, fixture_names
@@ -170,6 +172,43 @@ def test_pullback_rejects_non_functor():
                   {"id0": "idx", "id1": "idz", "a": "f"})  # f: x->y, not x->z
     with pytest.raises(NotAFunctor):
         pullback_along_functor(bad, G)
+
+
+def _identity_functor(G):
+    """G's underlying category as a FinCat, with the identity functor."""
+    C = FinCat(f"{G.name}1")
+    for x in G.cells[0]:
+        C.add_object(x)
+        C.ids[x] = G.id_up[0][x]
+    for f in G.cells[1]:
+        C.add_morphism(f, G.src(1, f), G.tgt(1, f))
+    C.comp = dict(G.comp0_11)
+    return Functor(C, G, {x: x for x in C.objects},
+                   {f: f for f in C.morphisms})
+
+
+# sha256 of presentation.dumps of each pullback, taken from the code that
+# filled the ten tables by hand, one loop per table, before they were
+# filled over composable_keys
+PULLBACK_DOCUMENTS = {
+    "BIG": "fa74feae6c998d59964dee12c7d33eedb9b478e63de086ee3122e86dfd43f0c5",
+    "INT": "355fc64930a03790f00e765c0278113be66a87fe9efa57d61c3cc8254e11d3e1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_DOCUMENTS))
+def test_pullback_document_is_pinned(name):
+    from graypath import presentation
+    G = fixture(name)
+    if name == "BIG":
+        F = _identity_functor(G)
+    else:
+        F = Functor(_free_interval_fincat(), G, {"0": "0", "1": "1"},
+                    {"id0": "id0", "id1": "id1", "a": "a"})
+    P, _ = pullback_along_functor(F, G)
+    text = presentation.dumps(P)
+    assert hashlib.sha256(text.encode()).hexdigest() == PULLBACK_DOCUMENTS[name]
+    assert structural_violations(P) == []
 
 
 def test_unknown_fixture():

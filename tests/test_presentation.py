@@ -331,3 +331,13 @@ def test_non_composable_table_row_is_rejected():
         "comp0['f','f']: operands not composable",
         f"comp0 missing entry for composable pair ({g!r},{f!r})",
     ]
+
+
+def test_dsl_identity_of_a_3_cell_is_a_parse_error():
+    """There are no identities on 3-cells; an `id` line naming one is bad
+    input with its line, not a KeyError from the identity tables."""
+    text = ("object x\n1cell idx : x -> x\n2cell a : idx => idx\n"
+            "3cell G : a -> a\nid G = G\n")
+    with pytest.raises(pres.ParseError, match="3-cell 'G'") as err:
+        pres.parse_dsl(text)
+    assert "line 5" in str(err.value)
