@@ -2,6 +2,7 @@
 
 from graypath.faults import corrupt_graycat, fault_detected, run_fault_trials
 from graypath.fixtures import fixture
+from graypath.kernel import all_pass, check_gray_axioms, structural_violations
 
 NAMES = ["INT", "BIG", "PAIR", "CYC2", "TWIST", "CHAIN3"]
 
@@ -22,3 +23,20 @@ def test_fault_trials_build_each_fixture_once():
         if not fault_detected(D):
             misses.append((name, 5 + i, info))
     assert result == (24 - len(misses), 24, misses)
+
+
+def test_fault_trials_match_the_full_check_on_seeds_0_to_39():
+    """fault_detected asks for a verdict only; over seeds 0-39 on the
+    fixtures of `faults all` it agrees, trial by trial, with the full
+    report of check_gray_axioms."""
+    misses = []
+    for i in range(40):
+        name = NAMES[i % len(NAMES)]
+        D, info = corrupt_graycat(fixture(name), i)
+        verdict = bool(structural_violations(D)) \
+            or not all_pass(check_gray_axioms(D))
+        assert fault_detected(D) == verdict, (name, i, info)
+        if not verdict:
+            misses.append((name, i, info))
+    assert run_fault_trials(fixture, NAMES, 40) == (40 - len(misses), 40,
+                                                     misses)

@@ -407,3 +407,175 @@ def test_non_composable_table_row_is_located(name, attr, l, r):
     report = next(rep for rep in check_gray_axioms(C) if rep.law == law)
     assert not report.ok
     assert report.counterexample[:3] == (f"{name}-faces", l, r)
+
+
+# -- the checker's position route against the route on C ----------------------
+
+
+def _c_route(C):
+    """check_gray_axioms as it reads on C itself: every law on C's cells,
+    each table sorted by _key_order."""
+    from graypath.kernel import _gray_law_generators, run_laws
+    return [r.as_dict() for r in run_laws(_gray_law_generators(C))]
+
+
+def _path(name, loaded=False):
+    from graypath import presentation
+    from graypath.pathspace import build_pathspace
+    P = build_pathspace(fixture(name))
+    return presentation.loads(presentation.dumps(P)) if loaded else P
+
+
+def _big_with_object_named_as_a_1_cell():
+    """BIG's document with object 'x' renamed 'f', the id of a 1-cell, so
+    that C has equal cells in two dimensions, as its position copy does."""
+    import json
+
+    from graypath import presentation
+    doc = json.loads(presentation.dumps(fixture("BIG")))
+
+    def renamed(x):
+        if x == "x":
+            return "f"
+        if isinstance(x, list):
+            return [renamed(y) for y in x]
+        if isinstance(x, dict):
+            return {k: renamed(v) for k, v in x.items()}
+        return x
+
+    for key in ("objects", "morphisms", "identities"):
+        doc[key] = renamed(doc[key])
+    C = presentation.loads(json.dumps(doc))
+    assert "f" in C.cells[0] and "f" in C.cells[1]
+    return C
+
+
+def _pb2_cyc2():
+    from graypath.pathcomp import build_pullback
+    from graypath.pathspace import build_pathspace
+    H = fixture("CYC2")
+    return build_pullback(build_pathspace(H), H, 2)
+
+
+def _hom(left, right):
+    from graypath.homspace import hom_graycat
+    return hom_graycat(fixture(left), fixture(right))[0]
+
+
+PASSING = {
+    **{name: (lambda name=name: fixture(name)) for name in ALL},
+    **{f"path({name})": (lambda name=name: _path(name))
+       for name in ("BIG", "PAIR", "CYC2", "CHAIN3", "TWIST")},
+    **{f"loaded path({name})": (lambda name=name: _path(name, loaded=True))
+       for name in ("BIG", "PAIR", "CYC2", "CHAIN3", "TWIST")},
+    "pb2(CYC2)": _pb2_cyc2,
+    "[INT,BIG]": lambda: _hom("INT", "BIG"),
+    "[PAIR,BIG]": lambda: _hom("PAIR", "BIG"),
+    "numbered BIG": _numbered_document,
+    "BIG with object f": _big_with_object_named_as_a_1_cell,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSING))
+def test_position_route_matches_the_route_on_c_when_every_law_passes(name):
+    """On a Gray-category, the laws run on the position copy give the
+    reports of the laws run on C: same laws, order and tuple counts."""
+    from graypath.kernel import _exact_position_copy, gray_axioms_hold
+    C = PASSING[name]()
+    assert _exact_position_copy(C) is not None
+    expected = _c_route(C)
+    assert all(r["status"] == "pass" for r in expected)
+    assert [r.as_dict() for r in check_gray_axioms(C)] == expected
+    assert gray_axioms_hold(C)
+
+
+_CORRUPTED = ["INT", "BIG", "PAIR", "CYC2", "TWIST", "CHAIN3", "path(PAIR)"]
+
+
+@pytest.fixture(scope="module")
+def corruptible():
+    return {name: _path("PAIR") if name == "path(PAIR)" else fixture(name)
+            for name in _CORRUPTED}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_position_route_matches_the_route_on_c_on_a_seeded_fault(
+        corruptible, seed):
+    """A law that fails on the position copy is run again on C, so every
+    report, counterexample included, is the route on C's."""
+    from graypath.faults import corrupt_graycat
+    from graypath.kernel import gray_axioms_hold
+    D, _ = corrupt_graycat(corruptible[_CORRUPTED[seed % len(_CORRUPTED)]],
+                           seed)
+    expected = _c_route(D)
+    assert any(r["status"] == "fail" for r in expected)
+    assert [r.as_dict() for r in check_gray_axioms(D)] == expected
+    assert not gray_axioms_hold(D)
+
+
+@pytest.mark.parametrize("attr", ["comp0_11", "comp1_22", "whisk_l12",
+                                  "comp2_33", "tensor_"])
+def test_a_missing_row_is_reported_with_the_cells_of_c(attr):
+    """Without one composable row an operation raises MissingTableEntry on
+    the position copy; the re-run on C names C's cells in its message."""
+    from graypath.faults import copy_graycat
+    from graypath.kernel import TABLES, _exact_position_copy, gray_axioms_hold
+    C = copy_graycat(_path("PAIR"))
+    table = getattr(C, attr)
+    key = sorted(table, key=repr)[0]
+    del table[key]
+    assert _exact_position_copy(C) is not None
+    expected = _c_route(C)
+    assert [r.as_dict() for r in check_gray_axioms(C)] == expected
+    name = next(name for name, a, *_ in TABLES if a == attr)
+    errors = [r["counterexample"] for r in expected if r["status"] == "fail"]
+    assert ["error", "MissingTableEntry",
+            f"{C.name}: no {name} entry for {key!r}"] in errors
+    assert not gray_axioms_hold(C)
+
+
+def _ghost_value(C):
+    key = sorted(C.comp1_22, key=repr)[0]
+    C.comp1_22[key] = "ghost"
+
+
+def _ghost_face(C):
+    C.src_[2][C.cells[2][-1]] = "ghost"
+
+
+@pytest.mark.parametrize("plant", [_ghost_value, _ghost_face])
+def test_a_name_that_is_not_a_cell_runs_every_law_on_c(plant):
+    """A table value or a face that is not a declared cell has no position:
+    the position copy is not exact, and every law runs on C."""
+    from graypath.faults import copy_graycat
+    from graypath.kernel import _exact_position_copy, gray_axioms_hold
+    C = copy_graycat(fixture("BIG"))
+    plant(C)
+    assert _exact_position_copy(C) is None
+    expected = _c_route(C)
+    assert any(r["status"] == "fail" for r in expected)
+    assert [r.as_dict() for r in check_gray_axioms(C)] == expected
+    assert not gray_axioms_hold(C)
+
+
+def test_a_passing_check_sorts_no_table(monkeypatch):
+    """Only a failing law's counterexample depends on the order of the
+    tables, so a passing check and the fault trials sort nothing."""
+    from graypath import kernel
+    from graypath.faults import corrupt_graycat, run_fault_trials
+    P = _path("PAIR")
+    D, _ = corrupt_graycat(fixture("BIG"), 0)
+    sorts = []
+    key_order = kernel._key_order
+
+    def counted(table):
+        sorts.append(table)
+        return key_order(table)
+
+    monkeypatch.setattr(kernel, "_key_order", counted)
+    assert all_pass(check_gray_axioms(P))
+    assert run_fault_trials(fixture, ["BIG", "PAIR"], 10)[:2] == (10, 10)
+    assert sorts == []
+    # a failing law is run again on C, reading its tables sorted
+    assert not all_pass(check_gray_axioms(D))
+    assert sorts
