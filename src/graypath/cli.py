@@ -186,7 +186,7 @@ def hom(ctx, gname, hname):
 
 @main.command()
 @click.argument("target")
-@click.option("--count", type=int, default=10)
+@click.option("--count", type=click.IntRange(min=1), default=10)
 @click.pass_context
 def faults(ctx, target, count):
     """Seeded fault-injection trials against the axiom checker."""

@@ -2,8 +2,9 @@
 
 The 2-path space over H collects the cells of path(path(H)) whose
 componentwise face images are degenerate; 3-paths iterate the construction
-once more, and are built as the lift of P2, the space of pairs of 2-path
-cells with the same faces in path(H): one 3-path over each pair.  All
+once more.  Both come from path_cells, filtered by dbl_keep or tri_keep
+one dimension at a time.  The 3-paths are matched to P2, the space of pairs
+of 2-path cells with the same faces in path(H): one 3-path over each.  All
 whiskers and horizontal composites are evaluated through the path-space
 action on the pseudo map m (never through ad-hoc pasting), the 3-path
 whiskers through one P' per operation and Tower.  Once a stage is built it
@@ -22,8 +23,8 @@ from .kernel import (TABLES, FactorizationFailed, GrayCat, GrayError,
                      run_laws)
 from .kernel import hcomp_left as base_hcomp_left, hcomp_right as base_hcomp_right
 from .pathspace import (PPrime, PathView, build_pathspace, degeneracy,
-                        materialize, p3, path_cells, path_map, pd0, pd1, pdim,
-                        src_paste, tgt_paste)
+                        materialize, path_cells, path_map, path_squares, pd0,
+                        pd1, pdim)
 from .pathcomp import build_pullback, m_apply, m_cocycle, m_pseudo
 from .resolution import PseudoMap
 
@@ -130,10 +131,8 @@ class Tower:
     @property
     def DD(self):
         if self._dd is None:
-            cells = path_cells(self.PH)
-            kept = tuple([c for c in cs if self.dbl_keep(d, c)]
-                         for d, cs in enumerate(cells))
-            self._dd = materialize(self.PV, kept, name=f"dbl({self.H.name})")
+            self._dd = materialize(self.PV, path_cells(self.PH, self.dbl_keep),
+                                   name=f"dbl({self.H.name})")
         return self._dd
 
     def dbar(self, d, c, which):
@@ -217,12 +216,12 @@ class Tower:
     def DDD(self):
         """The 3-path space, built as the lift of P2.
 
-        c -> (dj0 c, dj1 c) is a bijection from the 3-paths onto P2 (the
-        1-Cartesian property).  So P2's cells are lifted in order, one
-        dimension at a time: over each P2 d-cell, with its faces already
-        lifted, exactly one candidate path cell over DD must pass tri_keep,
-        or FactorizationFailed names the P2 cell and the count found.
-        Identities and tables are P2's, carried through the bijection.
+        Its cells are path_cells(DD, tri_keep).  c -> (dj0 c, dj1 c) is a
+        bijection from them onto P2 (the 1-Cartesian property), checked
+        here: over each P2 d-cell exactly one 3-path must lie, or
+        FactorizationFailed names the P2 cell and the count found; a 3-path
+        over no P2 cell is named too.  The cells are added in P2's order;
+        identities and tables are P2's, carried through the bijection.
         """
         if self._ddd is None:
             self._ddd, self._lift = _lift_p2(self)
@@ -364,43 +363,32 @@ def _triple(tw, d, out, name):
             f"{name} output escaped the 3-path space") from None
 
 
-def _lift_candidates(DD, d, u, v, s, t):
-    """The path d-cells over DD with dj-images u and v, source s and target
-    t (s and t unused in dimension 0)."""
-    if d == 0:
-        return DD.between(1, u, v)
-    if d == 1:
-        return [("sq", U, u, v, s, t)
-                for U in DD.between(2, DD.comp0(v, s), DD.comp0(t, u))]
-    if d == 2:
-        return [("p2", T, u, v, s, t)
-                for T in DD.between(3, src_paste(DD, u, s),
-                                    tgt_paste(DD, v, t, s[4]))]
-    try:
-        return [p3(DD, u, v, s, t)]
-    except NotComposable:
-        return []
-
-
 def _lift_p2(tw):
     """DDD and the lift {d: {P2 d-cell: 3-path}}: see Tower.DDD."""
     DD, P2 = tw.DD, tw.P2
     C = GrayCat(name=f"tri({tw.H.name})")
     lift = {d: {} for d in C.DIMS}
     down = {d: {} for d in C.DIMS}
-    for d in C.DIMS:
+    for d, cells in enumerate(path_cells(DD, tw.tri_keep)):
+        over = {}
+        for c in cells:
+            over.setdefault((pd0(DD, d, c), pd1(DD, d, c)), []).append(c)
         for uv in P2.cells[d]:
-            s = lift[d - 1][P2.src_[d][uv]] if d else None
-            t = lift[d - 1][P2.tgt_[d][uv]] if d else None
-            kept = [c for c in _lift_candidates(DD, d, *uv, s, t)
-                    if tw.tri_keep(d, c)]
+            kept = over.pop(uv, ())
             if len(kept) != 1:
                 raise FactorizationFailed(
                     f"{C.name}: the P2 {d}-cell {uv!r} lifts to "
                     f"{len(kept)} 3-paths, expected 1")
             c = lift[d][uv] = kept[0]
             down[d][c] = uv
+            s = lift[d - 1][P2.src_[d][uv]] if d else None
+            t = lift[d - 1][P2.tgt_[d][uv]] if d else None
             C.add_cell(d, c, s, t)
+        if over:
+            stray = next(iter(over.values()))[0]
+            raise FactorizationFailed(
+                f"{C.name}: the 3-path {d}-cell {stray!r} lies over no "
+                f"P2 cell")
     for d in (0, 1, 2):
         for c in C.cells[d]:
             C.id_up[d][c] = lift[d + 1][P2.id_up[d][down[d][c]]]
@@ -635,7 +623,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
         def ff(d, c, which):
             return functorial_face(H, d, c, which)
 
-        P2cells = path_cells(tw.PH)
+        P2cells = (tw.PH.cells[1], path_squares(tw.PH, tw.PH.cells[1]))
         for d in (0, 1):
             index = {}
             for c in P2cells[d]:

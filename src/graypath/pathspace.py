@@ -282,52 +282,59 @@ class PathView:
 # -- enumeration and materialization ------------------------------------------
 
 
-def path_cells(B):
-    """All path cells over a finite base, in deterministic order."""
-    dec = {h: [] for h in B.cells[1]}
-    for (g, f), h in B.comp0_11.items():
-        dec[h].append((g, f))
-    for h in dec:
-        dec[h].sort(key=repr)
+def path_squares(B, zeros):
+    """The squares of path(B) whose top and bottom are in zeros, in the
+    order path_cells lists them."""
+    ok, dec = set(zeros), {}
+    for (g, f), h in sorted(B.comp0_11.items(), key=lambda kv: repr(kv[0])):
+        dec.setdefault(h, []).append((g, f))
+    return [("sq", u, g0, g1, f, f1) for u in B.cells[2]
+            for g1, f in dec[B.src(2, u)] if f in ok
+            for f1, g0 in dec[B.tgt(2, u)] if f1 in ok]
 
-    squares = []
-    for u in B.cells[2]:
-        for (g1, f) in dec[B.src(2, u)]:
-            for (f1, g0) in dec[B.tgt(2, u)]:
-                squares.append(("sq", u, g0, g1, f, f1))
 
-    by_tb = {}
-    for q in squares:
-        by_tb.setdefault((q[4], q[5]), []).append(q)
+def path_cells(B, keep=None):
+    """The path cells over a finite base, in deterministic order.
 
-    p2s = []
+    keep(d, c), if given, filters each dimension before the next is built
+    from it (squares only between kept 0-cells, and so on up).  For a keep
+    closed under faces (a kept cell's source and target are kept), the
+    result is the kept subsequence of the unfiltered enumeration, in order.
+    """
+    zeros = [f for f in B.cells[1] if keep is None or keep(0, f)]
+    squares, by_tb = [], {}
+    for q in path_squares(B, zeros):
+        # a group opens at its first candidate, so filtering keeps its place
+        group = by_tb.setdefault((q[4], q[5]), [])
+        if keep is None or keep(1, q):
+            squares.append(q)
+            group.append(q)
+
+    p2s, p3s = [], []
     for group in by_tb.values():
         for gq in group:
-            sp = {}
             for hq in group:
+                cs = []     # the kept path 2-cells from gq to hq
                 for a1 in B.between(2, gq[2], hq[2]):
-                    key = a1
-                    if key not in sp:
-                        sp[key] = src_paste(B, a1, gq)
+                    sp = src_paste(B, a1, gq)
                     for a2 in B.between(2, gq[3], hq[3]):
                         tp = tgt_paste(B, a2, hq, gq[4])
-                        for t in B.between(3, sp[key], tp):
-                            p2s.append(("p2", t, a1, a2, gq, hq))
-
-    by_sq = {}
-    for c in p2s:
-        by_sq.setdefault((c[4], c[5]), []).append(c)
-    p3s = []
-    for group in by_sq.values():
-        for aq in group:
-            for bq in group:
-                for G1 in B.between(3, aq[2], bq[2]):
-                    for G2 in B.between(3, aq[3], bq[3]):
-                        try:
-                            p3s.append(p3(B, G1, G2, aq, bq))
-                        except NotComposable:
-                            pass
-    return list(B.cells[1]), squares, p2s, p3s
+                        for t in B.between(3, sp, tp):
+                            c = ("p2", t, a1, a2, gq, hq)
+                            if keep is None or keep(2, c):
+                                cs.append(c)
+                p2s += cs
+                for aq in cs:
+                    for bq in cs:
+                        for G1 in B.between(3, aq[2], bq[2]):
+                            for G2 in B.between(3, aq[3], bq[3]):
+                                try:
+                                    c = p3(B, G1, G2, aq, bq)
+                                except NotComposable:
+                                    continue
+                                if keep is None or keep(3, c):
+                                    p3s.append(c)
+    return zeros, squares, p2s, p3s
 
 
 def materialize(view, cells, name=""):

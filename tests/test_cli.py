@@ -123,6 +123,15 @@ def test_faults_without_a_corruption_exits_2():
     assert r.output.count("error:") == 1 and "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_faults_count_below_one_exits_2(count):
+    r = run("faults", "INT", "--count", count)
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "PASS" not in r.output and "detected" not in r.output
+    assert r.output.count("Error:") == 1 and "Traceback" not in r.output
+
+
 def test_failure_exit_code_1(tmp_path):
     from graypath.faults import corrupt_graycat
     bad, _ = corrupt_graycat(fixture("PAIR"), seed=11)

@@ -127,6 +127,11 @@ def test_tensor_objects_twist_carry_interchanger(twist_tower):
     assert found
 
 
+def test_twist_bigon_counts(twist_tower):
+    DD = twist_tower.DD
+    assert [len(DD.cells[d]) for d in range(4)] == [19, 274, 673, 745]
+
+
 def test_twist_three_paths_lift_p2(twist_tower):
     """DDD(TWIST), lifted from P2, has the cell counts that enumerating
     path(DD) and filtering by tri_keep gives, and is 1-Cartesian."""

@@ -6,8 +6,11 @@ from an all-pairs scan and a TupleView over the path formulas of path(H),
 and the bigon pullback of mbar from composable_tuples and a TupleView over
 the bigon space.  Each must agree in cells, faces, identities, tables and
 the order every table was filled in; the P2 and bigon pullbacks also in
-their documents.  The 3-path space DDD, lifted from P2, is checked against
-enumerating path(DD), filtering by tri_keep and the path formulas over DD.
+their documents.  The bigon space DD, built by path_cells filtering each dimension before the
+next, is checked against enumerating all of path(path(H)), filtering by
+dbl_keep and the path formulas over path(H).  The 3-path space DDD, lifted
+from P2, is checked against enumerating path(DD), filtering by tri_keep and
+the path formulas over DD.
 kernel.pullback's join on cell positions is checked against the per-key
 fill it replaced, on every strict pullback the library builds and on
 broken factors, where both must raise the same error.
@@ -96,6 +99,37 @@ def test_bigon_pullback_matches_the_tuple_view(tower):
     assert presentation.dumps(Kb) == presentation.dumps(oracle)
 
 
+@pytest.mark.parametrize("name", TOWER_INPUTS + ["CHAIN4"])
+def test_bigons_built_face_first_match_enumerate_and_filter(name):
+    """DD, enumerated with dbl_keep filtering each dimension before the
+    next is built, equals all of path(path(H)) filtered by dbl_keep and
+    materialized: the same cells in the same order, faces, identities,
+    tables in insertion order, inverses and document."""
+    tower = Tower(fixture(name))
+    kept = tuple([c for c in cs if tower.dbl_keep(d, c)]
+                 for d, cs in enumerate(path_cells(tower.PH)))
+    oracle = materialize(PathView(tower.PH), kept, name=f"dbl({name})")
+    assert_same_graycat(tower.DD, oracle)
+    assert presentation.dumps(tower.DD) == presentation.dumps(oracle)
+
+
+@pytest.mark.parametrize("name, bound", [("BIG", 86), ("CHAIN4", 420)])
+def test_bigons_test_dbl_keep_only_on_cells_over_kept_faces(monkeypatch,
+                                                            name, bound):
+    """Building DD asks dbl_keep about candidates over kept faces only:
+    86 on BIG and 420 on CHAIN4, against 507 and 10,575 for all of
+    path(path(H))."""
+    calls = []
+    body = Tower.dbl_keep
+
+    def counted(self, d, c):
+        calls.append(d)
+        return body(self, d, c)
+    monkeypatch.setattr(Tower, "dbl_keep", counted)
+    Tower(fixture(name)).DD
+    assert 0 < len(calls) <= bound
+
+
 def _ddd_oracle(tower):
     DD = tower.DD
     kept = tuple([c for c in cs if tower.tri_keep(d, c)]
@@ -149,6 +183,21 @@ def test_a_lift_that_is_not_unique_fails_loudly(monkeypatch, name, keep):
     with pytest.raises(FactorizationFailed) as info:
         tw.DDD
     assert f"the P2 0-cell {uv!r} lifts to {n} 3-paths" in str(info.value)
+
+
+def test_a_three_path_over_no_parallel_pair_fails_loudly(monkeypatch):
+    """With tri_keep accepting every candidate on BIG, each P2 cell still
+    has one 3-path over it, but some bigon 1-cell joins two bigons that are
+    not parallel in path(H): building DDD names that stray 3-path."""
+    tw = Tower(fixture("BIG"))
+    monkeypatch.setattr(tw, "tri_keep", lambda d, c: True)
+    stray = next(w for w in tw.DD.cells[1]
+                 if (tw.DD.src(1, w), tw.DD.tgt(1, w)) not in
+                 set(tw.P2.cells[0]))
+    with pytest.raises(FactorizationFailed) as info:
+        tw.DDD
+    assert f"the 3-path 0-cell {stray!r} lies over no P2 cell" in \
+        str(info.value)
 
 
 # the operations whose fill loops ran over the left operand outermost; the
