@@ -8,7 +8,9 @@ synthesizes them.  Arrays are sorted so save/load round trips are bit-exact.
 
 from __future__ import annotations
 
+import gc
 import json
+import marshal
 from json.encoder import encode_basestring_ascii as _quote
 
 from .kernel import (TABLES, GrayCat, GrayError, ValidationError,
@@ -42,8 +44,10 @@ def _decoder():
     """A decoder from JSON values to cells that returns one object per
     distinct cell, as a built GrayCat has: arrays become tuples, and equal
     strings or arrays decode to the same object, so table hits stop at
-    identity.  Arrays are looked up by their repr, which, unlike the
-    tuple, tells 1, 1.0 and true apart.
+    identity.  Arrays are looked up by their marshal bytes, which, unlike
+    the tuple, tell 1, 1.0 and true apart.  Format 2 is the last that
+    writes equal values as equal bytes: from 3 on, marshal marks interned
+    strings and shared references.
     """
     strings, tuples = {}, {}
 
@@ -51,7 +55,7 @@ def _decoder():
         if type(x) is str:
             return strings.setdefault(x, x)
         if type(x) in (list, tuple):
-            k = repr(x)
+            k = marshal.dumps(x, 2)
             t = tuples.get(k)
             if t is None:
                 t = tuples[k] = tuple(map(dec, x))
@@ -210,11 +214,25 @@ def dumps(C):
 
 
 def loads(text):
+    """The GrayCat of a JSON document text.
+
+    json.loads makes a list or dict per array or object of the text, and
+    none of them can be part of a cycle, so the cyclic collector is paused
+    while they live: left on, it walks them again and again for nothing.
+    A document nested deeper than the interpreter's recursion limit is a
+    ParseError like any other malformed text.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
+        return from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at char {exc.pos}: {exc.msg}") from None
-    return from_document(doc)
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save(C, path):

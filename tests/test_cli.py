@@ -438,3 +438,84 @@ def test_mutated_dsl_texts_exit_0_1_or_2(text):
             assert r.exception is None or isinstance(r.exception, SystemExit), \
                 (argv, repr(r.exception))
             assert "Traceback" not in r.output
+
+
+_MARK = "@@cell@@"
+
+
+def _cell_slots(doc):
+    """Every place of doc that holds a cell, as (container, key) pairs."""
+    rows = [r for rs in doc["identities"].values() for r in rs]
+    rows += [r for rs in doc["tables"].values() for r in rs]
+    return ([(e, k) for f in _CELLS for e in doc[f] for k in sorted(e)]
+            + [(r, j) for r in rows for j in range(len(r))])
+
+
+def _with_cell_text(doc, slot, text):
+    """doc's JSON text with the cell at slot written as text."""
+    container, key = slot
+    container[key] = _MARK
+    return json.dumps(doc, indent=1, sort_keys=True).replace(
+        json.dumps(_MARK), text)
+
+
+@st.composite
+def _mutated_json(draw):
+    """BIG's or path(PAIR)'s saved JSON with one edit: the text cut short, a
+    bracket dropped or doubled, a cell swapped for 1, true or 1.0, or a cell
+    wrapped in N arrays."""
+    text = _document_text(draw(st.sampled_from(["BIG", "path(PAIR)"])))
+    kind = draw(st.sampled_from(["truncate", "drop-bracket", "double-bracket",
+                                 "swap", "wrap"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text)))]
+    if kind.endswith("bracket"):
+        i = draw(st.sampled_from(
+            [i for i, ch in enumerate(text) if ch in "[]{}"]))
+        return text[:i] + (text[i] if kind == "double-bracket" else "") + \
+            text[i + 1:]
+    doc = json.loads(text)
+    slots = _cell_slots(doc)
+    container, key = slot = slots[draw(st.integers(0, len(slots) - 1))]
+    if kind == "swap":
+        cell = draw(st.sampled_from(["1", "true", "1.0"]))
+    else:
+        n = draw(st.sampled_from([1, 2, 50, 990, 2000]))
+        cell = "[" * n + json.dumps(container[key]) + "]" * n
+    return _with_cell_text(doc, slot, cell)
+
+
+@given(_mutated_json())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mutated_json_texts_exit_0_1_or_2(text):
+    """A one-edit mutation of a saved *.graycat.json text ends with exit 0,
+    1 or 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.graycat.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["validate", path], ["check", "gray", path]):
+            r = run(*argv)
+            assert r.exit_code in (0, 1, 2), (argv, r.output)
+            assert r.exception is None or isinstance(r.exception, SystemExit), \
+                (argv, repr(r.exception))
+            assert "Traceback" not in r.output
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    """Nesting deeper than the recursion limit is bad input: one error line
+    and exit 2, whether the text or a cell of a valid-format document is
+    nested."""
+    doc = pres.to_document(fixture("T1"))
+    texts = {"brackets": "[" * 100_000 + "]" * 100_000,
+             "object-id": _with_cell_text(doc, (doc["objects"][0], "id"),
+                                          "[" * 990 + '"*"' + "]" * 990)}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.graycat.json"
+        path.write_text(text, encoding="utf-8")
+        r = run("validate", str(path))
+        assert r.exit_code == 2, (name, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit), \
+            (name, repr(r.exception))
+        lines = r.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (name, lines)
