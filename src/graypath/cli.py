@@ -11,7 +11,8 @@ import json
 
 import click
 
-from .kernel import GrayError, ValidationError, check_gray_axioms
+from .kernel import (GrayError, ValidationError, check_gray_axioms,
+                     gray_axioms_hold)
 from . import presentation
 from .fixtures import UnknownFixture, fixture, fixture_names
 
@@ -37,6 +38,18 @@ def _load(ctx, load, names):
     except (presentation.ParseError, ValidationError) as exc:
         msg = str(exc)
     click.echo(f"error: {msg}", err=True)
+    ctx.exit(2)
+
+
+def _construct(ctx, inputs, build, *args):
+    """build(*args); on GrayError, exit 2 naming an input that is not Gray."""
+    try:
+        return build(*args)
+    except GrayError:
+        bad = [name for name, C in inputs.items() if not gray_axioms_hold(C)]
+        if not bad:
+            raise
+    click.echo(f"error: {bad[0]} is not a Gray-category", err=True)
     ctx.exit(2)
 
 
@@ -118,7 +131,7 @@ def check_m(ctx, target):
     """Verify the path composition is a pseudo map over a fixture."""
     from .pathcomp import verify_internal_category
     C, = _load(ctx, _load_input, [target])
-    reports = verify_internal_category(C)
+    reports = _construct(ctx, {target: C}, verify_internal_category, C)
     _emit(ctx, "check m", [target], {}, reports)
 
 
@@ -142,7 +155,7 @@ def pathspace(ctx, target, out):
     """Build the path space of a fixture or document."""
     from .pathspace import build_pathspace
     C, = _load(ctx, _load_input, [target])
-    P = build_pathspace(C)
+    P = _construct(ctx, {target: C}, build_pathspace, C)
     reports = check_gray_axioms(P)
     extra = {"cells": [len(P.cells[d]) for d in range(4)]}
     if out:
@@ -158,8 +171,8 @@ def tower(ctx, target):
     """Assemble the internal Gray-category tower and check its laws."""
     from .highercells import Tower, assemble_internal_graycat
     C, = _load(ctx, _load_input, [target])
-    tw = Tower(C)
-    reports = assemble_internal_graycat(tw)
+    tw = _construct(ctx, {target: C}, Tower, C)
+    reports = _construct(ctx, {target: C}, assemble_internal_graycat, tw)
     extra = {"stages": {
         "path": [len(tw.PH.cells[d]) for d in range(4)],
         "bigon": [len(tw.DD.cells[d]) for d in range(4)],
@@ -177,7 +190,8 @@ def hom(ctx, gname, hname):
     """Materialize [G,H] and run the Gray axioms on it."""
     from .homspace import hom_graycat
     G, H = _load(ctx, _load_input, [gname, hname])
-    C, _, reports = hom_graycat(G, H, cap=ctx.obj["cap"])
+    C, _, reports = _construct(ctx, {gname: G, hname: H}, hom_graycat, G, H,
+                               ctx.obj["cap"])
     reports = list(reports) + check_gray_axioms(C)
     extra = {"cells": [len(C.cells[d]) for d in range(4)]}
     _emit(ctx, "hom", [gname, hname],

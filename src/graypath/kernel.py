@@ -190,11 +190,11 @@ class GrayCat:
     by_src, by_tgt and between find d-cells by their faces.  by_src and
     by_tgt take the face dimension k < d; the k-face of a d-cell is taken
     as src0 and tgt0 take theirs: walk sources down to dimension k+1, then
-    take that cell's source or target.  They read one index, built on first
-    use and dropped by add_cell, and return tuples in cells[d] order, so a
-    loop over them visits what a filtered scan of cells[d] would, in the
-    same order.  either merges two of their results in cells[d] order, for
-    a scan that keeps a cell when one condition or another holds.
+    take that cell's source or target.  They read one index per dimension,
+    built on first use and dropped by add_cell, and return tuples in
+    cells[d] order, so a loop over them visits what a filtered scan of
+    cells[d] would, in the same order.  either merges two of their results
+    in cells[d] order, for a scan keeping a cell when either test holds.
     """
 
     DIMS = (0, 1, 2, 3)
@@ -223,7 +223,7 @@ class GrayCat:
         self.generators = None  # 1-free flag: list of generating 1-cells
         self._inv2_cache = {}
         self._inv3_cache = {}
-        self._faces = None
+        self._faces = {}
 
     # -- construction ------------------------------------------------
 
@@ -235,7 +235,7 @@ class GrayCat:
         if d > 0:
             self.src_[d][c] = src
             self.tgt_[d][c] = tgt
-        self._faces = None
+        self._faces = {}
         return c
 
     def has_cell(self, d, c):
@@ -244,7 +244,7 @@ class GrayCat:
     def canonical(self, d, c):
         """The object cells[d] holds for the d-cell equal to c, so that a
         cell kept for later shares that object; KeyError if there is none."""
-        return self.cells[d][self._index()[("rank", d)][c]]
+        return self.cells[d][self._index(d)["rank"][c]]
 
     # -- faces ---------------------------------------------------------
 
@@ -270,44 +270,41 @@ class GrayCat:
     def ident(self, d, c):
         return self.id_up[d][c]
 
-    def _index(self):
-        if self._faces is None:
+    def _index(self, d):
+        faces = self._faces.get(d)
+        if faces is None:
             faces = {}
-            for d in (1, 2, 3):
-                for c in self.cells[d]:
-                    s, t = self.src_[d][c], self.tgt_[d][c]
-                    faces.setdefault((d, s, t), []).append(c)
-                    # k-faces for k = d-1 .. 0: walk sources down to k+1;
-                    # an undeclared face ends the walk, so a loaded document
-                    # gets its located structural violations, not a KeyError
-                    for k in range(d - 1, -1, -1):
-                        faces.setdefault(("src", d, k, s), []).append(c)
-                        faces.setdefault(("tgt", d, k, t), []).append(c)
-                        if k == 0 or s not in self.src_[k]:
-                            break
-                        s, t = self.src_[k][s], self.tgt_[k][s]
-            self._faces = {key: tuple(v) for key, v in faces.items()}
+            for c in self.cells[d] if d else ():
+                s, t = self.src_[d][c], self.tgt_[d][c]
+                faces.setdefault((s, t), []).append(c)
+                # k-faces for k = d-1 .. 0: walk sources down to k+1; an
+                # undeclared face ends the walk, so a loaded document gets
+                # its located structural violations, not a KeyError
+                for k in range(d - 1, -1, -1):
+                    faces.setdefault(("src", k, s), []).append(c)
+                    faces.setdefault(("tgt", k, t), []).append(c)
+                    if k == 0 or s not in self.src_[k]:
+                        break
+                    s, t = self.src_[k][s], self.tgt_[k][s]
+            faces = {key: tuple(v) for key, v in faces.items()}
             # each cell's position in cells[d], the order either merges in
-            for d in self.DIMS:
-                self._faces[("rank", d)] = {c: i for i, c in enumerate(self.cells[d])}
-        return self._faces
-
-    def _cells_by(self, key):
-        return self._index().get(key, ())
+            faces["rank"] = {c: i for i, c in enumerate(self.cells[d])}
+            self._faces[d] = faces
+        return faces
 
     def by_src(self, d, s, k=None):
         """The d-cells whose k-dimensional source is s (k = d-1 by default),
         in cells[d] order; k = 0 agrees with src0."""
-        return self._cells_by(("src", d, d - 1 if k is None else k, s))
+        return self._index(d).get(("src", d - 1 if k is None else k, s), ())
 
     def by_tgt(self, d, t, k=None):
         """The d-cells whose k-dimensional target is t (k = d-1 by default),
         in cells[d] order; k = 0 agrees with tgt0."""
-        return self._cells_by(("tgt", d, d - 1 if k is None else k, t))
+        return self._index(d).get(("tgt", d - 1 if k is None else k, t), ())
 
     def between(self, d, s, t):
         """The d-cells from s to t, in cells[d] order."""
-        return self._cells_by((d, s, t))
+        return self._index(d).get((s, t), ())
 
     def either(self, d, xs, ys):
         """The d-cells in xs or in ys (two by_src/by_tgt results), once
@@ -318,7 +315,7 @@ class GrayCat:
         if not ys:
             return xs
         return tuple(sorted(set(xs).union(ys),
-                            key=self._index()[("rank", d)].__getitem__))
+                            key=self._index(d)["rank"].__getitem__))
 
     def is_id1(self, f):
         x = self.src_[1][f]
@@ -1118,14 +1115,17 @@ def sub_graycat(C, keep, name=None):
     return S
 
 
-def _by_position(C):
-    """C's position copy: each d-cell's position in C.cells[d], and the
-    GrayCat whose d-cells are those positions, range(len(C.cells[d])), with
-    C's faces, identities, inverses, groupoid flag and ten tables re-keyed
-    to them.  An entry that names something other than a cell of C of the
-    right dimension is left out.  The copy is read, never extended."""
-    rank = {d: {c: i for i, c in enumerate(C.cells[d])} for d in C.DIMS}
+def _ranks(C):
+    """Each d-cell's position in C.cells[d]."""
+    return {d: {c: i for i, c in enumerate(C.cells[d])} for d in C.DIMS}
 
+
+def _by_position(C, rank):
+    """C's position copy, given rank = _ranks(C): the GrayCat whose d-cells
+    are the positions range(len(C.cells[d])), with C's faces, identities,
+    inverses, groupoid flag and ten tables re-keyed to them.  An entry that
+    names something other than a cell of C of the right dimension is left
+    out.  The copy is read, never extended."""
     def relabel(table, rk, rv):
         return {rk[c]: rv[v] for c, v in table.items() if c in rk and v in rv}
 
@@ -1146,7 +1146,7 @@ def _by_position(C):
         setattr(N, attr, {(rl[l], rr[r]): rv[v]
                           for (l, r), v in getattr(C, attr).items()
                           if l in rl and r in rr and v in rv})
-    return rank, N
+    return N
 
 
 def _entries(C):
@@ -1158,38 +1158,26 @@ def _entries(C):
 
 def _exact_position_copy(C):
     """C's position copy if it left nothing of C out, else None."""
-    _, N = _by_position(C)
+    N = _by_position(C, _ranks(C))
     if all(len(a) == len(b) for a, b in zip(_entries(C), _entries(N))):
         return N
     return None
 
 
-def pullback(A, fa, B, fb, pair, name=""):
-    """The strict pullback of two strict maps into one Gray-category, given
-    by their images: fa[d][x] of each d-cell x of A and fb[d][y] of each
-    d-cell y of B.
+def pullback_cells(A, fa, B, fb, pair, name=""):
+    """The cell stage of pullback: P, the pullback as a globular set, and
+    join, which fills P's ten tables and returns P.
 
-    Its d-cells are pair(x, y) for the x in A and y in B with fa[d][x] ==
+    P's d-cells are pair(x, y) for the x in A and y in B with fa[d][x] ==
     fb[d][y], in A's cell order and, for each x, in B's.  Faces,
     identities, the groupoid flag and inv1 are taken componentwise (2- and
-    3-cell inverses are found by inv_2 and inv_3's search).
-
-    The tables are a join on cell positions.  Each cell of the pullback is
-    known by the positions (i, j) of its components in A's and B's cells,
-    and each factor's tables are read from its position copy (_by_position,
-    built once for both when A is B).  Each table is filled over
-    composable_keys with three lookups per entry: the operands' component
-    positions, the two factor values by integer pair, and the pullback
-    cell at those values.  On a miss (a factor lacks the entry, or the two
-    values do not make a cell of the pullback) the entry is read through
-    the factors' guarded operations instead, so the error is the factor's,
-    or FactorizationFailed for a value outside the pullback.
+    3-cell inverses are found by inv_2 and inv_3's search).  Before join,
+    P's face index and composable_keys work; its operations do not.
     """
     P = GrayCat(name=name)
-    rank_a, copy_a = _by_position(A)
-    rank_b, copy_b = (rank_a, copy_a) if B is A else _by_position(B)
+    rank_a = _ranks(A)
+    rank_b = rank_a if B is A else _ranks(B)
     at = {d: {} for d in P.DIMS}     # (i, j) -> pair(x_i, y_j), as P holds it
-    pos = {d: {} for d in P.DIMS}    # pair(x_i, y_j) -> (i, j)
 
     def lift(d, x, y):
         try:
@@ -1207,7 +1195,6 @@ def pullback(A, fa, B, fb, pair, name=""):
             for j in over.get(fa[d][x], ()):
                 y = B.cells[d][j]
                 c = at[d][(i, j)] = pair(x, y)
-                pos[d][c] = (i, j)
                 if d == 0:
                     P.add_cell(0, c)
                 else:
@@ -1217,25 +1204,47 @@ def pullback(A, fa, B, fb, pair, name=""):
         for (i, j), c in at[d].items():
             P.id_up[d][c] = lift(d + 1, A.id_up[d][A.cells[d][i]],
                                  B.id_up[d][B.cells[d][j]])
-    for _, attr, op, dl, dr, dout in TABLES:
-        table = getattr(P, attr)
-        ta, tb = getattr(copy_a, attr), getattr(copy_b, attr)
-        pl, pr, po = pos[dl], pos[dr], at[dout]
-        for l, r in composable_keys(P, op):
-            (il, jl), (ir, jr) = pl[l], pr[r]
-            try:
-                table[(l, r)] = po[(ta[(il, ir)], tb[(jl, jr)])]
-            except KeyError:
-                table[(l, r)] = lift(
-                    dout, getattr(A, op)(A.cells[dl][il], A.cells[dr][ir]),
-                    getattr(B, op)(B.cells[dl][jl], B.cells[dr][jr]))
     P.is_groupoid = A.is_groupoid and B.is_groupoid
     if P.is_groupoid:
         for (i, j), c in at[1].items():
             x, y = A.cells[1][i], B.cells[1][j]
             if x in A.inv1 and y in B.inv1:
                 P.inv1[c] = lift(1, A.inv1[x], B.inv1[y])
-    return P
+
+    def join():
+        copy_a = _by_position(A, rank_a)
+        copy_b = copy_a if B is A else _by_position(B, rank_b)
+        pos = {d: {c: ij for ij, c in at[d].items()} for d in P.DIMS}
+        for _, attr, op, dl, dr, dout in TABLES:
+            table = getattr(P, attr)
+            ta, tb = getattr(copy_a, attr), getattr(copy_b, attr)
+            pl, pr, po = pos[dl], pos[dr], at[dout]
+            for l, r in composable_keys(P, op):
+                (il, jl), (ir, jr) = pl[l], pr[r]
+                try:
+                    table[(l, r)] = po[(ta[(il, ir)], tb[(jl, jr)])]
+                except KeyError:
+                    table[(l, r)] = lift(
+                        dout, getattr(A, op)(A.cells[dl][il], A.cells[dr][ir]),
+                        getattr(B, op)(B.cells[dl][jl], B.cells[dr][jr]))
+        return P
+
+    return P, join
+
+
+def pullback(A, fa, B, fb, pair, name=""):
+    """The strict pullback of two strict maps into one Gray-category, given
+    by their images fa[d] and fb[d]: pullback_cells, then its join.
+
+    The join fills each table over composable_keys by three lookups per
+    entry: the operands' component positions (i, j) in A's and B's cells,
+    the two factor values in the factors' position copies (_by_position,
+    one copy when A is B), and the pullback cell at those values.  On a
+    miss (a factor lacks the entry, or the values make no pullback cell)
+    the entry is read through the factors' guarded operations, so the
+    error is the factor's, or FactorizationFailed.
+    """
+    return pullback_cells(A, fa, B, fb, pair, name)[1]()
 
 
 def product_graycat(A, B, name=""):

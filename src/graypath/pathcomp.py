@@ -7,7 +7,8 @@ of the resulting internal category are strict even though m is not.
 
 The n-fold pullbacks are kernel.pullback's join on cell positions, one
 factor at a time: every table entry is an integer lookup in path(H)'s (and
-the previous pullback's) tables, re-keyed once by cell position.
+the previous pullback's) tables, re-keyed once by cell position.  The
+internal category laws' triple pullback is pullback_cells' alone: no join.
 
 m_cocycle runs once per composable pair of the 2-fold pullback, when m is
 built; its results are m's cocycle table.  The associativity check composes
@@ -19,8 +20,8 @@ components from path(H)'s tables; nothing is re-derived ad hoc.
 
 from __future__ import annotations
 
-from .kernel import (NotAGroupoid, NotComposable, law_report, pullback,
-                     run_laws)
+from .kernel import (NotAGroupoid, NotComposable, composable_keys, law_report,
+                     pullback, pullback_cells, run_laws)
 from .pathspace import (PathView, build_pathspace, degeneracy, face_map, p2,
                         p3, pd0, pd1, pdim, sq)
 from .resolution import PseudoMap, kleisli_compose, validate_pseudo_map
@@ -113,9 +114,13 @@ def build_pullback(PH, H, n=2, name=""):
 def extend_pullback(K, PH, H, name):
     """K x_H path(H) for an n-fold pullback K: the (n+1)-fold pullback, whose
     cells t + (c,) match the last component of t to c by d0 = d1."""
+    return pullback(*_extension(K, PH, H), name)
+
+
+def _extension(K, PH, H):
+    """The factors, face images and pairing of extend_pullback."""
     last = {d: {t: pd0(H, d, t[-1]) for t in K.cells[d]} for d in K.DIMS}
-    return pullback(K, last, PH, face_map(PH, H, 1).maps,
-                    lambda t, c: t + (c,), name)
+    return K, last, PH, face_map(PH, H, 1).maps, lambda t, c: t + (c,)
 
 
 # -- the composite of paths ----------------------------------------------------
@@ -175,9 +180,7 @@ def m_pseudo(H, PH=None):
     V = PathView(H)
     assign = {d: {c: m_apply(H, d, c[0], c[1]) for c in K.cells[d]}
               for d in (0, 1, 2, 3)}
-    coc = {}
-    for (qq, pp) in K.comp0_11:
-        coc[(qq, pp)] = m_cocycle(H, V, qq, pp)
+    coc = {(qq, pp): m_cocycle(H, V, qq, pp) for (qq, pp) in K.comp0_11}
     return PH, K, PseudoMap(K, PH, assign, coc, name=f"m({H.name})")
 
 
@@ -190,12 +193,10 @@ def verify_m_pseudo(H):
 # -- internal category laws ----------------------------------------------------
 
 
-def _pair_map(K3, K, comp, coc_fn, name):
+def _pair_map(K3, pairs, K, comp, coc_fn, name):
     """An induced map of pullbacks; coc_fn supplies the paired cocycle."""
     assign = {d: {c: comp(d, c) for c in K3.cells[d]} for d in (0, 1, 2, 3)}
-    coc = {}
-    for (t, s) in K3.comp0_11:
-        coc[(t, s)] = coc_fn(t, s)
+    coc = {(t, s): coc_fn(t, s) for (t, s) in pairs}
     return PseudoMap(K3, K, assign, coc, name=name)
 
 
@@ -203,14 +204,17 @@ def verify_internal_category(H):
     """m is a pseudo map, then the face conditions, units and associativity
     of the internal category.
 
-    The triple pullback extends m's 2-fold pullback K by path(H).  The
-    induced maps m x 1 and 1 x m of the triple pullback read their
-    cocycles from m's cocycle table, which validate_pseudo_map(m) checks in
-    the same report, and their identity components from path(H)'s tables;
-    m_cocycle runs only when m is built, once per composable pair.
+    K3 extends m's 2-fold pullback K by path(H) as a globular set
+    (pullback_cells, no join): the laws read its cells, faces, identities
+    and composable pairs, never a table, and K3 stays inside this check.
+    The induced maps m x 1 and 1 x m of K3 read their cocycles from m's
+    cocycle table, which validate_pseudo_map(m) checks in the same report,
+    and their identity components from path(H)'s tables; m_cocycle runs
+    only when m is built, once per composable pair.
     """
     PH, K, m = m_pseudo(H)
-    K3 = extend_pullback(K, PH, H, f"pb3({H.name})")
+    K3, _ = pullback_cells(*_extension(K, PH, H), f"pb3({H.name})")
+    pairs = list(composable_keys(K3, "comp0"))
 
     def faces():
         for d in (0, 1, 2, 3):
@@ -240,16 +244,16 @@ def verify_internal_category(H):
             return (PH.ident(1, PH.comp0(t[0], s[0])),
                     m.coc((t[1], t[2]), (s[1], s[2])))
 
-        mx1 = _pair_map(K3, K, lambda d, c: (m(d, (c[0], c[1])), c[2]),
+        mx1 = _pair_map(K3, pairs, K, lambda d, c: (m(d, (c[0], c[1])), c[2]),
                         mx1_coc, "mx1")
-        x1m = _pair_map(K3, K, lambda d, c: (c[0], m(d, (c[1], c[2]))),
+        x1m = _pair_map(K3, pairs, K, lambda d, c: (c[0], m(d, (c[1], c[2]))),
                         x1m_coc, "1xm")
         lhs = kleisli_compose(m, mx1)
         rhs = kleisli_compose(m, x1m)
         for d in (0, 1, 2, 3):
             for c in K3.cells[d]:
                 yield lhs(d, c) == rhs(d, c), ("assoc-cells", d, c)
-        for pair in K3.comp0_11:
+        for pair in pairs:
             yield lhs.coc(*pair) == rhs.coc(*pair), ("assoc-cocycle", pair)
 
     return validate_pseudo_map(m) + run_laws([

@@ -40,29 +40,29 @@ def _enc(cell):
     return cell
 
 
-def _decoder():
+class _Decoder:
     """A decoder from JSON values to cells that returns one object per
     distinct cell, as a built GrayCat has: arrays become tuples, and equal
     strings or arrays decode to the same object, so table hits stop at
     identity.  Arrays are looked up by their marshal bytes, which, unlike
     the tuple, tell 1, 1.0 and true apart.  Format 2 is the last that
     writes equal values as equal bytes: from 3 on, marshal marks interned
-    strings and shared references.
+    strings and shared references.  Not a closure: it would be a cycle.
     """
-    strings, tuples = {}, {}
 
-    def dec(x):
+    def __init__(self):
+        self.strings, self.tuples = {}, {}
+
+    def dec(self, x):
         if type(x) is str:
-            return strings.setdefault(x, x)
+            return self.strings.setdefault(x, x)
         if type(x) in (list, tuple):
             k = marshal.dumps(x, 2)
-            t = tuples.get(k)
+            t = self.tuples.get(k)
             if t is None:
-                t = tuples[k] = tuple(map(dec, x))
+                t = self.tuples[k] = tuple(map(self.dec, x))
             return t
         return x
-
-    return dec
 
 
 def to_document(C):
@@ -180,7 +180,7 @@ def from_document(doc, max_violations=20):
 
 
 def _build(doc):
-    dec = _decoder()
+    dec = _Decoder().dec
     C = GrayCat(doc.get("name", ""))
     for e in doc["objects"]:
         C.add_cell(0, dec(e["id"]))

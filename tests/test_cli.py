@@ -519,3 +519,43 @@ def test_deeply_nested_json_exits_2(tmp_path):
             (name, repr(r.exception))
         lines = r.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (name, lines)
+
+
+# the commands that build on a loaded input, with FILE for the input
+_CONSTRUCTIONS = [["check", "m", "FILE"], ["pathspace", "FILE"],
+                  ["tower", "FILE"], ["hom", "INT", "FILE"]]
+
+
+@pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2"])
+def test_construction_on_a_non_gray_document_exits_2(tmp_path, name):
+    """A document that loads but fails the Gray axioms ends each
+    construction with one error line naming it, exit 2, not a traceback."""
+    from graypath.faults import corrupt_graycat
+    for seed in range(6):
+        bad, _ = corrupt_graycat(fixture(name), seed)
+        path = str(tmp_path / f"{name}-{seed}.graycat.json")
+        pres.save(bad, path)
+        for argv in _CONSTRUCTIONS:
+            r = run(*[path if a == "FILE" else a for a in argv])
+            assert r.exit_code == 2, (seed, argv, r.output, r.exception)
+            assert isinstance(r.exception, SystemExit), (seed, argv)
+            line, = r.output.splitlines()
+            assert line.startswith(f"error: {path} "), (seed, argv, line)
+
+
+@pytest.mark.parametrize("argv", _CONSTRUCTIONS, ids=lambda a: a[-2])
+def test_construction_error_on_a_gray_input_propagates(monkeypatch, argv):
+    """On inputs that pass the Gray axioms a GrayError is the
+    construction's own, and the command does not hide it."""
+    from graypath import highercells, homspace, pathcomp, pathspace
+    from graypath.kernel import GrayError
+
+    def broken(*args, **kwargs):
+        raise GrayError("construction bug")
+    for module, attr in ((pathcomp, "verify_internal_category"),
+                         (pathspace, "build_pathspace"),
+                         (highercells, "Tower"), (homspace, "hom_graycat")):
+        monkeypatch.setattr(module, attr, broken)
+    r = run(*["BIG" if a == "FILE" else a for a in argv])
+    assert isinstance(r.exception, GrayError), (r.output, r.exception)
+    assert str(r.exception) == "construction bug"

@@ -89,3 +89,14 @@ def test_equal_strings_decode_to_one_cell_interned_or_not():
     (idc,) = C.cells[1]
     assert C.src(1, idc) is cell and C.tgt(1, idc) is cell
     assert next(iter(C.id_up[0])) is cell
+
+
+def test_a_load_leaves_no_reference_cycle():
+    """The decoder recurses through a method, not through a closure that
+    names itself: with the loaded path(PAIR) dropped, a collection finds
+    nothing left over."""
+    _, text = _path_space("PAIR")
+    gc.collect()
+    C = pres.loads(text)
+    del C
+    assert gc.collect() == 0

@@ -1,10 +1,15 @@
 """The path composition m, its cocycle, internal category laws, and o."""
 
+import functools
+import random
+
 import pytest
 
 from graypath.fixtures import fixture
-from graypath.kernel import StrictMap, all_pass, identity_map
-from graypath import pathcomp, presentation
+from graypath.kernel import (TABLES, StrictMap, _key_order, all_pass,
+                             identity_map, law_report)
+from graypath import pathcomp, presentation, resolution
+from graypath.resolution import PseudoMap, validate_pseudo_map
 from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
                                m_apply, m_cocycle, m_naturality_check,
                                m_pseudo, o_cell, o_pseudo,
@@ -237,3 +242,66 @@ def test_check_m_report_digest(name):
     assert r.exit_code == 0, r.output
     assert hashlib.sha256(r.output.encode("utf-8")).hexdigest() == \
         CHECK_M_REPORTS[name]
+
+
+M_INPUTS = ["BIG", "PAIR", "CYC2", "CHAIN3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _m(name):
+    return m_pseudo(fixture(name))[2]
+
+
+@pytest.mark.parametrize("name", M_INPUTS)
+def test_a_passing_pseudo_map_check_sorts_no_table(monkeypatch, name):
+    """validate_pseudo_map(m) reads the domain tables in insertion order:
+    when every law passes, nothing is sorted by _key_order."""
+    calls = []
+    body = resolution._key_order
+
+    def counted(table):
+        calls.append(len(table))
+        return body(table)
+    monkeypatch.setattr(resolution, "_key_order", counted)
+    assert all_pass(validate_pseudo_map(_m(name)))
+    assert calls == []
+
+
+def _local_sesquifunctor(F, order):
+    """The local-sesquifunctor law over F's domain tables in one order."""
+    rows = {row[0]: row for row in TABLES}
+    for name in ("comp1", "comp2", "whisk_l23", "whisk_r23"):
+        _, attr, op, dl, dr, dout = rows[name]
+        dom_op, cod_op = getattr(F.dom, op), getattr(F.cod, op)
+        for (l, r), _ in order(getattr(F.dom, attr)):
+            yield F(dout, dom_op(l, r)) == cod_op(F(dl, l), F(dr, r)), \
+                (name, l, r)
+
+
+def test_a_failing_local_sesquifunctor_names_the_sorted_witness():
+    """With one 2- or 3-cell image of m changed so that local-sesquifunctor
+    fails, its report (witness, tuple count and all) is the one a run over
+    the tables sorted from the start gives; on some of the 20 faults the
+    first failure in insertion order is another tuple."""
+    rng = random.Random(19)
+    faults = elsewhere = 0
+    while faults < 20:
+        m = _m(rng.choice(M_INPUTS))
+        d = rng.choice((2, 3))
+        c = rng.choice(m.dom.cells[d])
+        image = rng.choice(m.cod.cells[d])
+        if image == m(d, c):
+            continue
+        assign = {e: dict(m.assignment[e]) for e in m.assignment}
+        assign[d][c] = image
+        F = PseudoMap(m.dom, m.cod, assign, m.cocycle, name=m.name)
+        report = validate_pseudo_map(F)[1]
+        if report.ok:
+            continue
+        faults += 1
+        law = "local-sesquifunctor"
+        assert report.as_dict() == \
+            law_report(law, _local_sesquifunctor(F, _key_order)).as_dict()
+        first = law_report(law, _local_sesquifunctor(F, dict.items))
+        elsewhere += first.as_dict() != report.as_dict()
+    assert elsewhere > 0

@@ -11,6 +11,8 @@ next, is checked against enumerating all of path(path(H)), filtering by
 dbl_keep and the path formulas over path(H).  The 3-path space DDD, lifted
 from P2, is checked against enumerating path(DD), filtering by tri_keep and
 the path formulas over DD.
+The triple pullback verify_internal_category checks associativity on is
+pullback_cells' cell stage alone, checked against the full 3-fold pullback.
 kernel.pullback's join on cell positions is checked against the per-key
 fill it replaced, on every strict pullback the library builds and on
 broken factors, where both must raise the same error.
@@ -72,6 +74,53 @@ def test_internal_category_builds_no_second_pullback(monkeypatch):
     monkeypatch.setattr(pathcomp, "build_pullback", counted)
     verify_internal_category(fixture("BIG"))
     assert calls == [2]
+
+
+@pytest.fixture
+def cell_stages(monkeypatch):
+    """Every pullback_cells call made while the test runs, kernel.pullback's
+    own included: the pullback it returns, and its join."""
+    stages = []
+    body = kernel.pullback_cells
+
+    def spy(*args):
+        stages.append(body(*args))
+        return stages[-1]
+    for module in (kernel, pathcomp):
+        monkeypatch.setattr(module, "pullback_cells", spy)
+    return stages
+
+
+def _table_rows(C):
+    return sum(len(getattr(C, attr)) for _, attr, *_ in TABLES)
+
+
+@pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2", "CHAIN3"])
+def test_internal_category_triple_pullback_is_the_cell_stage(cell_stages,
+                                                             name):
+    """The K3 verify_internal_category checks associativity on is the
+    triple pullback without its tables: the same cells in the same order,
+    faces, identities, inverses and composable 1-cell pairs, in
+    comp0_11's order; its join then fills the tables the full build has."""
+    H = fixture(name)
+    assert all(r.ok for r in verify_internal_category(H))
+    (K3, join), = [(P, j) for P, j in cell_stages if P.name.startswith("pb3")]
+    full = build_pullback(build_pathspace(H), H, 3)
+    assert _table_rows(K3) == 0 < _table_rows(full)
+    assert K3.name == full.name and K3.cells == full.cells
+    assert (K3.src_, K3.tgt_, K3.id_up) == (full.src_, full.tgt_, full.id_up)
+    assert (K3.is_groupoid, K3.inv1) == (full.is_groupoid, full.inv1)
+    assert list(composable_keys(K3, "comp0")) == list(full.comp0_11)
+    assert_same_graycat(join(), full)
+
+
+def test_internal_category_fills_only_the_tables_of_m(cell_stages):
+    """During verify_internal_category(CYC2) only the 2-fold pullback, m's
+    domain, gets table rows; the triple pullback gets none."""
+    verify_internal_category(fixture("CYC2"))
+    rows = {P.name: _table_rows(P) for P, _ in cell_stages}
+    assert rows.keys() == {"pb2(CYC2)", "pb3(CYC2)"}
+    assert rows["pb2(CYC2)"] > 0 and rows["pb3(CYC2)"] == 0
 
 
 @pytest.fixture(scope="module", params=TOWER_INPUTS)
