@@ -53,6 +53,15 @@ def _construct(ctx, inputs, build, *args):
     ctx.exit(2)
 
 
+def _save(ctx, C, out):
+    """Write C's document to out; an unwritable path is exit 2."""
+    try:
+        presentation.save(C, out)
+    except OSError as exc:
+        click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)
+        ctx.exit(2)
+
+
 def _emit(ctx, command, inputs, config, reports, extra=None):
     fmt = ctx.obj.get("report", "human")
     ok = all(r.ok for r in reports)
@@ -159,7 +168,7 @@ def pathspace(ctx, target, out):
     reports = check_gray_axioms(P)
     extra = {"cells": [len(P.cells[d]) for d in range(4)]}
     if out:
-        presentation.save(P, out)
+        _save(ctx, P, out)
         extra["out"] = out
     _emit(ctx, "pathspace", [target], {}, reports, extra)
 
@@ -242,7 +251,7 @@ def fixtures_list(ctx):
 def fixtures_dump(ctx, name, out):
     """Write a fixture as a graycat document."""
     C, = _load(ctx, fixture, [name])
-    presentation.save(C, out)
+    _save(ctx, C, out)
     click.echo(out)
     ctx.exit(0)
 

@@ -21,8 +21,8 @@ from .kernel import (TABLES, CheckReport, GrayError, Mismatch, StrictMap,
                      composable_keys, run_laws)
 from .pathspace import PathView, p2, p3, sq, src_paste, tgt_paste
 from .highercells import Tower
-from .resolution import (PseudoMap, _comp_pairs, generator_decomposition,
-                         kleisli_compose, strict_as_pseudo, strictify, tilde)
+from .resolution import (PseudoMap, generator_decomposition, kleisli_compose,
+                         strict_as_pseudo, strictify, tilde)
 
 
 # -- component families --------------------------------------------------------
@@ -81,7 +81,8 @@ class LaxTransformation:
                          tuple((f, self.at1[f]) for f in dom.cells[1]),
                          tuple((g, self.a2(g)) for g in dom.cells[2]),
                          tuple((p, self.acoc(*p))
-                               for p in sorted(_comp_pairs(dom), key=repr)))
+                               for p in sorted(composable_keys(dom, "comp0"),
+                                               key=repr)))
         return self._key
 
 
@@ -178,7 +179,7 @@ def _trans_to_pseudo(t, PH):
         assign[3][g3] = p3(H, t.F(3, g3), t.G(3, g3),
                            trans_p2(t, a), trans_p2(t, b))
     coc = {}
-    for (f2, f1) in _comp_pairs(dom):
+    for (f2, f1) in composable_keys(dom, "comp0"):
         gq = V.comp0(assign[1][f2], assign[1][f1])
         hq = assign[1][dom.comp0(f2, f1)]
         coc[(f2, f1)] = p2(H, t.acoc(f2, f1), t.F.coc(f2, f1),
@@ -192,7 +193,7 @@ def pseudo_to_trans(P, F, G):
     at0 = dict(P.assignment[0])
     at1 = {f: P(1, f)[1] for f in dom.cells[1]}
     at2 = {g: P(2, g)[1] for g in dom.cells[2]}
-    coc = {pair: P.coc(*pair)[1] for pair in _comp_pairs(dom)}
+    coc = {pair: P.coc(*pair)[1] for pair in composable_keys(dom, "comp0")}
     return LaxTransformation(F, G, at0, at1, at2, coc, name=P.name)
 
 
@@ -255,7 +256,7 @@ def _mod_to_pseudo(A, tower):
         assign[3][g3] = p3(tower.PH, aP(3, g3), bP(3, g3),
                            assign[2][a], assign[2][b])
     coc = {}
-    for (f2, f1) in _comp_pairs(dom):
+    for (f2, f1) in composable_keys(dom, "comp0"):
         acq, bcq = aP.coc(f2, f1), bP.coc(f2, f1)
         gq = tower.PV.comp0(assign[1][f2], assign[1][f1])
         hq = assign[1][dom.comp0(f2, f1)]
@@ -312,7 +313,7 @@ def pert_to_pseudo(s, tower):
                                         assign[d - 1][dom.tgt(d, c)],
                                         Amap(d, c), Bmap(d, c))
     coc = {}
-    for (f2, f1) in _comp_pairs(dom):
+    for (f2, f1) in composable_keys(dom, "comp0"):
         gq = PathView(tower.DD).comp0(assign[1][f2], assign[1][f1])
         hq = assign[1][dom.comp0(f2, f1)]
         coc[(f2, f1)] = tower.filler(2, gq, hq, Amap.coc(f2, f1),
@@ -382,7 +383,7 @@ def validate_transformation(t):
             yield lhs == H.comp2(step2, step1), ("vertical-composite", g1, g)
 
     def cocycle_conditions():
-        for (f2, f1) in _comp_pairs(dom):
+        for (f2, f1) in composable_keys(dom, "comp0"):
             c = t.acoc(f2, f1)
             paste = H.comp1(H.wr12(t.at1[f2], F(1, f1)),
                             H.wl12(G(1, f2), t.at1[f1]))
@@ -535,7 +536,7 @@ def validate_modification(A):
             yield lhs == rhs, ("two-cell-compatibility", g)
 
     def cocycle_compat():
-        for (f2, f1) in _comp_pairs(dom):
+        for (f2, f1) in composable_keys(dom, "comp0"):
             x = dom.src(1, f1)
             z = dom.tgt(1, f2)
             F2 = F.coc(f2, f1)
@@ -623,7 +624,7 @@ def _compose_0(b, a):
         at2[g] = H.comp2(stepBC, stepAB)
     coc = {}
     F, K = a.F, b.G
-    for (f2, f1) in _comp_pairs(dom):
+    for (f2, f1) in composable_keys(dom, "comp0"):
         x = dom.src(1, f1)
         z = dom.tgt(1, f2)
         f21 = dom.comp0(f2, f1)
@@ -649,7 +650,7 @@ def compose_0_oracle(b, a, PH, K, m):
     assign = {d: {c: (bp(d, c), ap(d, c)) for c in dom.cells[d]}
               for d in (0, 1, 2, 3)}
     coc = {}
-    for pair in _comp_pairs(dom):
+    for pair in composable_keys(dom, "comp0"):
         coc[pair] = (bp.coc(*pair), ap.coc(*pair))
     pairing = PseudoMap(dom, K, assign, coc, name="<b,a>")
     comp = kleisli_compose(m, pairing)
@@ -663,13 +664,14 @@ def identity_transformation(F):
     at1 = {f: H.ident(1, F(1, f)) for f in dom.cells[1]}
     at2 = {g: H.ident(2, F(2, g)) for g in dom.cells[2]}
     coc = {}
-    for (f2, f1) in _comp_pairs(dom):
+    for (f2, f1) in composable_keys(dom, "comp0"):
         coc[(f2, f1)] = H.ident(2, F.coc(f2, f1))
     return LaxTransformation(F, F, at0, at1, at2, coc, name=f"id({F.name})")
 
 
 def is_stiff(t):
-    return all(t.H.is_id3(t.acoc(*pair)) for pair in _comp_pairs(t.dom))
+    return all(t.H.is_id3(t.acoc(*pair))
+               for pair in composable_keys(t.dom, "comp0"))
 
 
 # -- whiskering by functors (the sesquicategory structure) ----------------------
@@ -682,7 +684,7 @@ def precompose(t, E):
     at1 = {f: t.at1[E.maps[1][f]] for f in dom2.cells[1]}
     at2 = {g: t.a2(E.maps[2][g]) for g in dom2.cells[2]}
     coc = {}
-    for (f2, f1) in _comp_pairs(dom2):
+    for (f2, f1) in composable_keys(dom2, "comp0"):
         coc[(f2, f1)] = t.acoc(E.maps[1][f2], E.maps[1][f1])
     F2 = kleisli_compose(t.F, strict_as_pseudo(E))
     G2 = kleisli_compose(t.G, strict_as_pseudo(E))
@@ -695,7 +697,8 @@ def postcompose(K, t):
     at0 = {x: K.maps[1][t.at0[x]] for x in dom.cells[0]}
     at1 = {f: K.maps[2][t.at1[f]] for f in dom.cells[1]}
     at2 = {g: K.maps[3][t.a2(g)] for g in dom.cells[2]}
-    coc = {pair: K.maps[3][t.acoc(*pair)] for pair in _comp_pairs(dom)}
+    coc = {pair: K.maps[3][t.acoc(*pair)]
+           for pair in composable_keys(dom, "comp0")}
     F2 = kleisli_compose(strict_as_pseudo(K), t.F)
     G2 = kleisli_compose(strict_as_pseudo(K), t.G)
     return LaxTransformation(F2, G2, at0, at1, at2, coc, name=f"Ko{t.name}")
@@ -809,7 +812,7 @@ def _transformations(F, G):
                 c2.append(opts)
             if not feasible:
                 continue
-            pairs = [p for p in _comp_pairs(dom)
+            pairs = [p for p in composable_keys(dom, "comp0")
                      if not (dom.is_id1(p[0]) or dom.is_id1(p[1]))]
             for ts in product(*c2):
                 at2 = dict(zip(dom.cells[2], ts))
@@ -904,7 +907,7 @@ def rho(F):
         f = dom.src(2, g)
         at2[g] = H.ident(2, H.comp1(F(2, g), at1[f]))
     coc = {}
-    for (f2, f1) in _comp_pairs(dom):
+    for (f2, f1) in composable_keys(dom, "comp0"):
         paste = H.comp1(H.wr12(at1[f2], F(1, f1)),
                         H.wl12(s(1, f2), at1[f1]))
         x = dom.src(1, f1)

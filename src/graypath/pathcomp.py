@@ -11,11 +11,10 @@ the previous pullback's) tables, re-keyed once by cell position.  The
 internal category laws' triple pullback is pullback_cells' alone: no join.
 
 m_cocycle runs once per composable pair of the 2-fold pullback, when m is
-built; its results are m's cocycle table.  The associativity check composes
-m with the induced maps m x 1 and 1 x m of the triple pullback through
-kleisli_compose and compares cells and cocycles.  The induced maps have m's
-cocycle as their cocycle, so they read it from m's table, and their identity
-components from path(H)'s tables; nothing is re-derived ad hoc.
+built; its results are m's cocycle table.  The associativity check reads
+both sides off m, with no map over the triple pullback: cells m(m(a, b), c)
+against m(a, m(b, c)), and the co-Kleisli cocycles of m after m x 1 and
+after 1 x m, from m's cocycle table and path(H)'s identities.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .kernel import (NotAGroupoid, NotComposable, composable_keys, law_report,
                      pullback, pullback_cells, run_laws)
 from .pathspace import (PathView, build_pathspace, degeneracy, face_map, p2,
                         p3, pd0, pd1, pdim, sq)
-from .resolution import PseudoMap, kleisli_compose, validate_pseudo_map
+from .resolution import PseudoMap, validate_pseudo_map
 
 
 class TupleView:
@@ -193,24 +192,17 @@ def verify_m_pseudo(H):
 # -- internal category laws ----------------------------------------------------
 
 
-def _pair_map(K3, pairs, K, comp, coc_fn, name):
-    """An induced map of pullbacks; coc_fn supplies the paired cocycle."""
-    assign = {d: {c: comp(d, c) for c in K3.cells[d]} for d in (0, 1, 2, 3)}
-    coc = {(t, s): coc_fn(t, s) for (t, s) in pairs}
-    return PseudoMap(K3, K, assign, coc, name=name)
-
-
 def verify_internal_category(H):
     """m is a pseudo map, then the face conditions, units and associativity
     of the internal category.
 
     K3 extends m's 2-fold pullback K by path(H) as a globular set
-    (pullback_cells, no join): the laws read its cells, faces, identities
-    and composable pairs, never a table, and K3 stays inside this check.
-    The induced maps m x 1 and 1 x m of K3 read their cocycles from m's
-    cocycle table, which validate_pseudo_map(m) checks in the same report,
-    and their identity components from path(H)'s tables; m_cocycle runs
-    only when m is built, once per composable pair.
+    (pullback_cells, no join): the laws read its cells and composable
+    pairs, never a table, and K3 stays inside this check.  Associativity
+    compares m(m(a, b), c) with m(a, m(b, c)) per K3 cell and, per pair,
+    the cocycles G F^2 #1 G^2 of m after m x 1 and after 1 x m: F^2 pairs
+    an entry of m's cocycle table (validate_pseudo_map(m) checks it in the
+    same report) with an identity of path(H).
     """
     PH, K, m = m_pseudo(H)
     K3, _ = pullback_cells(*_extension(K, PH, H), f"pb3({H.name})")
@@ -236,25 +228,23 @@ def verify_internal_category(H):
                 yield PH.is_id2(m.coc(q, p)), ("unit-cocycle", q, p)
 
     def assoc():
-        def mx1_coc(t, s):
-            return (m.coc((t[0], t[1]), (s[0], s[1])),
-                    PH.ident(1, PH.comp0(t[2], s[2])))
-
-        def x1m_coc(t, s):
-            return (PH.ident(1, PH.comp0(t[0], s[0])),
-                    m.coc((t[1], t[2]), (s[1], s[2])))
-
-        mx1 = _pair_map(K3, pairs, K, lambda d, c: (m(d, (c[0], c[1])), c[2]),
-                        mx1_coc, "mx1")
-        x1m = _pair_map(K3, pairs, K, lambda d, c: (c[0], m(d, (c[1], c[2]))),
-                        x1m_coc, "1xm")
-        lhs = kleisli_compose(m, mx1)
-        rhs = kleisli_compose(m, x1m)
+        # both sides' cocycles at every pair, before any tuple is compared,
+        # as kleisli_compose forms a composite's: one that cannot be formed
+        # fails the law at its first tuple
+        lhs = [PH.comp1(m(2, (m.coc(t[:2], s[:2]),
+                              PH.ident(1, PH.comp0(t[2], s[2])))),
+                        m.coc((m(1, t[:2]), t[2]), (m(1, s[:2]), s[2])))
+               for (t, s) in pairs]
+        rhs = [PH.comp1(m(2, (PH.ident(1, PH.comp0(t[0], s[0])),
+                              m.coc(t[1:], s[1:]))),
+                        m.coc((t[0], m(1, t[1:])), (s[0], m(1, s[1:]))))
+               for (t, s) in pairs]
         for d in (0, 1, 2, 3):
-            for c in K3.cells[d]:
-                yield lhs(d, c) == rhs(d, c), ("assoc-cells", d, c)
-        for pair in pairs:
-            yield lhs.coc(*pair) == rhs.coc(*pair), ("assoc-cocycle", pair)
+            for (a, b, c) in K3.cells[d]:
+                yield (m(d, (m(d, (a, b)), c)) == m(d, (a, m(d, (b, c)))),
+                       ("assoc-cells", d, (a, b, c)))
+        for pair, l, r in zip(pairs, lhs, rhs):
+            yield l == r, ("assoc-cocycle", pair)
 
     return validate_pseudo_map(m) + run_laws([
         ("internal-source-target", faces()),

@@ -17,7 +17,8 @@ come for free).
 from __future__ import annotations
 
 from .kernel import (TABLES, GrayError, Mismatch, NotComposable, NotOneFree,
-                     _key_order, hcomp_left, hcomp_right, law_report, run_laws)
+                     _key_order, composable_keys, hcomp_left, hcomp_right,
+                     law_report, run_laws)
 
 
 # -- symbolic cells ----------------------------------------------------------
@@ -351,19 +352,13 @@ class PseudoMap:
 
     def is_strict(self):
         return all(self.cod.is_id2(self.coc(f1, f2))
-                   for (f1, f2) in _comp_pairs(self.dom))
-
-
-def _comp_pairs(C):
-    for g in C.cells[1]:
-        for f in C.by_tgt(1, C.src(1, g)):
-            yield (g, f)
+                   for (f1, f2) in composable_keys(self.dom, "comp0"))
 
 
 def strict_as_pseudo(F):
     """Embed a strict map as a co-Kleisli morphism with trivial cocycle."""
     coc = {}
-    for (g, f) in _comp_pairs(F.dom):
+    for (g, f) in composable_keys(F.dom, "comp0"):
         img = F.cod.comp0(F.maps[1][g], F.maps[1][f])
         coc[(g, f)] = F.cod.ident(1, img)
     return PseudoMap(F.dom, F.cod, F.maps, coc, name=F.name)
@@ -371,7 +366,8 @@ def strict_as_pseudo(F):
 
 def kleisli_identity(G):
     assign = {d: {c: c for c in G.cells[d]} for d in (0, 1, 2, 3)}
-    coc = {(g, f): G.ident(1, G.comp0(g, f)) for (g, f) in _comp_pairs(G)}
+    coc = {(g, f): G.ident(1, G.comp0(g, f))
+           for (g, f) in composable_keys(G, "comp0")}
     return PseudoMap(G, G, assign, coc, name=f"id_{G.name}")
 
 
@@ -381,13 +377,14 @@ def kleisli_compose(G, F):
         raise Mismatch("kleisli_compose: middle categories differ")
     assign = {d: {c: G(d, F(d, c)) for c in F.dom.cells[d]} for d in (0, 1, 2, 3)}
     coc = {p: G.cod.comp1(G(2, F.coc(*p)), G.coc(F(1, p[0]), F(1, p[1])))
-           for p in _comp_pairs(F.dom)}
+           for p in composable_keys(F.dom, "comp0")}
     return PseudoMap(F.dom, G.cod, assign, coc, name=f"{G.name}*{F.name}")
 
 
 def pseudo_maps_equal(F, G):
     return (F.assignment == G.assignment
-            and all(F.coc(*p) == G.coc(*p) for p in _comp_pairs(F.dom)))
+            and all(F.coc(*p) == G.coc(*p)
+                    for p in composable_keys(F.dom, "comp0")))
 
 
 # -- validation --------------------------------------------------------------
@@ -403,7 +400,7 @@ def validate_pseudo_map(F):
     """
     dom, cod = F.dom, F.cod
 
-    pairs = list(_comp_pairs(dom))
+    pairs = list(composable_keys(dom, "comp0"))
 
     def globular():
         for d in (1, 2, 3):
@@ -474,13 +471,12 @@ def validate_pseudo_map(F):
                 yield lhs == rhs, ("whisker3-right-coherent", g, g3)
 
     def tensor_coherence():
-        for b in dom.cells[2]:
-            for a in dom.by_tgt(2, dom.src0(2, b), 0):
-                g, g1 = dom.src(2, b), dom.tgt(2, b)
-                f, f1 = dom.src(2, a), dom.tgt(2, a)
-                lhs = cod.wr23(F(3, dom.tensor(b, a)), F.coc(g, f))
-                rhs = cod.wl23(F.coc(g1, f1), cod.tensor(F(2, b), F(2, a)))
-                yield lhs == rhs, ("tensor-coherent", b, a)
+        for b, a in composable_keys(dom, "tensor"):
+            g, g1 = dom.src(2, b), dom.tgt(2, b)
+            f, f1 = dom.src(2, a), dom.tgt(2, a)
+            lhs = cod.wr23(F(3, dom.tensor(b, a)), F.coc(g, f))
+            rhs = cod.wl23(F.coc(g1, f1), cod.tensor(F(2, b), F(2, a)))
+            yield lhs == rhs, ("tensor-coherent", b, a)
 
     # The two tensor laws test is_id3(tensor(x, y)) once per distinct pair
     # of values.  Each value read is paired with the id of the first equal
@@ -625,7 +621,7 @@ def vee(W, dom, cod, name=""):
         c = ("q3", g3, ("q2", a, lf, lg), ("q2", b, lf, lg))
         assign[3][g3] = W(c)
     coc = {}
-    for (f1, f2) in _comp_pairs(dom):
+    for (f1, f2) in composable_keys(dom, "comp0"):
         if dom.is_id1(f1) or dom.is_id1(f2):
             continue
         coc[(f1, f2)] = W(kappa(dom, f1, f2))
@@ -734,7 +730,7 @@ def strictify(F):
                            ("q2", a, k1(dom.src(2, a)), k1(dom.tgt(2, a))),
                            ("q2", b, k1(dom.src(2, b)), k1(dom.tgt(2, b)))))
     coc = {}
-    for (f1, f2) in _comp_pairs(dom):
+    for (f1, f2) in composable_keys(dom, "comp0"):
         img = cod.comp0(assign[1][f1], assign[1][f2])
         coc[(f1, f2)] = cod.ident(1, img)
     return PseudoMap(dom, cod, assign, coc, name=f"strictify({F.name})")

@@ -161,6 +161,21 @@ def test_missing_input_exits_2(tmp_path, argv):
     assert "error:" in r.output and "missing.graycat.json" in r.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixtures", "dump", "BIG", "{}"], ["pathspace", "INT", "--out", "{}"],
+], ids=["fixtures-dump", "pathspace-out"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, argv, where):
+    out = str(tmp_path / "missing" / "x.json" if where == "missing-directory"
+              else tmp_path)
+    r = run(*[out if a == "{}" else a for a in argv])
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    lines = r.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in r.output
+
+
 def _malformed_exits_2(tmp_path, doc=None, raw=None):
     path = tmp_path / "malformed.graycat.json"
     if raw is None:

@@ -94,6 +94,13 @@ DOCUMENTS = {
 HOM_INT_BIG_TABLES = \
     "565403900fe9daa0ffc14d275cbc4c3069967fe12476f7baa33a32b1b9f2f97b"
 
+# [CHAIN3,BIG]: CHAIN3 has composable pairs of non-identity 1-cells, so
+# this digest pins the order in which a hom space lists its cells where
+# the order of composable pairs can reach it; taken before composable_keys
+# became the one enumerator of composable 1-cell pairs
+HOM_CHAIN3_BIG_TABLES = \
+    "795f0a852f656d26822541855fc496092518426254d8d4460369caa6ad31d12a"
+
 
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -163,3 +170,8 @@ def test_seeded_corruption_report_digest(name):
 def test_hom_table_digest():
     C, _, _ = hom_graycat(fixture("INT"), fixture("BIG"))
     assert _tables_digest(C) == HOM_INT_BIG_TABLES
+
+
+def test_hom_table_digest_with_composable_pairs():
+    C, _, _ = hom_graycat(fixture("CHAIN3"), fixture("BIG"))
+    assert _tables_digest(C) == HOM_CHAIN3_BIG_TABLES

@@ -6,10 +6,13 @@ import random
 import pytest
 
 from graypath.fixtures import fixture
+from graypath.faults import corrupt_m_cocycle
 from graypath.kernel import (TABLES, StrictMap, _key_order, all_pass,
-                             identity_map, law_report)
+                             composable_keys, identity_map, law_report,
+                             pullback_cells)
 from graypath import pathcomp, presentation, resolution
-from graypath.resolution import PseudoMap, validate_pseudo_map
+from graypath.resolution import (PseudoMap, kleisli_compose,
+                                 validate_pseudo_map)
 from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
                                m_apply, m_cocycle, m_naturality_check,
                                m_pseudo, o_cell, o_pseudo,
@@ -305,3 +308,118 @@ def test_a_failing_local_sesquifunctor_names_the_sorted_witness():
         first = law_report(law, _local_sesquifunctor(F, dict.items))
         elsewhere += first.as_dict() != report.as_dict()
     assert elsewhere > 0
+
+
+def _assoc_by_kleisli_compose(H, PH, K, m):
+    """internal-associativity by a second route: the induced maps m x 1
+    and 1 x m of the triple pullback as pseudo maps, each composed with m
+    by kleisli_compose, then compared cell by cell and pair by pair."""
+    K3, _ = pullback_cells(*pathcomp._extension(K, PH, H), "pb3")
+    pairs = list(composable_keys(K3, "comp0"))
+
+    def induced(cell, coc, name):
+        assign = {d: {c: cell(d, c) for c in K3.cells[d]}
+                  for d in (0, 1, 2, 3)}
+        return PseudoMap(K3, K, assign, {p: coc(*p) for p in pairs}, name)
+
+    def laws():
+        mx1 = induced(lambda d, c: (m(d, c[:2]), c[2]),
+                      lambda t, s: (m.coc(t[:2], s[:2]),
+                                    PH.ident(1, PH.comp0(t[2], s[2]))),
+                      "mx1")
+        x1m = induced(lambda d, c: (c[0], m(d, c[1:])),
+                      lambda t, s: (PH.ident(1, PH.comp0(t[0], s[0])),
+                                    m.coc(t[1:], s[1:])),
+                      "1xm")
+        lhs, rhs = kleisli_compose(m, mx1), kleisli_compose(m, x1m)
+        for d in (0, 1, 2, 3):
+            for c in K3.cells[d]:
+                yield lhs(d, c) == rhs(d, c), ("assoc-cells", d, c)
+        for pair in pairs:
+            yield lhs.coc(*pair) == rhs.coc(*pair), ("assoc-cocycle", pair)
+
+    return law_report("internal-associativity", laws()).as_dict()
+
+
+def _assoc_report(H):
+    """The internal-associativity report of verify_internal_category(H)."""
+    [report] = [r for r in verify_internal_category(H)
+                if r.law == "internal-associativity"]
+    return report.as_dict()
+
+
+@pytest.mark.parametrize("name", M_INPUTS)
+def test_associativity_read_off_m_matches_kleisli_compose(name):
+    """Associativity read straight off m reports what composing m with
+    m x 1 and 1 x m by kleisli_compose reports."""
+    H = fixture(name)
+    PH, K, m = m_pseudo(H)
+    expected = _assoc_by_kleisli_compose(H, PH, K, m)
+    assert expected["status"] == "pass"
+    assert _assoc_report(H) == expected
+
+
+@pytest.mark.parametrize("name", ["CYC2", "CHAIN3"])
+def test_associativity_routes_agree_on_corrupted_cocycles(monkeypatch, name):
+    """With one cocycle of m swapped (seeds 0-9), the two routes give the
+    same failing report, counterexample and tuple count included."""
+    H = fixture(name)
+    for seed in range(10):
+        m, _ = corrupt_m_cocycle(H, seed)
+        PH, K = m.cod, m.dom
+        monkeypatch.setattr(pathcomp, "m_pseudo", lambda H: (PH, K, m))
+        report = _assoc_report(H)
+        monkeypatch.undo()
+        assert report["status"] == "fail", seed
+        assert report == _assoc_by_kleisli_compose(H, PH, K, m), seed
+
+
+@pytest.mark.parametrize("name", ["CYC2", "CHAIN3"])
+def test_associativity_routes_agree_on_a_differing_cocycle(monkeypatch,
+                                                          name):
+    """path(H)'s comp1 made to return a fresh value whenever its left
+    operand is one of the 2-cells the composite cocycles are formed from:
+    both routes fail at the same pair, with the same report."""
+    H = fixture(name)
+    PH, K, m = m_pseudo(H)
+    comp1, lefts = PH.comp1, []
+
+    def recorded(b, a):
+        lefts.append(b)
+        return comp1(b, a)
+    monkeypatch.setattr(PH, "comp1", recorded)
+    _assoc_by_kleisli_compose(H, PH, K, m)
+    chosen = lefts[len(lefts) // 2]
+    monkeypatch.setattr(PH, "comp1",
+                        lambda b, a: object() if b == chosen else comp1(b, a))
+    monkeypatch.setattr(pathcomp, "m_pseudo", lambda H: (PH, K, m))
+    report = _assoc_report(H)
+    assert report["status"] == "fail"
+    assert report["counterexample"][0] == "assoc-cocycle"
+    assert report == _assoc_by_kleisli_compose(H, PH, K, m)
+
+
+def test_a_swapped_cell_image_fails_associativity_at_its_cell(monkeypatch):
+    """m's image of one 3-cell (m(a, b), c) of CHAIN3's 2-fold pullback
+    swapped for another 3-cell of path(H).  Read off m, associativity fails
+    at the first K3 cell whose two sides differ, every cell before it
+    passed.  kleisli_compose builds all of both composites first, and one
+    pairing with the swapped image is no cell of K: that route fails with
+    an error, at no tuple."""
+    H = fixture("CHAIN3")
+    PH, K, m = m_pseudo(H)
+    K3, _ = pullback_cells(*pathcomp._extension(K, PH, H), "pb3")
+    a, b, c = K3.cells[3][len(K3.cells[3]) // 2]
+    key = (m(3, (a, b)), c)
+    m.assignment[3][key] = next(x for x in PH.cells[3] if x != m(3, key))
+    monkeypatch.setattr(pathcomp, "m_pseudo", lambda H: (PH, K, m))
+    [report] = [r for r in verify_internal_category(H)
+                if r.law == "internal-associativity"]
+    law, d, (a, b, c) = report.counterexample
+    assert (law, d) == ("assoc-cells", 3)
+    assert m(3, (m(3, (a, b)), c)) != m(3, (a, m(3, (b, c))))
+    assert report.tuples_checked == sum(len(K3.cells[e]) for e in (0, 1, 2)) \
+        + K3.cells[3].index((a, b, c)) + 1
+    expected = _assoc_by_kleisli_compose(H, PH, K, m)
+    assert expected["counterexample"][0] == "error"
+    assert expected["tuples_checked"] == 0

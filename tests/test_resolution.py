@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graypath.fixtures import fixture
-from graypath.kernel import NotComposable, all_pass
+from graypath.kernel import NotComposable, all_pass, composable_keys
 from graypath.resolution import (Q1Layer, comonad_law_check, kappa,
                                  kappa_coherence_check, kappa_tensor_check,
                                  kleisli_compose, kleisli_identity,
@@ -13,7 +13,7 @@ from graypath.resolution import (Q1Layer, comonad_law_check, kappa,
                                  q1_normalize, strict_as_pseudo, strictify,
                                  tilde, tilde_vee_roundtrip, vee,
                                  validate_pseudo_map, PseudoMap,
-                                 generator_decomposition, section_k, _comp_pairs)
+                                 generator_decomposition, section_k)
 
 
 def test_normalize_drops_identities():
@@ -190,7 +190,7 @@ def test_kleisli_cocycle_matches_remark_formula():
             Fp.cod = B
             GF = kleisli_compose(Gp, Fp)
             WG, WF = tilde(Gp), tilde(Fp)
-            for (f1, f2) in _comp_pairs(B):
+            for (f1, f2) in composable_keys(B, "comp0"):
                 k = kappa(B, f1, f2) if not (B.is_id1(f1) or B.is_id1(f2)) \
                     else None
                 if k is None:
@@ -223,7 +223,7 @@ def test_strictify_idempotent_and_multiplicative():
         s = strictify(F)
         assert pseudo_maps_equal(s, F)  # strict input is fixed
         assert pseudo_maps_equal(strictify(s), s)
-        for (f1, f2) in _comp_pairs(C):
+        for (f1, f2) in composable_keys(C, "comp0"):
             assert s(1, C.comp0(f1, f2)) == C.comp0(s(1, f1), s(1, f2))
 
 
@@ -251,7 +251,7 @@ def nontrivial_pseudo_into_path_twist():
     for g3 in P.cells[3]:
         assign[3][g3] = PT.ident(2, assign[2][P.src(3, g3)])
     coc = {}
-    for (f1, f2) in _comp_pairs(P):
+    for (f1, f2) in composable_keys(P, "comp0"):
         if (f1, f2) == ("g", "f"):
             coc[(f1, f2)] = coc3
         else:
