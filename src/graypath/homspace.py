@@ -409,12 +409,10 @@ def validate_transformation(t):
                     yield _hexagon(t, c_, b_, a_), ("cocycle-hexagon", c_, b_, a_)
 
     def whisker_compat():
-        for gam in dom.cells[2]:
-            for f in dom.by_tgt(1, dom.src0(2, gam)):
-                yield _whisker_left(t, gam, f), ("whisker-left", gam, f)
-        for delt in dom.cells[2]:
-            for g in dom.by_src(1, dom.tgt0(2, delt)):
-                yield _whisker_right(t, g, delt), ("whisker-right", g, delt)
+        for gam, f in composable_keys(dom, "wr12"):
+            yield _whisker_left(t, gam, f), ("whisker-left", gam, f)
+        for g, delt in composable_keys(dom, "wl12"):
+            yield _whisker_right(t, g, delt), ("whisker-right", g, delt)
 
     return run_laws([
         ("transformation-incidence", incidence()),

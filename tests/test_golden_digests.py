@@ -9,7 +9,10 @@ read m's cocycle table instead of re-deriving each cocycle.  A
 change that alters one of these outputs on purpose must say so and pin the
 new value.  T1's entry changed that way: every table of T1 lands in a
 dimension with one cell, so there is no corruption to make, and
-corrupt_graycat raises instead of returning an unchanged copy.
+corrupt_graycat raises instead of returning an unchanged copy.  The
+`tower` digests of T1, INT, PAIR and CHAIN3, and the failing BIG report
+with one wrong whisker, were taken before the tower laws picked their
+tuples through face indexes instead of by catching exceptions.
 """
 
 import hashlib
@@ -40,6 +43,14 @@ REPORTS = {
         "5ca078f7dbc12f2c6455d27fd62e8ef6b1a39ec49668be3b60f42a02e76a771c",
     ("tower", "CYC2"):
         "e8500ba8aed089bdc4079822f5192c0eb86a146d16e1432120faf419e8be1f40",
+    ("tower", "T1"):
+        "968e4d19c91696f0e31a5978dd2325d687ef0305a7078e73c463120adf56901c",
+    ("tower", "INT"):
+        "fccc6e744db1f058273ed6d954d628094281e2a1b179d33bf4872a9a8d5fe859",
+    ("tower", "PAIR"):
+        "0aa723a3d13b74eb4fb044a041ed1e9ca9f26d051c406092ac47fe3204636322",
+    ("tower", "CHAIN3"):
+        "e69408bf09fe02a8d967355d4abda69671da0925e5ea698935aee73c31bc92e6",
     ("hom", "INT", "BIG"):
         "2434987cd9d2e2f6f51b2b15a93a91c6f5f10e886062afdf4e15daf60c38ac2a",
     ("hom", "INT", "CYC2"):
@@ -100,6 +111,14 @@ HOM_INT_BIG_TABLES = \
 # became the one enumerator of composable 1-cell pairs
 HOM_CHAIN3_BIG_TABLES = \
     "795f0a852f656d26822541855fc496092518426254d8d4460369caa6ad31d12a"
+
+# `tower BIG` with w_r returning another bigon on one (d, p, A):
+# whisker-extension and hcomp-faces fail, each naming the first tuple it
+# meets, so this digest pins the order in which they visit their tuples.
+# No construction raises on an admitted tuple with this (d, p, A); one that
+# did would have been skipped before and fail its law now.
+TOWER_BIG_WRONG_WHISKER = \
+    "4507f4628c2b5284c06743e452c4846bf21b8010fd483d954513a03a5c416b3f"
 
 
 def _sha(text):
@@ -175,3 +194,21 @@ def test_hom_table_digest():
 def test_hom_table_digest_with_composable_pairs():
     C, _, _ = hom_graycat(fixture("CHAIN3"), fixture("BIG"))
     assert _tables_digest(C) == HOM_CHAIN3_BIG_TABLES
+
+
+def test_tower_report_digest_with_a_wrong_whisker(monkeypatch):
+    from graypath import highercells
+    real = highercells._w_r
+    tw = highercells.Tower(fixture("BIG"))
+    bad = (2, tw.PH.cells[2][11], tw.DD.cells[2][4])
+
+    def w_r(tw, d, p, A):
+        out = real(tw, d, p, A)
+        if (d, p, A) == bad:
+            return next(c for c in tw.DD.cells[d] if c != out)
+        return out
+
+    monkeypatch.setattr(highercells, "_w_r", w_r)
+    r = CliRunner().invoke(main, ["--report", "json", "tower", "BIG"])
+    assert r.exit_code == 1, r.output
+    assert _sha(r.output) == TOWER_BIG_WRONG_WHISKER

@@ -361,3 +361,46 @@ def test_a_tower_with_its_whiskers_is_freed_without_the_collector():
         assert ref() is None and dd() is None
     finally:
         gc.enable()
+
+
+# -- no law skips a tuple because its construction raised -----------------------
+
+
+def _admitted(tw, method):
+    """One (d, x, y) that the law of method admits by faces on BIG, not the
+    first: a 3-path 1-cell with a path cell or bigon that composes with it,
+    or a composable pair of whisker composites of whisk23-interchange."""
+    DD, DDD, PH, H = tw.DD, tw.DDD, tw.PH, tw.H
+    c = DDD.cells[1][3]
+    if method == "wbar_l":
+        key = tw.dbar(1, pd0(DD, 1, c), 0)
+        return 1, c, next(p for p in PH.cells[1] if pd1(H, 1, p) == key)
+    if method == "wtil_r":
+        key = tw.dj(1, pd0(DD, 1, c), 1)
+        return 1, next(A for A in DD.cells[1] if tw.dj(1, A, 0) == key), c
+    pairs = list(_pairs(DDD.cells[0], lambda b: tw.dbar3(0, b, 0),
+                        lambda a: tw.dbar3(0, a, 1)))
+    b, a = pairs[len(pairs) // 2]
+    return 0, tw.wtil_l(0, b, pd1(DD, 0, a)), tw.wtil_r(0, pd0(DD, 0, b), a)
+
+
+@pytest.mark.parametrize("method, law", [("wbar_l", "wbar-extension"),
+                                         ("wtil_r", "wtil-extension"),
+                                         ("mbarbar", "whisk23-interchange")])
+def test_a_construction_that_raises_on_an_admitted_tuple_fails_its_law(
+        monkeypatch, method, law):
+    from graypath.kernel import NotComposable
+    tw = Tower(fixture("BIG"))
+    bad = _admitted(tw, method)
+    real = getattr(Tower, method)
+
+    def raising(self, d, x, y):
+        if (d, x, y) == bad:
+            raise NotComposable(f"{method} on an admitted tuple")
+        return real(self, d, x, y)
+
+    monkeypatch.setattr(Tower, method, raising)
+    rep, = [r for r in assemble_internal_graycat(tw) if r.law == law]
+    assert rep.status == "fail"
+    assert rep.counterexample == ("error", "NotComposable",
+                                  f"{method} on an admitted tuple")

@@ -364,3 +364,55 @@ def test_perturbation_missing_component_fails(intbig):
                                         "perturbation-square"]
     assert not all(r.ok for r in reports)
     assert reports[0].counterexample == ("component-0", dropped)
+
+
+# -- whisker-compatibility reads composable_keys --------------------------------
+
+
+def _nested_whisker_tuples(t):
+    """The whisker-compatibility tuples as the validator enumerated them
+    before it read composable_keys: 2-cell outermost, by face-index loops."""
+    from graypath.homspace import _whisker_left, _whisker_right
+    dom = t.dom
+    for gam in dom.cells[2]:
+        for f in dom.by_tgt(1, dom.src0(2, gam)):
+            yield _whisker_left, (t, gam, f), ("whisker-left", gam, f)
+    for delt in dom.cells[2]:
+        for g in dom.by_src(1, dom.tgt0(2, delt)):
+            yield _whisker_right, (t, g, delt), ("whisker-right", g, delt)
+
+
+def _transformations(gname, hname):
+    funs, _ = enumerate_strict_functors(fixture(gname), fixture(hname))
+    pseudos = [strict_as_pseudo(F) for F in funs]
+    return [t for F in pseudos for Gp in pseudos
+            for t in enumerate_transformations(F, Gp)[0]]
+
+
+@pytest.mark.parametrize("gname", ["PAIR", "CHAIN3"])
+def test_whisker_compatibility_matches_the_nested_loops(gname):
+    """Same status as the nested loops; a pass checks as many tuples, and a
+    failure names a tuple (or error) that the nested loops fail on too."""
+    from graypath.faults import corrupt_transformation
+    from graypath.kernel import GrayError
+    ts = _transformations(gname, "BIG")
+    cases = ts + [corrupt_transformation(ts[s % len(ts)], s)[0]
+                  for s in range(20)]
+    statuses = set()
+    for t in cases:
+        bad, n = [], 0
+        for f, args, witness in _nested_whisker_tuples(t):
+            n += 1
+            try:
+                if not f(*args):
+                    bad.append(witness)
+            except (GrayError, KeyError) as exc:
+                bad.append(("error", type(exc).__name__, str(exc)))
+        rep, = [r for r in validate_transformation(t)
+                if r.law == "whisker-compatibility"]
+        statuses.add(rep.status)
+        if bad:
+            assert rep.status == "fail" and rep.counterexample in bad
+        else:
+            assert rep.status == "pass" and rep.tuples_checked == n > 0
+    assert statuses == {"pass", "fail"}

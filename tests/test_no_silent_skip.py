@@ -1,0 +1,51 @@
+"""No law of the tower checker catches an exception.
+
+Every tuple a tower law checks is picked by an explicit face predicate,
+read from an index, so a construction that raises on such a tuple fails
+its law through law_report's ("error", ...) counterexample.  A `try` in
+the checker would let it skip that tuple instead.  This guard fails on any
+`try` statement inside the functions below, nested functions included.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHECKERS = ("assemble_internal_graycat", "check_1cartesian")
+# try/except* is ast.TryStar from Python 3.11 on
+TRIES = tuple(getattr(ast, n) for n in ("Try", "TryStar") if hasattr(ast, n))
+
+
+def _tries(tree, names):
+    """(function name, line) of each try statement inside the top-level
+    functions of tree named in names."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            found += [(node.name, n.lineno) for n in ast.walk(node)
+                      if isinstance(n, TRIES)]
+    return found
+
+
+def test_the_tower_checker_catches_no_exception():
+    path = ROOT / "src" / "graypath" / "highercells.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert set(CHECKERS) <= defined
+    assert _tries(tree, CHECKERS) == []
+
+
+def test_the_guard_finds_a_nested_try():
+    tree = ast.parse("def check_1cartesian(tw):\n"
+                     "    def laws():\n"
+                     "        try:\n"
+                     "            yield tw.op()\n"
+                     "        except KeyError:\n"
+                     "            pass\n"
+                     "    return laws()\n"
+                     "def other():\n"
+                     "    try:\n"
+                     "        pass\n"
+                     "    finally:\n"
+                     "        pass\n")
+    assert _tries(tree, CHECKERS) == [("check_1cartesian", 3)]
