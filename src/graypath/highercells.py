@@ -485,9 +485,9 @@ def assemble_internal_graycat(tw, strict_functor=None):
                 for p in PH.either(d, starts[d][a1], ends[d][a0]):
                     if pd0(H, d, p) == a1:
                         r = tw.w_r(d, p, A)
-                        yield tw.dj(d, r, 0) == m_apply(H, d, p, tw.dj(d, A, 0)), \
+                        yield tw.dj(d, r, 0) == tw.m(d, (p, tw.dj(d, A, 0))), \
                             ("w_r-extends-m-d0", d, p, A)
-                        yield tw.dj(d, r, 1) == m_apply(H, d, p, tw.dj(d, A, 1)), \
+                        yield tw.dj(d, r, 1) == tw.m(d, (p, tw.dj(d, A, 1))), \
                             ("w_r-extends-m-d1", d, p, A)
                         yield tw.dbar(d, r, 0) == a0, \
                             ("w_r-outer-face", d, p, A)
@@ -495,9 +495,9 @@ def assemble_internal_graycat(tw, strict_functor=None):
                             ("w_r-outer-face-1", d, p, A)
                     if pd1(H, d, p) == a0:
                         r = tw.w_l(d, A, p)
-                        yield tw.dj(d, r, 0) == m_apply(H, d, tw.dj(d, A, 0), p), \
+                        yield tw.dj(d, r, 0) == tw.m(d, (tw.dj(d, A, 0), p)), \
                             ("w_l-extends-m-d0", d, A, p)
-                        yield tw.dj(d, r, 1) == m_apply(H, d, tw.dj(d, A, 1), p), \
+                        yield tw.dj(d, r, 1) == tw.m(d, (tw.dj(d, A, 1), p)), \
                             ("w_l-extends-m-d1", d, A, p)
         # compatibility and associativity of the whiskers
         for d in (0, 1):
@@ -508,7 +508,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
                     for q in PH.either(d, starts[d][p1], ends[d][a0]):
                         if pd0(H, d, q) == p1:
                             lhs = tw.w_r(d, q, tw.w_r(d, p, A))
-                            rhs = tw.w_r(d, m_apply(H, d, q, p), A)
+                            rhs = tw.w_r(d, tw.m(d, (q, p)), A)
                             yield lhs == rhs, ("w_r-associative", d, q, p, A)
                         if pd1(H, d, q) == a0:
                             lhs = tw.w_l(d, tw.w_r(d, p, A), q)
@@ -518,18 +518,18 @@ def assemble_internal_graycat(tw, strict_functor=None):
                 for p in ends[d][tw.dbar(d, A, 0)]:
                     for q in ends[d][pd0(H, d, p)]:
                         lhs = tw.w_l(d, tw.w_l(d, A, p), q)
-                        rhs = tw.w_l(d, A, m_apply(H, d, p, q))
+                        rhs = tw.w_l(d, A, tw.m(d, (p, q)))
                         yield lhs == rhs, ("w_l-associative", d, A, p, q)
 
     def hcomp_laws():
         for d in (0, 1, 2):
             for b, a in pairs_dbar(d):
                 for h in (tw.h_l(d, b, a), tw.h_r(d, b, a)):
-                    yield tw.dj(d, h, 0) == m_apply(
-                        H, d, tw.dj(d, b, 0), tw.dj(d, a, 0)), \
+                    yield tw.dj(d, h, 0) == tw.m(
+                        d, (tw.dj(d, b, 0), tw.dj(d, a, 0))), \
                         ("hcomp-face-d0", d, b, a)
-                    yield tw.dj(d, h, 1) == m_apply(
-                        H, d, tw.dj(d, b, 1), tw.dj(d, a, 1)), \
+                    yield tw.dj(d, h, 1) == tw.m(
+                        d, (tw.dj(d, b, 1), tw.dj(d, a, 1))), \
                         ("hcomp-face-d1", d, b, a)
 
     def djj(d, c, which):

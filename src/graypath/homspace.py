@@ -11,6 +11,12 @@ perturbations, the composite compose_0(b, a), and the conversions
 trans_to_pseudo and mod_to_pseudo are built once per argument and kept on
 the object they are built from; a construction that raises keeps nothing,
 so it raises again on the next call.
+
+Each component is a cell of H between two pastings of the components below
+it.  Those boundaries are written once (_t1_faces, _t2_faces, _coc_src,
+_coc_tgt, _m1_faces): the enumerators draw each component from the cells
+between them, through one product search (_choices), and the incidence laws
+check each component against them; neither catches an exception.
 """
 
 from __future__ import annotations
@@ -23,6 +29,45 @@ from .pathspace import PathView, p2, p3, sq, src_paste, tgt_paste
 from .highercells import Tower
 from .resolution import (PseudoMap, generator_decomposition, kleisli_compose,
                          strict_as_pseudo, strictify, tilde)
+
+
+# -- component boundaries: (source, target) of each component ------------------
+
+
+def _t1_faces(F, G, at0, f):
+    """The 2-cell component at the 1-cell f: Gf #0 at0[x] => at0[y] #0 Ff."""
+    dom, H = F.dom, F.cod
+    return (H.comp0(G(1, f), at0[dom.src(1, f)]),
+            H.comp0(at0[dom.tgt(1, f)], F(1, f)))
+
+
+def _t2_faces(F, G, at0, at1, g):
+    """The 3-cell component at the 2-cell g: f => f1."""
+    dom, H = F.dom, F.cod
+    f, f1 = dom.src(2, g), dom.tgt(2, g)
+    return (H.comp1(H.wl12(at0[dom.tgt0(2, g)], F(2, g)), at1[f]),
+            H.comp1(at1[f1], H.wr12(G(2, g), at0[dom.src0(2, g)])))
+
+
+def _coc_src(F, G, at0, at1, f2, f1):
+    """The source of the cocycle component at the composable (f2, f1)."""
+    dom, H = F.dom, F.cod
+    paste = H.comp1(H.wr12(at1[f2], F(1, f1)), H.wl12(G(1, f2), at1[f1]))
+    return H.comp1(H.wl12(at0[dom.tgt(1, f2)], F.coc(f2, f1)), paste)
+
+
+def _coc_tgt(F, G, at0, at1, f2, f1):
+    """The target of the cocycle component at the composable (f2, f1)."""
+    dom, H = F.dom, F.cod
+    return H.comp1(at1[dom.comp0(f2, f1)],
+                   H.wr12(G.coc(f2, f1), at0[dom.src(1, f1)]))
+
+
+def _m1_faces(a, b, at0, f):
+    """The 3-cell component at the 1-cell f of a modification a => b."""
+    dom, H = a.dom, a.H
+    return (H.comp1(b.at1[f], H.wl12(a.G(1, f), at0[dom.src(1, f)])),
+            H.comp1(H.wr12(at0[dom.tgt(1, f)], a.F(1, f)), a.at1[f]))
 
 
 # -- component families --------------------------------------------------------
@@ -65,12 +110,8 @@ class LaxTransformation:
             return self.coc[(f2, f1)]
         if self.dom.is_id1(f2) or self.dom.is_id1(f1):
             # normalization: the identity 3-cell on the common pasting
-            H = self.H
-            paste = H.comp1(H.wr12(self.at1[f2], self.F(1, f1)),
-                            H.wl12(self.G(1, f2), self.at1[f1]))
-            lhs = H.comp1(H.wl12(self.at0[self.dom.tgt(1, f2)],
-                                 self.F.coc(f2, f1)), paste)
-            return H.ident(2, lhs)
+            return self.H.ident(2, _coc_src(self.F, self.G, self.at0,
+                                            self.at1, f2, f1))
         raise Mismatch(f"missing cocycle component for ({f2!r}, {f1!r})")
 
     def key(self):
@@ -341,19 +382,13 @@ def validate_transformation(t):
                   and H.tgt(1, a) == G(0, x))
             yield ok, ("component-0", x)
         for f in dom.cells[1]:
-            try:
-                trans_sq(t, f)
-                ok = True
-            except (GrayError, KeyError):
-                ok = False
-            yield ok, ("component-1", f)
+            u = t.at1.get(f)
+            yield (H.has_cell(2, u) and (H.src(2, u), H.tgt(2, u))
+                   == _t1_faces(F, G, t.at0, f)), ("component-1", f)
         for g in dom.cells[2]:
-            try:
-                trans_p2(t, g)
-                ok = True
-            except (GrayError, KeyError):
-                ok = False
-            yield ok, ("component-2", g)
+            u = t.a2(g) if g in t.at2 or dom.is_id2(g) else None
+            yield (H.has_cell(3, u) and (H.src(3, u), H.tgt(3, u))
+                   == _t2_faces(F, G, t.at0, t.at1, g)), ("component-2", g)
 
     def unit():
         for x in dom.cells[0]:
@@ -385,15 +420,10 @@ def validate_transformation(t):
     def cocycle_conditions():
         for (f2, f1) in composable_keys(dom, "comp0"):
             c = t.acoc(f2, f1)
-            paste = H.comp1(H.wr12(t.at1[f2], F(1, f1)),
-                            H.wl12(G(1, f2), t.at1[f1]))
-            z = dom.tgt(1, f2)
-            x = dom.src(1, f1)
-            lhs2 = H.comp1(H.wl12(t.at0[z], F.coc(f2, f1)), paste)
-            rhs2 = H.comp1(t.at1[dom.comp0(f2, f1)],
-                           H.wr12(G.coc(f2, f1), t.at0[x]))
-            ok = H.src(3, c) == lhs2 and H.tgt(3, c) == rhs2
-            yield ok, ("cocycle-faces", f2, f1)
+            faces = (_coc_src(F, G, t.at0, t.at1, f2, f1),
+                     _coc_tgt(F, G, t.at0, t.at1, f2, f1))
+            yield (H.src(3, c), H.tgt(3, c)) == faces, \
+                ("cocycle-faces", f2, f1)
             try:
                 H.inv_3(c)
                 ok = True
@@ -504,15 +534,9 @@ def validate_modification(A):
                   and H.tgt(2, a) == be.at0[x])
             yield ok, ("component-0", x)
         for f in dom.cells[1]:
-            x, y = dom.src(1, f), dom.tgt(1, f)
             c = A.at1.get(f)
-            if c is None:
-                yield False, ("component-1", f)
-                continue
-            src3 = H.comp1(be.at1[f], H.wl12(G(1, f), A.at0[x]))
-            tgt3 = H.comp1(H.wr12(A.at0[y], F(1, f)), al.at1[f])
-            yield (H.src(3, c) == src3 and H.tgt(3, c) == tgt3), \
-                ("component-1", f)
+            yield (c is not None and _m1_faces(al, be, A.at0, f)
+                   == (H.src(3, c), H.tgt(3, c))), ("component-1", f)
 
     def unit():
         for x in dom.cells[0]:
@@ -722,51 +746,40 @@ def enumerate_strict_functors(G, H, cap=100000):
     return _take(_strict_functors(G, H), cap)
 
 
+def _choices(cells, options):
+    """One dict per choice of an option for each of cells, in product
+    order: none when some cell has no option, and options(c) is not asked
+    for the cells after it."""
+    opts = []
+    for c in cells:
+        opts.append(options(c))
+        if not opts[-1]:
+            return
+    for pick in product(*opts):
+        yield dict(zip(cells, pick))
+
+
 def _strict_functors(G, H):
-    zero_choices = [H.cells[0]] * len(G.cells[0])
-    for zs in product(*zero_choices):
-        ob = dict(zip(G.cells[0], zs))
-        ones = []
-        ok = True
-        for f in G.cells[1]:
-            opts = H.between(1, ob[G.src(1, f)], ob[G.tgt(1, f)])
-            if G.is_id1(f):
-                opts = [H.ident(0, ob[G.src(1, f)])]
-            ones.append(opts)
-            if not opts:
-                ok = False
-                break
-        if not ok:
-            continue
-        for fs in product(*ones):
-            mor = dict(zip(G.cells[1], fs))
+    def images(d, below):
+        """A d-cell's options: the identity on its source's image when it is
+        an identity, else the d-cells between its faces' images."""
+        def options(c):
+            s = G.src(d, c)
+            if G.id_up[d - 1].get(s) == c:
+                return [H.ident(d - 1, below[s])]
+            return H.between(d, below[s], below[G.tgt(d, c)])
+        return options
+
+    for ob in _choices(G.cells[0], lambda x: H.cells[0]):
+        for mor in _choices(G.cells[1], images(1, ob)):
             if any(mor[h] != H.comp0_11.get((mor[g], mor[f]))
                    for (g, f), h in G.comp0_11.items()):
                 continue
-            twos_opts = []
-            for a in G.cells[2]:
-                if G.is_id2(a):
-                    twos_opts.append([H.ident(1, mor[G.src(2, a)])])
-                else:
-                    twos_opts.append(H.between(2, mor[G.src(2, a)],
-                                               mor[G.tgt(2, a)]))
-            for ts in product(*twos_opts):
-                two = dict(zip(G.cells[2], ts))
-                threes_opts = []
-                for g3 in G.cells[3]:
-                    if G.is_id3(g3):
-                        threes_opts.append([H.ident(2, two[G.src(3, g3)])])
-                    else:
-                        threes_opts.append(H.between(3, two[G.src(3, g3)],
-                                                     two[G.tgt(3, g3)]))
-                for hs in product(*threes_opts):
-                    three = dict(zip(G.cells[3], hs))
+            for two in _choices(G.cells[2], images(2, mor)):
+                for three in _choices(G.cells[3], images(3, two)):
                     cand = StrictMap(G, H, {0: ob, 1: mor, 2: two, 3: three})
-                    try:
-                        cand.validate()
-                    except Mismatch:
-                        continue
-                    yield cand
+                    if not cand.violations():
+                        yield cand
 
 
 def enumerate_transformations(F, G, cap=100000):
@@ -775,64 +788,29 @@ def enumerate_transformations(F, G, cap=100000):
 
 
 def _transformations(F, G):
-    dom = F.dom
-    H = F.cod
-    c0 = []
-    for x in dom.cells[0]:
-        c0.append(H.between(1, F(0, x), G(0, x)))
-    for zs in product(*c0):
-        at0 = dict(zip(dom.cells[0], zs))
-        c1 = []
-        for f in dom.cells[1]:
-            x, y = dom.src(1, f), dom.tgt(1, f)
-            if dom.is_id1(f):
-                c1.append([H.ident(1, at0[x])])
-                continue
-            lhs = H.comp0(G(1, f), at0[x])
-            rhs = H.comp0(at0[y], F(1, f))
-            c1.append(H.between(2, lhs, rhs))
-        for fs in product(*c1):
-            at1 = dict(zip(dom.cells[1], fs))
-            c2 = []
-            feasible = True
-            for g in dom.cells[2]:
-                f, f1 = dom.src(2, g), dom.tgt(2, g)
-                x, y = dom.src0(2, g), dom.tgt0(2, g)
-                s3 = H.comp1(H.wl12(at0[y], F(2, g)), at1[f])
-                t3 = H.comp1(at1[f1], H.wr12(G(2, g), at0[x]))
-                opts = H.between(3, s3, t3)
-                if dom.is_id2(g):
-                    ideal = H.ident(2, at1[f])
-                    opts = [u for u in opts if u == ideal]
-                if not opts:
-                    feasible = False
-                    break
-                c2.append(opts)
-            if not feasible:
-                continue
-            pairs = [p for p in composable_keys(dom, "comp0")
-                     if not (dom.is_id1(p[0]) or dom.is_id1(p[1]))]
-            for ts in product(*c2):
-                at2 = dict(zip(dom.cells[2], ts))
-                ccs = []
-                ok = True
-                for (f2, f1) in pairs:
-                    z = dom.tgt(1, f2)
-                    x = dom.src(1, f1)
-                    paste = H.comp1(H.wr12(at1[f2], F(1, f1)),
-                                    H.wl12(G(1, f2), at1[f1]))
-                    s3 = H.comp1(H.wl12(at0[z], F.coc(f2, f1)), paste)
-                    t3 = H.comp1(at1[dom.comp0(f2, f1)],
-                                 H.wr12(G.coc(f2, f1), at0[x]))
-                    opts = H.between(3, s3, t3)
-                    if not opts:
-                        ok = False
-                        break
-                    ccs.append(opts)
-                if not ok:
-                    continue
-                for cs in product(*ccs):
-                    coc = dict(zip(pairs, cs))
+    dom, H = F.dom, F.cod
+    pairs = [p for p in composable_keys(dom, "comp0")
+             if not (dom.is_id1(p[0]) or dom.is_id1(p[1]))]
+
+    def ones(at0, f):
+        if dom.is_id1(f):
+            return [H.ident(1, at0[dom.src(1, f)])]
+        return H.between(2, *_t1_faces(F, G, at0, f))
+
+    def twos(at0, at1, g):
+        opts = H.between(3, *_t2_faces(F, G, at0, at1, g))
+        if dom.is_id2(g):
+            ideal = H.ident(2, at1[dom.src(2, g)])
+            return [u for u in opts if u == ideal]
+        return opts
+
+    for at0 in _choices(dom.cells[0],
+                        lambda x: H.between(1, F(0, x), G(0, x))):
+        for at1 in _choices(dom.cells[1], lambda f: ones(at0, f)):
+            for at2 in _choices(dom.cells[2], lambda g: twos(at0, at1, g)):
+                for coc in _choices(pairs, lambda p: H.between(
+                        3, _coc_src(F, G, at0, at1, *p),
+                        _coc_tgt(F, G, at0, at1, *p))):
                     t = LaxTransformation(F, G, at0, at1, at2, coc)
                     if all(r.ok for r in validate_transformation(t)):
                         yield t
@@ -845,26 +823,10 @@ def enumerate_modifications(a, b, cap=100000):
 
 def _modifications(a, b):
     dom, H = a.dom, a.H
-    c0 = []
-    for x in dom.cells[0]:
-        c0.append(H.between(2, a.at0[x], b.at0[x]))
-    for zs in product(*c0):
-        at0 = dict(zip(dom.cells[0], zs))
-        c1 = []
-        feasible = True
-        for f in dom.cells[1]:
-            x, y = dom.src(1, f), dom.tgt(1, f)
-            s3 = H.comp1(b.at1[f], H.wl12(a.G(1, f), at0[x]))
-            t3 = H.comp1(H.wr12(at0[y], a.F(1, f)), a.at1[f])
-            opts = H.between(3, s3, t3)
-            if not opts:
-                feasible = False
-                break
-            c1.append(opts)
-        if not feasible:
-            continue
-        for fs in product(*c1):
-            at1 = dict(zip(dom.cells[1], fs))
+    for at0 in _choices(dom.cells[0],
+                        lambda x: H.between(2, a.at0[x], b.at0[x])):
+        for at1 in _choices(dom.cells[1], lambda f: H.between(
+                3, *_m1_faces(a, b, at0, f))):
             A = Modification(a, b, at0, at1)
             if all(r.ok for r in validate_modification(A)):
                 yield A
@@ -877,11 +839,9 @@ def enumerate_perturbations(A, B, cap=100000):
 
 def _perturbations(A, B):
     dom, H = A.dom, A.H
-    c0 = []
-    for x in dom.cells[0]:
-        c0.append(H.between(3, A.at0[x], B.at0[x]))
-    for zs in product(*c0):
-        s = Perturbation(A, B, dict(zip(dom.cells[0], zs)))
+    for at0 in _choices(dom.cells[0],
+                        lambda x: H.between(3, A.at0[x], B.at0[x])):
+        s = Perturbation(A, B, at0)
         if all(r.ok for r in validate_perturbation(s)):
             yield s
 
@@ -904,14 +864,8 @@ def rho(F):
     for g in dom.cells[2]:
         f = dom.src(2, g)
         at2[g] = H.ident(2, H.comp1(F(2, g), at1[f]))
-    coc = {}
-    for (f2, f1) in composable_keys(dom, "comp0"):
-        paste = H.comp1(H.wr12(at1[f2], F(1, f1)),
-                        H.wl12(s(1, f2), at1[f1]))
-        x = dom.src(1, f1)
-        z = dom.tgt(1, f2)
-        lhs = H.comp1(H.wl12(at0[z], F.coc(f2, f1)), paste)
-        coc[(f2, f1)] = H.ident(2, lhs)
+    coc = {(f2, f1): H.ident(2, _coc_src(F, s, at0, at1, f2, f1))
+           for (f2, f1) in composable_keys(dom, "comp0")}
     return LaxTransformation(F, s, at0, at1, at2, coc, name=f"rho({F.name})")
 
 

@@ -1268,7 +1268,9 @@ class StrictMap:
     def __call__(self, d, c):
         return self.maps[d][c]
 
-    def validate(self):
+    def violations(self):
+        """The ("cell" | "faces" | "identity", d, c) and ("table", op, l, r)
+        entries that keep this from being a strict Gray-functor."""
         A, B = self.dom, self.cod
         bad = []
         for d in A.DIMS:
@@ -1289,6 +1291,10 @@ class StrictMap:
             for (l, r), v in getattr(A, attr).items():
                 if apply(self.maps[dl][l], self.maps[dr][r]) != self.maps[dout][v]:
                     bad.append(("table", op, l, r))
+        return bad
+
+    def validate(self):
+        bad = self.violations()
         if bad:
             raise Mismatch(f"not a strict Gray-functor: {bad[:5]}")
         return True

@@ -70,12 +70,17 @@ def p3(B, G1, G2, aq, bq):
         raise NotComposable("G1 does not connect the a1 components")
     if B.src(3, G2) != aq[3] or B.tgt(3, G2) != bq[3]:
         raise NotComposable("G2 does not connect the a2 components")
+    if not p3_commutes(B, G1, G2, aq, bq):
+        raise NotComposable("path 3-cell commuting condition fails")
+    return ("p3", G1, G2, aq, bq)
+
+
+def p3_commutes(B, G1, G2, aq, bq):
+    """The commuting condition of a path 3-cell with incident components."""
     gq, hq = aq[4], aq[5]
     lhs = B.comp2(bq[1], B.wr23(B.wl13(gq[5], G1), gq[1]))
     rhs = B.comp2(B.wl23(hq[1], B.wr13(G2, gq[4])), aq[1])
-    if lhs != rhs:
-        raise NotComposable("path 3-cell commuting condition fails")
-    return ("p3", G1, G2, aq, bq)
+    return lhs == rhs
 
 
 def pdim(c):
@@ -328,11 +333,9 @@ def path_cells(B, keep=None):
                     for bq in cs:
                         for G1 in B.between(3, aq[2], bq[2]):
                             for G2 in B.between(3, aq[3], bq[3]):
-                                try:
-                                    c = p3(B, G1, G2, aq, bq)
-                                except NotComposable:
-                                    continue
-                                if keep is None or keep(3, c):
+                                c = ("p3", G1, G2, aq, bq)
+                                if (p3_commutes(B, G1, G2, aq, bq)
+                                        and (keep is None or keep(3, c))):
                                     p3s.append(c)
     return zeros, squares, p2s, p3s
 

@@ -55,6 +55,14 @@ REPORTS = {
         "2434987cd9d2e2f6f51b2b15a93a91c6f5f10e886062afdf4e15daf60c38ac2a",
     ("hom", "INT", "CYC2"):
         "b843d11a7448a83a4a88df1b22ab0757ea6c7ea5b13060800abc58a298ee39c3",
+    # the enumerators' order decides the order of these hom spaces' cells;
+    # taken before the enumerators drew their choices through _choices
+    ("hom", "PAIR", "BIG"):
+        "5946b642c3b3012171200a51edff41ce58932d3dba9c63c350f4a29d5340b8f7",
+    ("hom", "PAIR", "CYC2"):
+        "7c0fa99bcead77001b60db1dcca6d0fcfcc88c5b76a24ff8a30ca0ee769a7658",
+    ("hom", "PAIR", "PAIR"):
+        "8277691a640e0674dc5e4f453e0bdc01b89464b608328563b209c90e9a482df2",
     ("check", "gray", "BIG"):
         "1e0c30b2cef9a632af9a69e907c6bc7bea02fa9b8f649052e99ec7d1b1276915",
     ("check", "gray", "CHAIN3"):

@@ -416,3 +416,158 @@ def test_whisker_compatibility_matches_the_nested_loops(gname):
         else:
             assert rep.status == "pass" and rep.tuples_checked == n > 0
     assert statuses == {"pass", "fail"}
+
+
+# -- broken components keep their verdicts ---------------------------------------
+
+# (case, dom) -> the failing reports (law, tuples checked, counterexample),
+# taken before the incidence laws read the component boundaries instead of
+# catching the errors that building the path cells raised
+KE, NC = ("error", "KeyError"), ("error", "NotComposable")
+BROKEN = {
+    ("missing-at1", "INT"): [
+        ("transformation-incidence", 5, ("component-1", "a")),
+        ("transformation-units", 4, KE + ("'a'",)),
+        ("three-cell-square", 2, KE + ("'a'",)),
+        ("cocycle-condition", 3, KE + ("'a'",)),
+        ("whisker-compatibility", 1, KE + ("'a'",))],
+    ("missing-at1", "PAIR"): [
+        ("transformation-incidence", 7, ("component-1", "f")),
+        ("transformation-units", 6, KE + ("'f'",)),
+        ("three-cell-square", 3, KE + ("'f'",)),
+        ("cocycle-condition", 3, KE + ("'f'",)),
+        ("whisker-compatibility", 1, KE + ("'f'",))],
+    ("non-cell-at1", "INT"): [
+        ("transformation-incidence", 5, ("component-1", "a")),
+        ("transformation-units", 4, KE + ("'nope'",)),
+        ("three-cell-square", 2, KE + ("'nope'",)),
+        ("cocycle-condition", 3, KE + ("'nope'",)),
+        ("whisker-compatibility", 1, KE + ("'nope'",))],
+    ("non-cell-at1", "PAIR"): [
+        ("transformation-incidence", 7, ("component-1", "f")),
+        ("transformation-units", 6, KE + ("'nope'",)),
+        ("three-cell-square", 3, KE + ("'nope'",)),
+        ("cocycle-condition", 3, KE + ("'nope'",)),
+        ("whisker-compatibility", 1, KE + ("'nope'",))],
+    ("swap-seed-1", "INT"): [
+        ("transformation-incidence", 5, ("component-1", "a")),
+        ("transformation-units", 5, ("unit-2", "a")),
+        ("three-cell-square", 2, NC + ("wr23 'id[id[g]]' 'id[f]'",)),
+        ("cocycle-condition", 3, NC + ("comp1 'id[g]' after 'id[f]'",)),
+        ("whisker-compatibility", 1, NC + ("comp1 'id[g]' after 'id[f]'",))],
+    ("swap-seed-1", "PAIR"): [
+        ("transformation-incidence", 8, ("component-1", "g")),
+        ("transformation-units", 8, ("unit-2", "g")),
+        ("three-cell-square", 4,
+         NC + ("comp2 'id[id[g]]' after 'id[alpha]'",)),
+        ("cocycle-condition", 12, NC + ("comp1 'alpha' after 'id[g]'",)),
+        ("whisker-compatibility", 4, NC + ("wl23 'alpha' 'id[id[g]]'",))],
+    # an identity 2-cell's missing component is the normalized one
+    ("missing-at2", "INT"): [],
+    ("missing-at2", "PAIR"): [],
+    ("wrong-at2", "INT"): [
+        ("transformation-incidence", 8, ("component-2", "id[a]")),
+        ("transformation-units", 5, ("unit-2", "a")),
+        ("three-cell-square", 2,
+         NC + ("comp2 'id[id[idx]]' after 'id[alpha]'",)),
+        ("vertical-composites", 0, NC + ("wl23 'id[g]' 'id[id[idx]]'",)),
+        ("whisker-compatibility", 1, NC + ("wr23 'id[id[idx]]' 'id[f]'",))],
+    ("wrong-at2", "PAIR"): [
+        ("transformation-incidence", 15, ("component-2", "id[h]")),
+        ("transformation-units", 9, ("unit-2", "h")),
+        ("three-cell-square", 5,
+         NC + ("comp2 'id[id[idx]]' after 'id[alpha]'",)),
+        ("vertical-composites", 2, NC + ("wl23 'id[g]' 'id[id[idx]]'",)),
+        ("whisker-compatibility", 2, NC + ("wr23 'id[id[idx]]' 'id[f]'",))],
+    ("wrong-coc", "INT"): [
+        ("cocycle-condition", 10, ("cocycle-faces", "id1", "a")),
+        ("whisker-compatibility", 3, NC + ("wr23 'id[id[idx]]' 'id[f]'",))],
+    ("wrong-coc", "PAIR"): [
+        ("cocycle-condition", 22, ("cocycle-faces", "g", "f")),
+        ("whisker-compatibility", 7, NC + ("wr23 'id[id[idx]]' 'id[f]'",))],
+    ("wrong-mod-at1", "INT"): [
+        ("modification-incidence", 5, ("component-1", "a")),
+        ("two-cell-compatibility", 2, NC + ("wl23 'id[g]' 'id[id[idx]]'",)),
+        ("cocycle-compatibility", 1, NC + ("wr23 'id[id[idx]]' 'id[f]'",))],
+    ("wrong-mod-at1", "PAIR"): [
+        ("modification-incidence", 7, ("component-1", "f")),
+        ("two-cell-compatibility", 3, NC + ("wl23 'id[g]' 'id[id[idx]]'",)),
+        ("cocycle-compatibility", 1, NC + ("wr23 'id[id[idx]]' 'id[f]'",))],
+}
+
+
+def _failing(reports):
+    return [(r.law, r.tuples_checked, r.counterexample)
+            for r in reports if not r.ok]
+
+
+def _broken(case, t, f):
+    """validate_* of t (or of its first endo-modification) with one
+    component broken; f is a non-identity 1-cell of t's domain."""
+    from graypath.faults import corrupt_transformation
+    from graypath.kernel import composable_keys
+    dom, H = t.dom, t.H
+    parts = {"at0": t.at0, "at1": t.at1, "at2": t.at2, "coc": t.coc}
+    g = dom.cells[2][-1]
+    if case == "swap-seed-1":
+        return validate_transformation(corrupt_transformation(t, 1)[0])
+    if case == "wrong-mod-at1":
+        A = enumerate_modifications(t, t)[0][0]
+        other = next(c for c in H.cells[3] if c != A.at1[f])
+        return validate_modification(
+            Modification(t, t, A.at0, {**A.at1, f: other}))
+    if case == "missing-at1":
+        parts["at1"] = {k: v for k, v in t.at1.items() if k != f}
+    elif case == "non-cell-at1":
+        parts["at1"] = {**t.at1, f: "nope"}
+    elif case == "missing-at2":
+        parts["at2"] = {k: v for k, v in t.at2.items() if k != g}
+    elif case == "wrong-at2":
+        parts["at2"] = {**t.at2,
+                        g: next(c for c in H.cells[3] if c != t.a2(g))}
+    elif case == "wrong-coc":
+        pairs = list(composable_keys(dom, "comp0"))
+        p = next((q for q in pairs
+                  if not (dom.is_id1(q[0]) or dom.is_id1(q[1]))), pairs[-1])
+        parts["coc"] = {**t.coc,
+                        p: next(c for c in H.cells[3] if c != t.acoc(*p))}
+    return validate_transformation(LaxTransformation(t.F, t.G, **parts))
+
+
+@pytest.mark.parametrize("case, gname", sorted(BROKEN))
+def test_broken_components_keep_their_verdicts(case, gname):
+    """The first transformation of [gname,BIG] with a non-identity
+    component at the first non-identity 1-cell f, broken one way."""
+    ts = _transformations(gname, "BIG")
+    dom, H = ts[0].dom, ts[0].H
+    f = next(c for c in dom.cells[1] if not dom.is_id1(c))
+    t = next(t for t in ts if not H.is_id2(t.at1[f]))
+    assert _failing(_broken(case, t, f)) == BROKEN[(case, gname)]
+
+
+def test_a_non_identity_2_cell_component_missing_or_wrong_fails_incidence():
+    """On the identity transformation of BIG's identity functor, at the
+    non-identity 2-cell alpha."""
+    from graypath.kernel import identity_map
+    B = fixture("BIG")
+    t = identity_transformation(strict_as_pseudo(identity_map(B)))
+    missing = {k: v for k, v in t.at2.items() if k != "alpha"}
+    other = next(c for c in B.cells[3] if c != t.at2["alpha"])
+    witness = ("transformation-incidence", 11, ("component-2", "alpha"))
+    for at2, rest in (
+            (missing, [
+                ("three-cell-square", 4, ("error", "Mismatch",
+                                          "missing 2-cell component for 'alpha'")),
+                ("vertical-composites", 0, ("error", "Mismatch",
+                                            "missing 2-cell component for 'alpha'")),
+                ("whisker-compatibility", 3, ("error", "Mismatch",
+                                              "missing 2-cell component for 'alpha'"))]),
+            ({**t.at2, "alpha": other}, [
+                ("three-cell-square", 4,
+                 NC + ("comp2 'id[id[idx]]' after 'id[alpha]'",)),
+                ("vertical-composites", 0,
+                 NC + ("wr23 'id[id[idx]]' 'id[f]'",)),
+                ("whisker-compatibility", 3,
+                 NC + ("wr23 'id[id[idx]]' 'id[f]'",))])):
+        bad = LaxTransformation(t.F, t.G, t.at0, t.at1, at2, t.coc)
+        assert _failing(validate_transformation(bad)) == [witness] + rest

@@ -579,3 +579,28 @@ def test_a_passing_check_sorts_no_table(monkeypatch):
     # a failing law is run again on C, reading its tables sorted
     assert not all_pass(check_gray_axioms(D))
     assert sorts
+
+
+def test_strict_map_violations_name_a_changed_table_image():
+    """violations() is the list validate() raises on: empty on an identity
+    map, and naming each table row that a changed image breaks."""
+    from graypath.homspace import enumerate_strict_functors
+    from graypath.kernel import Mismatch, StrictMap, identity_map
+    for name in ("BIG", "PAIR"):
+        assert identity_map(fixture(name)).violations() == []
+    G, H = fixture("PAIR"), fixture("BIG")
+    funs, _ = enumerate_strict_functors(G, H)
+    F = next(F for F in funs
+             if F.maps[1]["f"] == "f" and F.maps[1]["h"] == "f")
+    assert F.violations() == []
+    maps = {d: dict(F.maps[d]) for d in F.maps}
+    # h = g #0 f goes to the parallel g, and its identities follow
+    maps[1]["h"], maps[2]["id[h]"], maps[3]["id[id[h]]"] = \
+        "g", "id[g]", "id[id[g]]"
+    bad = StrictMap(G, H, maps)
+    assert bad.violations()[:5] == [
+        ("table", "comp0", "g", "f"), ("table", "wl12", "g", "id[f]"),
+        ("table", "wr12", "id[g]", "f"), ("table", "wl13", "g", "id[id[f]]"),
+        ("table", "wr13", "id[id[g]]", "f")]
+    with pytest.raises(Mismatch):
+        bad.validate()

@@ -1,17 +1,30 @@
-"""No law of the tower checker catches an exception.
+"""No law of the tower checker and no hom-space enumerator catches an
+exception.
 
 Every tuple a tower law checks is picked by an explicit face predicate,
 read from an index, so a construction that raises on such a tuple fails
 its law through law_report's ("error", ...) counterexample.  A `try` in
-the checker would let it skip that tuple instead.  This guard fails on any
-`try` statement inside the functions below, nested functions included.
+the checker would let it skip that tuple instead.  In the same way the
+enumerators of [G,H] and of path cells keep a candidate by a predicate
+(a component between its boundary cells, StrictMap.violations, the path
+3-cell commuting condition), so a candidate that raises stops the
+enumeration instead of being dropped.  This guard fails on any `try`
+statement inside the functions below, nested functions included.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 CHECKERS = ("assemble_internal_graycat", "check_1cartesian")
+# (module of graypath, names of its top-level functions)
+ENUMERATORS = [
+    ("homspace", ("_strict_functors", "_transformations", "_modifications",
+                  "_perturbations")),
+    ("pathspace", ("path_cells",)),
+]
 # try/except* is ast.TryStar from Python 3.11 on
 TRIES = tuple(getattr(ast, n) for n in ("Try", "TryStar") if hasattr(ast, n))
 
@@ -27,12 +40,24 @@ def _tries(tree, names):
     return found
 
 
-def test_the_tower_checker_catches_no_exception():
-    path = ROOT / "src" / "graypath" / "highercells.py"
+def _module_tries(module, names):
+    """_tries over graypath's module, whose top-level functions must
+    include every one of names."""
+    path = ROOT / "src" / "graypath" / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert set(CHECKERS) <= defined
-    assert _tries(tree, CHECKERS) == []
+    assert set(names) <= defined
+    return _tries(tree, names)
+
+
+def test_the_tower_checker_catches_no_exception():
+    assert _module_tries("highercells", CHECKERS) == []
+
+
+@pytest.mark.parametrize("module, names", ENUMERATORS,
+                         ids=[m for m, _ in ENUMERATORS])
+def test_no_enumerator_catches_an_exception(module, names):
+    assert _module_tries(module, names) == []
 
 
 def test_the_guard_finds_a_nested_try():
