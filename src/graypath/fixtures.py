@@ -94,12 +94,6 @@ def _finish(C):
     return C
 
 
-def _free_category(C, pairs):
-    """Install comp0 entries for a table of declared composites."""
-    for (g, f), h in pairs.items():
-        C.comp0_11[(g, f)] = h
-
-
 def _trivial_above_1(C):
     """Only identity 2- and 3-cells; tables follow from unit laws."""
     for f in C.cells[1]:
@@ -110,21 +104,6 @@ def _trivial_above_1(C):
         g = f"id[{a}]"
         C.add_cell(3, g, a, a)
         C.id_up[2][a] = g
-
-    def c0(k, f):
-        if C.id_up[0].get(C.src(1, k)) == k:
-            return f
-        if C.id_up[0].get(C.src(1, f)) == f:
-            return k
-        return C.comp0_11[(k, f)]
-
-    # whiskers of identity 2-cells: k #0 id_f = id_{k#0f}
-    for k in C.cells[1]:
-        for f in C.cells[1]:
-            if C.src(1, k) == C.tgt(1, f):
-                kf = c0(k, f)
-                C.whisk_l12[(k, C.id_up[1][f])] = C.id_up[1][kf]
-                C.whisk_r12[(C.id_up[1][k], f)] = C.id_up[1][kf]
 
 
 def t1():
@@ -145,7 +124,6 @@ def interval():
         C.id_up[0][x] = f"id{x}"
         C.add_cell(1, f"id{x}", x, x)
     C.add_cell(1, "a", "0", "1")
-    _free_category(C, {})
     _trivial_above_1(C)
     C.generators = ["a"]
     return _finish(C)
@@ -186,7 +164,7 @@ def pair():
     C.add_cell(1, "f", "x", "y")
     C.add_cell(1, "g", "y", "z")
     C.add_cell(1, "h", "x", "z")
-    _free_category(C, {("g", "f"): "h"})
+    C.comp0_11.update({("g", "f"): "h"})
     _trivial_above_1(C)
     C.generators = ["f", "g"]
     return _finish(C)
@@ -213,7 +191,7 @@ def chain(n):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 comp[(name(j, k), name(i, j))] = name(i, k)
-    _free_category(C, comp)
+    C.comp0_11.update(comp)
     _trivial_above_1(C)
     C.generators = [name(i, i + 1) for i in range(n)]
     return _finish(C)
@@ -225,7 +203,7 @@ def cyc2():
     C.id_up[0]["*"] = "e"
     C.add_cell(1, "e", "*", "*")
     C.add_cell(1, "s", "*", "*")
-    _free_category(C, {("s", "s"): "e"})
+    C.comp0_11.update({("s", "s"): "e"})
     _trivial_above_1(C)
     C.is_groupoid = True
     C.inv1 = {"e": "e", "s": "s"}
@@ -255,7 +233,7 @@ def twist():
         for ff in ("f", "fp"):
             comp[(gg, ff)] = f"{gg}.{ff}"
             C.add_cell(1, f"{gg}.{ff}", "x", "z")
-    _free_category(C, comp)
+    C.comp0_11.update(comp)
 
     for h in list(C.cells[1]):
         a = f"id[{h}]"

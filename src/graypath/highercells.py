@@ -48,10 +48,7 @@ def undegenerate(B, d, c):
     if d == 0:
         return B.src(1, c) if B.is_id1(c) else None
     cand = c[2] if d in (1, 2) else c[1]
-    try:
-        return cand if c == degeneracy(B, d, cand) else None
-    except (KeyError, NotComposable):
-        return None
+    return cand if c == degeneracy(B, d, cand) else None
 
 
 def zip_path(d, u, v):

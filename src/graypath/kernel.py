@@ -221,8 +221,7 @@ class GrayCat:
         self.inv3 = {}
         self.is_groupoid = False
         self.generators = None  # 1-free flag: list of generating 1-cells
-        self._inv2_cache = {}
-        self._inv3_cache = {}
+        self._inverses = {}
         self._faces = {}
 
     # -- construction ------------------------------------------------
@@ -418,32 +417,35 @@ class GrayCat:
             raise NotAGroupoid(f"{self.name}: no 1-cell inverse for {f!r}")
         return self.inv1[f]
 
-    def inv_2(self, a):
-        """Two-sided #1-inverse, from the table or by exact search."""
-        if a in self.inv2:
-            return self.inv2[a]
-        if a in self._inv2_cache:
-            return self._inv2_cache[a]
-        f, g = self.src_[2][a], self.tgt_[2][a]
-        for b in self.between(2, g, f):
-            if (self.comp1_22.get((b, a)) == self.id_up[1][f]
-                    and self.comp1_22.get((a, b)) == self.id_up[1][g]):
-                self._inv2_cache[a] = b
+    def inverse(self, d, c):
+        """The two-sided #1-inverse of a 2-cell (d = 2) or #2-inverse of a
+        3-cell (d = 3), from the table or by exact search; None if c has
+        none.  A found inverse is kept."""
+        table = self.inv2 if d == 2 else self.inv3
+        if c in table:
+            return table[c]
+        if (d, c) in self._inverses:
+            return self._inverses[(d, c)]
+        comp = self.comp1_22 if d == 2 else self.comp2_33
+        s, t = self.src_[d][c], self.tgt_[d][c]
+        for b in self.between(d, t, s):
+            if (comp.get((b, c)) == self.id_up[d - 1][s]
+                    and comp.get((c, b)) == self.id_up[d - 1][t]):
+                self._inverses[(d, c)] = b
                 return b
-        raise NotAGroupoid(f"{self.name}: 2-cell {a!r} has no #1-inverse")
+        return None
+
+    def inv_2(self, a):
+        b = self.inverse(2, a)
+        if b is None:
+            raise NotAGroupoid(f"{self.name}: 2-cell {a!r} has no #1-inverse")
+        return b
 
     def inv_3(self, g):
-        if g in self.inv3:
-            return self.inv3[g]
-        if g in self._inv3_cache:
-            return self._inv3_cache[g]
-        a, b = self.src_[3][g], self.tgt_[3][g]
-        for h in self.between(3, b, a):
-            if (self.comp2_33.get((h, g)) == self.id_up[2][a]
-                    and self.comp2_33.get((g, h)) == self.id_up[2][b]):
-                self._inv3_cache[g] = h
-                return h
-        raise NotAGroupoid(f"{self.name}: 3-cell {g!r} has no #2-inverse")
+        h = self.inverse(3, g)
+        if h is None:
+            raise NotAGroupoid(f"{self.name}: 3-cell {g!r} has no #2-inverse")
+        return h
 
 
 # -- horizontal composites of 0-composable 2-cells ---------------------------
@@ -511,9 +513,19 @@ def law_report(name, gen):
     return CheckReport(name, "pass", n)
 
 
-def run_laws(laws):
-    """One CheckReport per (name, generator) pair, in order."""
-    return [law_report(name, gen) for name, gen in laws]
+def run_laws(laws, witness=None):
+    """One CheckReport per (name, generator) pair, in order.
+
+    witness(), if given, returns the same laws again, reading what they
+    read in the order that names a failure's witness (_key_order); each
+    law that fails is run again from it, and a passing law keeps its
+    report, whose verdict and tuple count do not depend on the order.
+    """
+    reports = [law_report(name, gen) for name, gen in laws]
+    if witness is None or all_pass(reports):
+        return reports
+    return [r if r.ok else law_report(name, gen)
+            for r, (name, gen) in zip(reports, witness())]
 
 
 def check_gray_axioms(C):
@@ -524,29 +536,22 @@ def check_gray_axioms(C):
     deterministic cell order, so counterexamples are reproducible.
 
     The laws run on C's position copy (_by_position), whose cells are
-    ints, reading each table in insertion order: a passing law's verdict
-    and tuple count do not depend on the order.  A law that fails there is
-    run again on C, with its tables sorted by _key_order, so that its
-    counterexample names C's cells and is the one it always was.  When the
-    position copy is not exact (a face, identity, inverse or table row
-    names something that is not a cell), every law runs on C.
+    ints, reading each table in insertion order; the copy is isomorphic to
+    C, so each law has the same verdict and tuple count on both.  A law
+    that fails there is run again on C, with its tables sorted by
+    _key_order, so that its counterexample names C's cells and is the one
+    it always was.
     """
-    N = _exact_position_copy(C)
-    if N is None:
-        return run_laws(_gray_law_generators(C))
-    reports = run_laws(_gray_law_generators(N, dict.items))
-    if all_pass(reports):
-        return reports
-    return [r if r.ok else law_report(name, gen)
-            for r, (name, gen) in zip(reports, _gray_law_generators(C))]
+    return run_laws(_gray_law_generators(_by_position(C, _ranks(C)),
+                                         dict.items),
+                    witness=lambda: _gray_law_generators(C, _key_order))
 
 
 def gray_axioms_hold(C):
     """Whether every law of check_gray_axioms passes on C: the laws run on
-    C's position copy (on C when it is not exact), in table insertion
-    order, and stop at the first failing law, with no counterexample."""
-    N = _exact_position_copy(C)
-    laws = _gray_law_generators(C if N is None else N, dict.items)
+    C's position copy, in table insertion order, and stop at the first
+    failing law, with no counterexample."""
+    laws = _gray_law_generators(_by_position(C, _ranks(C)), dict.items)
     return all(law_report(name, gen).ok for name, gen in laws)
 
 
@@ -572,25 +577,14 @@ def _key_order(table):
                   key=lambda kv: f"({text(kv[0][0])}, {text(kv[0][1])})")
 
 
-def _gray_law_generators(C, rows=None):
+def _gray_law_generators(C, rows):
     """The laws of check_gray_axioms on C, as (name, generator) pairs.
 
     rows(table) gives the items of an operation table in the order the
-    laws read them.  By default each table is sorted by _key_order, once
-    and on first read, so that a failing law stops at the first
-    counterexample in the order of its keys' reprs; a passing law checks
-    the same tuples in any order.
+    laws read them: dict.items, or _key_order, so that a failing law stops
+    at the first counterexample in the order of its keys' reprs.  A
+    passing law checks the same tuples in any order.
     """
-    if rows is None:
-        ordered = {}
-
-        def rows(table):
-            try:
-                return ordered[id(table)]
-            except KeyError:
-                items = ordered[id(table)] = _key_order(table)
-                return items
-
     def faces():
         # globularity
         for d in (2, 3):
@@ -784,12 +778,7 @@ def _gray_law_generators(C, rows=None):
                   and C.tgt(3, t) == hcomp_right(C, b, a))
             yield ok, ("tensor-faces", b, a)
             # tensors are invertible interchangers
-            try:
-                C.inv_3(t)
-                ok = True
-            except NotAGroupoid:
-                ok = False
-            yield ok, ("tensor-invertible", b, a)
+            yield C.inverse(3, t) is not None, ("tensor-invertible", b, a)
             if C.is_id2(b) or C.is_id2(a):
                 yield C.is_id3(t), ("tensor-identity-trivial", b, a)
         # naturality in both arguments
@@ -853,12 +842,7 @@ def _gray_law_generators(C, rows=None):
             ok = (C.comp0(fb, f) == C.id_up[0][x] and C.comp0(f, fb) == C.id_up[0][y])
             yield ok, ("groupoid-inv1", f)
         for a in C.cells[2]:
-            try:
-                C.inv_2(a)
-                ok = True
-            except NotAGroupoid:
-                ok = False
-            yield ok, ("groupoid-inv2", a)
+            yield C.inverse(2, a) is not None, ("groupoid-inv2", a)
 
     return [
         ("incidence-and-faces", faces()),
@@ -878,12 +862,16 @@ def all_pass(reports):
 # -- structural validation (used by the loader) ------------------------------
 
 
-def structural_violations(C, limit=20):
-    """Dangling ids, non-closure, globularity failures - with locations."""
+MAX_VIOLATIONS = 20
+
+
+def structural_violations(C):
+    """Dangling ids, non-closure, globularity failures - with locations;
+    the first MAX_VIOLATIONS of them."""
     out = []
 
     def note(msg):
-        if len(out) < limit:
+        if len(out) < MAX_VIOLATIONS:
             out.append(msg)
 
     for d in (1, 2, 3):
@@ -1115,19 +1103,29 @@ def sub_graycat(C, keep, name=None):
     return S
 
 
+class _Ranks(dict):
+    """The d-cells' positions; a name that is not a d-cell reads as
+    ("absent", name), which no position equals."""
+
+    def __missing__(self, name):
+        return ("absent", name)
+
+
 def _ranks(C):
     """Each d-cell's position in C.cells[d]."""
-    return {d: {c: i for i, c in enumerate(C.cells[d])} for d in C.DIMS}
+    return {d: _Ranks(zip(C.cells[d], range(len(C.cells[d]))))
+            for d in C.DIMS}
 
 
 def _by_position(C, rank):
     """C's position copy, given rank = _ranks(C): the GrayCat whose d-cells
     are the positions range(len(C.cells[d])), with C's faces, identities,
-    inverses, groupoid flag and ten tables re-keyed to them.  An entry that
-    names something other than a cell of C of the right dimension is left
-    out.  The copy is read, never extended."""
+    inverses, groupoid flag and ten tables re-keyed to them.  Every entry
+    is kept; a name that is not a cell of C of the right dimension becomes
+    ("absent", name), so the copy is isomorphic to C.  The copy is read,
+    never extended."""
     def relabel(table, rk, rv):
-        return {rk[c]: rv[v] for c, v in table.items() if c in rk and v in rv}
+        return {rk[c]: rv[v] for c, v in table.items()}
 
     N = GrayCat(name=C.name)
     for d in C.DIMS:
@@ -1144,24 +1142,8 @@ def _by_position(C, rank):
     for _, attr, _, dl, dr, dout in TABLES:
         rl, rr, rv = rank[dl], rank[dr], rank[dout]
         setattr(N, attr, {(rl[l], rr[r]): rv[v]
-                          for (l, r), v in getattr(C, attr).items()
-                          if l in rl and r in rr and v in rv})
+                          for (l, r), v in getattr(C, attr).items()})
     return N
-
-
-def _entries(C):
-    """Every face, identity, inverse and table dict of C, in one order."""
-    return ([C.src_[d] for d in (1, 2, 3)] + [C.tgt_[d] for d in (1, 2, 3)]
-            + [C.id_up[d] for d in (0, 1, 2)] + [C.inv1, C.inv2, C.inv3]
-            + [getattr(C, attr) for _, attr, *_ in TABLES])
-
-
-def _exact_position_copy(C):
-    """C's position copy if it left nothing of C out, else None."""
-    N = _by_position(C, _ranks(C))
-    if all(len(a) == len(b) for a, b in zip(_entries(C), _entries(N))):
-        return N
-    return None
 
 
 def pullback_cells(A, fa, B, fb, pair, name=""):

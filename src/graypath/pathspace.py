@@ -27,7 +27,7 @@ The alternative reading fails those checks on the first nontrivial input.
 from __future__ import annotations
 
 from .kernel import (TABLES, GrayCat, GrayError, NotComposable, StrictMap,
-                     composable_keys)
+                     _key_order, composable_keys)
 from .resolution import PseudoMap, Q1Layer, q1_normalize, q1_tag, q2_cell, q3_cell
 
 
@@ -291,7 +291,7 @@ def path_squares(B, zeros):
     """The squares of path(B) whose top and bottom are in zeros, in the
     order path_cells lists them."""
     ok, dec = set(zeros), {}
-    for (g, f), h in sorted(B.comp0_11.items(), key=lambda kv: repr(kv[0])):
+    for (g, f), h in _key_order(B.comp0_11):
         dec.setdefault(h, []).append((g, f))
     return [("sq", u, g0, g1, f, f1) for u in B.cells[2]
             for g1, f in dec[B.src(2, u)] if f in ok

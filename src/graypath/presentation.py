@@ -157,7 +157,7 @@ class _Text:
                               for v in x) + end + "]"
 
 
-def from_document(doc, max_violations=20):
+def from_document(doc):
     """The GrayCat a document describes.
 
     Raises ParseError when the document is malformed and ValidationError
@@ -169,7 +169,7 @@ def from_document(doc, max_violations=20):
         raise ParseError(f"unknown format {doc.get('format')!r}, expected {FORMAT}")
     try:
         C = _build(doc)
-        violations = structural_violations(C, limit=max_violations)
+        violations = structural_violations(C)
     except (KeyError, GrayError) as exc:
         raise ParseError(str(exc)) from None
     except (AttributeError, TypeError, ValueError) as exc:

@@ -415,8 +415,8 @@ def test_non_composable_table_row_is_located(name, attr, l, r):
 def _c_route(C):
     """check_gray_axioms as it reads on C itself: every law on C's cells,
     each table sorted by _key_order."""
-    from graypath.kernel import _gray_law_generators, run_laws
-    return [r.as_dict() for r in run_laws(_gray_law_generators(C))]
+    from graypath.kernel import _gray_law_generators, _key_order, run_laws
+    return [r.as_dict() for r in run_laws(_gray_law_generators(C, _key_order))]
 
 
 def _path(name, loaded=False):
@@ -480,9 +480,8 @@ PASSING = {
 def test_position_route_matches_the_route_on_c_when_every_law_passes(name):
     """On a Gray-category, the laws run on the position copy give the
     reports of the laws run on C: same laws, order and tuple counts."""
-    from graypath.kernel import _exact_position_copy, gray_axioms_hold
+    from graypath.kernel import gray_axioms_hold
     C = PASSING[name]()
-    assert _exact_position_copy(C) is not None
     expected = _c_route(C)
     assert all(r["status"] == "pass" for r in expected)
     assert [r.as_dict() for r in check_gray_axioms(C)] == expected
@@ -519,12 +518,11 @@ def test_a_missing_row_is_reported_with_the_cells_of_c(attr):
     """Without one composable row an operation raises MissingTableEntry on
     the position copy; the re-run on C names C's cells in its message."""
     from graypath.faults import copy_graycat
-    from graypath.kernel import TABLES, _exact_position_copy, gray_axioms_hold
+    from graypath.kernel import TABLES, gray_axioms_hold
     C = copy_graycat(_path("PAIR"))
     table = getattr(C, attr)
     key = sorted(table, key=repr)[0]
     del table[key]
-    assert _exact_position_copy(C) is not None
     expected = _c_route(C)
     assert [r.as_dict() for r in check_gray_axioms(C)] == expected
     name = next(name for name, a, *_ in TABLES if a == attr)
@@ -534,24 +532,55 @@ def test_a_missing_row_is_reported_with_the_cells_of_c(attr):
     assert not gray_axioms_hold(C)
 
 
+# what the position copy names a non-cell "ghost" by
+GHOST = ("absent", "ghost")
+
+
+def _ghost_key(C):
+    f = C.cells[1][0]
+    C.comp0_11[("ghost", f)] = f
+    return lambda N: N.comp0_11[(GHOST, 0)] == 0
+
+
 def _ghost_value(C):
-    key = sorted(C.comp1_22, key=repr)[0]
-    C.comp1_22[key] = "ghost"
+    l, r = sorted(C.comp1_22, key=repr)[0]
+    C.comp1_22[(l, r)] = "ghost"
+    i, j = C.cells[2].index(l), C.cells[2].index(r)
+    return lambda N: N.comp1_22[(i, j)] == GHOST
 
 
 def _ghost_face(C):
     C.src_[2][C.cells[2][-1]] = "ghost"
+    return lambda N: N.src_[2][len(C.cells[2]) - 1] == GHOST
 
 
-@pytest.mark.parametrize("plant", [_ghost_value, _ghost_face])
+def _ghost_identity(C):
+    C.id_up[1][C.cells[1][0]] = "ghost"
+    return lambda N: N.id_up[1][0] == GHOST
+
+
+def _entries(C):
+    """Every face, identity, inverse and table dict of C, in one order."""
+    from graypath.kernel import TABLES
+    return ([C.src_[d] for d in (1, 2, 3)] + [C.tgt_[d] for d in (1, 2, 3)]
+            + [C.id_up[d] for d in (0, 1, 2)] + [C.inv1, C.inv2, C.inv3]
+            + [getattr(C, attr) for _, attr, *_ in TABLES])
+
+
+@pytest.mark.parametrize("plant", [_ghost_key, _ghost_value, _ghost_face,
+                                   _ghost_identity])
 def test_a_name_that_is_not_a_cell_runs_every_law_on_c(plant):
-    """A table value or a face that is not a declared cell has no position:
-    the position copy is not exact, and every law runs on C."""
+    """A table key or value, a face or an identity that is not a declared
+    cell keeps its entry in the position copy, under a name that no
+    position equals; each law that fails there runs again on C, so every
+    report is the route on C's."""
     from graypath.faults import copy_graycat
-    from graypath.kernel import _exact_position_copy, gray_axioms_hold
+    from graypath.kernel import _by_position, _ranks, gray_axioms_hold
     C = copy_graycat(fixture("BIG"))
-    plant(C)
-    assert _exact_position_copy(C) is None
+    kept = plant(C)
+    N = _by_position(C, _ranks(C))
+    assert [len(e) for e in _entries(N)] == [len(e) for e in _entries(C)]
+    assert kept(N)
     expected = _c_route(C)
     assert any(r["status"] == "fail" for r in expected)
     assert [r.as_dict() for r in check_gray_axioms(C)] == expected
@@ -604,3 +633,77 @@ def test_strict_map_violations_name_a_changed_table_image():
         ("table", "wr13", "id[id[g]]", "f")]
     with pytest.raises(Mismatch):
         bad.validate()
+
+
+def _law(name, verdicts, started):
+    started.append(name)
+    for i, ok in enumerate(verdicts, 1):
+        yield ok, (name, i)
+
+
+def test_run_laws_reruns_exactly_the_failing_laws_from_the_witness():
+    """A failing law's report is replaced by its re-run from witness();
+    a passing law is not run again and keeps its report."""
+    from graypath.kernel import run_laws
+    first, again = [], []
+    fast = {"a": [True, True], "b": [True, False], "c": [True], "d": [False]}
+    slow = {"a": [False], "b": [False, True], "c": [False], "d": [True, False]}
+    reports = run_laws([(n, _law(n, v, first)) for n, v in fast.items()],
+                       witness=lambda: [(n, _law(n, v, again))
+                                        for n, v in slow.items()])
+    assert [r.as_dict() for r in reports] == [
+        {"law": "a", "status": "pass", "tuples_checked": 2,
+         "counterexample": None},
+        {"law": "b", "status": "fail", "tuples_checked": 1,
+         "counterexample": ["b", 1]},
+        {"law": "c", "status": "pass", "tuples_checked": 1,
+         "counterexample": None},
+        {"law": "d", "status": "fail", "tuples_checked": 2,
+         "counterexample": ["d", 2]}]
+    assert first == ["a", "b", "c", "d"]
+    assert again == ["b", "d"]
+
+
+def test_run_laws_asks_no_witness_when_every_law_passes():
+    from graypath.kernel import run_laws
+
+    def witness():
+        raise AssertionError("a passing run asks for no witness")
+
+    started = []
+    reports = run_laws([("a", _law("a", [True], started))], witness=witness)
+    assert all_pass(reports) and started == ["a"]
+    # without a witness a failing report stands
+    report, = run_laws([("b", _law("b", [True, False], started))])
+    assert report.counterexample == ("b", 2)
+
+
+def test_inv_2_and_inv_3_name_a_cell_without_an_inverse():
+    from graypath.faults import copy_graycat
+    from graypath.kernel import NotAGroupoid
+    with pytest.raises(NotAGroupoid,
+                       match=r"^BIG: 2-cell 'alpha' has no #1-inverse$"):
+        fixture("BIG").inv_2("alpha")
+    T = copy_graycat(fixture("TWIST"))
+    T.inv3 = {}
+    del T.comp2_33[("tau~", "tau")]
+    with pytest.raises(NotAGroupoid,
+                       match=r"^TWIST: 3-cell 'tau' has no #2-inverse$"):
+        T.inv_3("tau")
+
+
+def test_inverse_reads_the_table_then_searches():
+    """GrayCat.inverse is the #1-inverse of a 2-cell or the #2-inverse of a
+    3-cell, or None when there is none."""
+    from graypath.faults import copy_graycat
+    B, T = fixture("BIG"), fixture("TWIST")
+    assert B.inverse(2, "alpha") is None
+    assert B.inverse(2, "id[f]") == "id[f]"
+    assert T.inverse(3, "tau") == "tau~"
+    found = copy_graycat(T)
+    found.inv3 = {}
+    assert found.inverse(3, "tau") == "tau~"
+    lost = copy_graycat(T)
+    lost.inv3 = {}
+    del lost.comp2_33[("tau~", "tau")]
+    assert lost.inverse(3, "tau") is None

@@ -1,14 +1,16 @@
-"""No law of the tower checker and no hom-space enumerator catches an
-exception.
+"""No law of the tower checker, the Gray-axiom checker or the hom-space
+validators and no hom-space enumerator catches an exception.
 
-Every tuple a tower law checks is picked by an explicit face predicate,
-read from an index, so a construction that raises on such a tuple fails
+Every tuple a law checks is picked by an explicit face predicate, read
+from an index, and invertibility is read as a predicate
+(GrayCat.inverse), so a construction that raises on such a tuple fails
 its law through law_report's ("error", ...) counterexample.  A `try` in
 the checker would let it skip that tuple instead.  In the same way the
 enumerators of [G,H] and of path cells keep a candidate by a predicate
 (a component between its boundary cells, StrictMap.violations, the path
 3-cell commuting condition), so a candidate that raises stops the
-enumeration instead of being dropped.  This guard fails on any `try`
+enumeration instead of being dropped, and undegenerate tells a degenerate
+cell by comparing it with a degeneracy.  This guard fails on any `try`
 statement inside the functions below, nested functions included.
 """
 
@@ -24,6 +26,13 @@ ENUMERATORS = [
     ("homspace", ("_strict_functors", "_transformations", "_modifications",
                   "_perturbations")),
     ("pathspace", ("path_cells",)),
+]
+LAWS = [
+    ("kernel", ("_gray_law_generators", "check_gray_axioms",
+                "gray_axioms_hold")),
+    ("homspace", ("validate_transformation", "validate_modification",
+                  "validate_perturbation")),
+    ("highercells", ("undegenerate",)),
 ]
 # try/except* is ast.TryStar from Python 3.11 on
 TRIES = tuple(getattr(ast, n) for n in ("Try", "TryStar") if hasattr(ast, n))
@@ -57,6 +66,11 @@ def test_the_tower_checker_catches_no_exception():
 @pytest.mark.parametrize("module, names", ENUMERATORS,
                          ids=[m for m, _ in ENUMERATORS])
 def test_no_enumerator_catches_an_exception(module, names):
+    assert _module_tries(module, names) == []
+
+
+@pytest.mark.parametrize("module, names", LAWS, ids=[m for m, _ in LAWS])
+def test_no_law_catches_an_exception(module, names):
     assert _module_tries(module, names) == []
 
 
