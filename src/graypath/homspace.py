@@ -4,8 +4,13 @@ Cells of [G,H] are pseudo maps from G into the stages of the tower over H:
 pseudo functors, lax transformations, modifications, perturbations.  The
 data is stored componentwise (the validators read off the component
 conditions directly); conversion to and from stage-valued pseudo maps is
-provided and every hom-level operation is post-composition with the
-corresponding internal operation, evaluated pointwise.  Component families
+provided.  Every hom-level operation is post-composition with the
+corresponding internal operation, evaluated pointwise: _at reads the tower
+cell a cell of [G,H] assigns to a cell of G, and _pointwise_mod and
+_pointwise_pert apply one tower operation to two such cells at each 0-cell
+(and 1-cell) of G.  hom_graycat builds [G,H] one dimension at a time,
+enumerating the d-cells between the parallel (d-1)-cells that [G,H]'s own
+face index returns.  Component families
 never change once built, so the keys of transformations, modifications and
 perturbations, the composite compose_0(b, a), and the conversions
 trans_to_pseudo and mod_to_pseudo are built once per argument and kept on
@@ -23,8 +28,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .kernel import (TABLES, CheckReport, Mismatch, StrictMap, _key_order,
-                     composable_keys, run_laws)
+from .kernel import (TABLES, CheckReport, GrayCat, Mismatch, StrictMap,
+                     _key_order, composable_keys, run_laws)
 from .pathspace import PathView, p2, p3, sq, src_paste, tgt_paste
 from .highercells import Tower
 from .resolution import (PseudoMap, generator_decomposition, kleisli_compose,
@@ -868,125 +873,105 @@ def rho(F):
 # -- hom-level operations through the tower --------------------------------------
 
 
+def _at(x, d, c, tower):
+    """The tower cell the transformation, modification or perturbation x
+    assigns to the d-cell c of its domain: a path cell, a bigon or a 3-path."""
+    if isinstance(x, LaxTransformation):
+        return trans_sq(x, c) if d else x.at0[c]
+    if isinstance(x, Modification):
+        return mod_cell1(x, c) if d else mod_bigon(x, c)
+    return pert_square(x, c, tower)
+
+
+def _pointwise_mod(op, b, a, alpha, beta, tower, name):
+    """The modification alpha => beta whose components are the tower
+    operation op on b's and a's cells, at each 0-cell and each 1-cell."""
+    dom = alpha.dom
+
+    def on(d, c):
+        return op(d, _at(b, d, c, tower), _at(a, d, c, tower))[1]
+
+    return Modification(alpha, beta, {x: on(0, x) for x in dom.cells[0]},
+                        {f: on(1, f)[1] for f in dom.cells[1]}, name=name)
+
+
+def _pointwise_pert(op, b, a, A, B, tower, name):
+    """The perturbation A => B whose component at each 0-cell is the tower
+    operation op on b's and a's cells there."""
+    at0 = {x: op(0, _at(b, 0, x, tower), _at(a, 0, x, tower))[1][1]
+           for x in A.dom.cells[0]}
+    return Perturbation(A, B, at0, name=name)
+
+
 def compose_mods(B, A, tower):
     """B *1 A: vertical composite of modifications, by mbar pointwise."""
-    dom, H = A.dom, A.H
-    at0 = {x: H.comp1(B.at0[x], A.at0[x]) for x in dom.cells[0]}
-    at1 = {}
-    for f in dom.cells[1]:
-        W = tower.mbar(1, mod_cell1(B, f), mod_cell1(A, f))
-        at1[f] = W[1][1]
-    return Modification(A.alpha, B.beta, at0, at1,
-                        name=f"{B.name}*1{A.name}")
+    return _pointwise_mod(tower.mbar, B, A, A.alpha, B.beta, tower,
+                          f"{B.name}*1{A.name}")
 
 
 def compose_perts(s2, s1, tower):
     """s2 *2 s1 through mbarbar pointwise."""
-    at0 = {}
-    for x in s1.dom.cells[0]:
-        W = tower.mbarbar(0, pert_square(s2, x, tower),
-                          pert_square(s1, x, tower))
-        at0[x] = W[1][1]
-    return Perturbation(s1.A, s2.B, at0, name=f"{s2.name}*2{s1.name}")
+    return _pointwise_pert(tower.mbarbar, s2, s1, s1.A, s2.B, tower,
+                           f"{s2.name}*2{s1.name}")
 
 
 def whisker_trans_mod(g, A, tower):
     """g #0 A: whisker a modification by a later transformation."""
-    dom = A.dom
-    at0, at1 = {}, {}
-    for x in dom.cells[0]:
-        r = tower.w_r(0, g.at0[x], mod_bigon(A, x))
-        at0[x] = r[1]
-    for f in dom.cells[1]:
-        r = tower.w_r(1, trans_sq(g, f), mod_cell1(A, f))
-        at1[f] = r[1][1]
-    return Modification(compose_0(g, A.alpha), compose_0(g, A.beta),
-                        at0, at1, name=f"{g.name}#0{A.name}")
+    return _pointwise_mod(tower.w_r, g, A, compose_0(g, A.alpha),
+                          compose_0(g, A.beta), tower, f"{g.name}#0{A.name}")
 
 
 def whisker_mod_trans(A, g, tower):
     """A #0 g: whisker a modification by an earlier transformation."""
-    dom = A.dom
-    at0, at1 = {}, {}
-    for x in dom.cells[0]:
-        r = tower.w_l(0, mod_bigon(A, x), g.at0[x])
-        at0[x] = r[1]
-    for f in dom.cells[1]:
-        r = tower.w_l(1, mod_cell1(A, f), trans_sq(g, f))
-        at1[f] = r[1][1]
-    return Modification(compose_0(A.alpha, g), compose_0(A.beta, g),
-                        at0, at1, name=f"{A.name}#0{g.name}")
+    return _pointwise_mod(tower.w_l, A, g, compose_0(A.alpha, g),
+                          compose_0(A.beta, g), tower, f"{A.name}#0{g.name}")
 
 
-def whisker_trans_pert(g, s, tower, after=True):
-    """g #0 sigma (after=True) or sigma #0 g, through the 3-path whiskers."""
-    at0 = {}
-    for x in s.dom.cells[0]:
-        P = pert_square(s, x, tower)
-        if after:
-            r = tower.wbar_r(0, g.at0[x], P)
-        else:
-            r = tower.wbar_l(0, P, g.at0[x])
-        at0[x] = r[1][1]
-    if after:
-        A2 = whisker_trans_mod(g, s.A, tower)
-        B2 = whisker_trans_mod(g, s.B, tower)
-    else:
-        A2 = whisker_mod_trans(s.A, g, tower)
-        B2 = whisker_mod_trans(s.B, g, tower)
-    return Perturbation(A2, B2, at0, name="whiskered-pert")
+def whisker_trans_pert(g, s, tower):
+    """g #0 sigma, through the 3-path whiskers."""
+    return _pointwise_pert(tower.wbar_r, g, s, whisker_trans_mod(g, s.A, tower),
+                           whisker_trans_mod(g, s.B, tower), tower,
+                           "whiskered-pert")
 
 
-def whisker_mod_pert(B, s, tower, after=True):
-    """B #1 sigma / sigma #1 B through the 2-on-3 whiskers."""
-    at0 = {}
-    for x in s.dom.cells[0]:
-        P, Bx = pert_square(s, x, tower), mod_bigon(B, x)
-        if after:
-            r = tower.wtil_r(0, Bx, P)
-        else:
-            r = tower.wtil_l(0, P, Bx)
-        at0[x] = r[1][1]
-    if after:
-        A2 = compose_mods(B, s.A, tower)
-        B2 = compose_mods(B, s.B, tower)
-    else:
-        A2 = compose_mods(s.A, B, tower)
-        B2 = compose_mods(s.B, B, tower)
-    return Perturbation(A2, B2, at0, name="whiskered-pert-2")
+def whisker_pert_trans(s, g, tower):
+    """sigma #0 g, through the 3-path whiskers."""
+    return _pointwise_pert(tower.wbar_l, s, g, whisker_mod_trans(s.A, g, tower),
+                           whisker_mod_trans(s.B, g, tower), tower,
+                           "whiskered-pert")
+
+
+def whisker_mod_pert(B, s, tower):
+    """B #1 sigma, through the 2-on-3 whiskers."""
+    return _pointwise_pert(tower.wtil_r, B, s, compose_mods(B, s.A, tower),
+                           compose_mods(B, s.B, tower), tower,
+                           "whiskered-pert-2")
+
+
+def whisker_pert_mod(s, B, tower):
+    """sigma #1 B, through the 2-on-3 whiskers."""
+    return _pointwise_pert(tower.wtil_l, s, B, compose_mods(s.A, B, tower),
+                           compose_mods(s.B, B, tower), tower,
+                           "whiskered-pert-2")
 
 
 def tensor_mods(B, A, tower):
     """B (x) A for modifications 0-composable at a functor."""
-    at0 = {}
-    for x in A.dom.cells[0]:
-        t = tower.tensor_t(mod_bigon(B, x), mod_bigon(A, x))
-        at0[x] = t[1][1]
-    hl_mod_src = hom_hl_mod(B, A, tower)
-    hr_mod_tgt = hom_hr_mod(B, A, tower)
-    return Perturbation(hl_mod_src, hr_mod_tgt, at0, name="tensor-mods")
+    return _pointwise_pert(lambda _, b, a: tower.tensor_t(b, a), B, A,
+                           hom_hl_mod(B, A, tower), hom_hr_mod(B, A, tower),
+                           tower, "tensor-mods")
 
 
 def hom_hl_mod(B, A, tower):
     """The left horizontal composite of two 0-composable modifications."""
-    return _hcomp_mod(tower.h_l, B, A, "hl")
+    return _pointwise_mod(tower.h_l, B, A, compose_0(B.alpha, A.alpha),
+                          compose_0(B.beta, A.beta), tower, "hl")
 
 
 def hom_hr_mod(B, A, tower):
     """The right horizontal composite of two 0-composable modifications."""
-    return _hcomp_mod(tower.h_r, B, A, "hr")
-
-
-def _hcomp_mod(hcomp, B, A, name):
-    """Evaluate the tower's horizontal composite hcomp pointwise."""
-    dom = A.dom
-    at0, at1 = {}, {}
-    for x in dom.cells[0]:
-        at0[x] = hcomp(0, mod_bigon(B, x), mod_bigon(A, x))[1]
-    for f in dom.cells[1]:
-        at1[f] = hcomp(1, mod_cell1(B, f), mod_cell1(A, f))[1][1]
-    return Modification(compose_0(B.alpha, A.alpha),
-                        compose_0(B.beta, A.beta), at0, at1, name=name)
+    return _pointwise_mod(tower.h_r, B, A, compose_0(B.alpha, A.alpha),
+                          compose_0(B.beta, A.beta), tower, "hr")
 
 
 # -- the mapping space as a tabulated Gray-category -------------------------------
@@ -1011,108 +996,83 @@ def hom_graycat(G, H, cap=100000):
     """[G,H] materialized, with every operation installed.
 
     Feasible at desk scale; every enumeration is capped, and a hit cap is
-    a failing report.  Every enumerated
-    modification and perturbation is converted into its tower stage once,
-    which runs the conversion's construction checks.  Returns (graycat,
-    registry, reports) where registry maps cell keys back to the
-    componentwise objects.
+    a failing report.  The objects are the strict functors G -> H, as
+    pseudo functors with trivial cocycles; each dimension d = 1, 2, 3 is
+    enumerated between the ordered pairs of parallel (d-1)-cells, which
+    [G,H]'s own face index gives.  Every enumerated cell is converted into
+    its tower stage once, which runs the conversion's construction checks.
+    Returns (graycat, registry, reports) where registry maps cell keys back
+    to the componentwise objects.
     """
-    from .kernel import GrayCat
     tower = Tower(H)
-    reports = []
-    funs, reps = enumerate_strict_functors(G, H, cap)
-    reports.extend(reps)
-    pseudos = [strict_as_pseudo(F) for F in funs]
-    # only strict functors are enumerated, as pseudo functors with trivial
-    # cocycles; pseudo functors with nontrivial cocycles exist between the
-    # shipped fixtures (PAIR into path(TWIST) has one) and are not objects
+    funs, reports = enumerate_strict_functors(G, H, cap)
+    # pseudo functors with nontrivial cocycles exist between the shipped
+    # fixtures (PAIR into path(TWIST) has one) and are not objects yet
     C = GrayCat(name=f"[{G.name},{H.name}]")
     reg = {}
 
-    def add(d, obj, src=None, tgt=None):
-        k = obj.key() if hasattr(obj, "key") else obj
+    def add(d, k, obj, src=None, tgt=None):
         if not C.has_cell(d, k):
             C.add_cell(d, k, src, tgt)
             reg[k] = obj
         return k
 
-    fkeys = {}
-    for F in pseudos:
-        k = functor_key(F)
-        fkeys[id(F)] = k
-        add(0, k)
-        reg[k] = F
-    trans = []
-    for F in pseudos:
-        for Gp in pseudos:
-            ts, reps = enumerate_transformations(F, Gp, cap)
-            reports.extend(r for r in reps if not r.ok)
-            for t in ts:
-                add(1, t, fkeys[id(F)], fkeys[id(Gp)])
-                trans.append(t)
-    mods = []
-    for a in trans:
-        for b in trans:
-            if a.F is b.F and a.G is b.G:
-                ms, reps = enumerate_modifications(a, b, cap)
-                reports.extend(r for r in reps if not r.ok)
-                for A in ms:
-                    mod_to_pseudo(A, tower)
-                    add(2, A, a.key(), b.key())
-                    mods.append(A)
-    perts = []
-    for A in mods:
-        for B in mods:
-            if (A.alpha.key() == B.alpha.key()
-                    and A.beta.key() == B.beta.key()):
-                ss, reps = enumerate_perturbations(A, B, cap)
-                reports.extend(r for r in reps if not r.ok)
-                for s in ss:
-                    pert_to_pseudo(s, tower)
-                    add(3, s, A.key(), B.key())
-                    perts.append(s)
+    def convert(t, tw):
+        return trans_to_pseudo(t, tw.PH)
 
-    # identities
-    for F in pseudos:
-        k = fkeys[id(F)]
-        C.id_up[0][k] = identity_transformation(F).key()
-    for t in trans:
-        idm = Modification(t, t, {x: H.ident(1, t.at0[x]) for x in t.dom.cells[0]},
-                           {f: H.ident(2, t.at1[f]) for f in t.dom.cells[1]},
-                           name="id")
-        C.id_up[1][t.key()] = idm.key()
-    for A in mods:
-        idp = Perturbation(A, A, {x: H.ident(2, A.at0[x]) for x in A.dom.cells[0]},
-                           name="id")
-        C.id_up[2][A.key()] = idp.key()
+    for F in map(strict_as_pseudo, funs):
+        add(0, functor_key(F), F)
+    stages = ((enumerate_transformations, convert),
+              (enumerate_modifications, mod_to_pseudo),
+              (enumerate_perturbations, pert_to_pseudo))
+    for d, (enumerate_cells, to_tower) in enumerate(stages, 1):
+        # listed before the first add_cell, which drops the face index
+        if d == 1:
+            pairs = [(a, b) for a in C.cells[0] for b in C.cells[0]]
+        else:
+            pairs = [(a, b) for a in C.cells[d - 1] for b in
+                     C.between(d - 1, C.src(d - 1, a), C.tgt(d - 1, a))]
+        for a, b in pairs:
+            cells, reps = enumerate_cells(reg[a], reg[b], cap)
+            reports.extend(r for r in reps if not r.ok)
+            for c in cells:
+                to_tower(c, tower)
+                add(d, c.key(), c, a, b)
+
+    for k in C.cells[0]:
+        C.id_up[0][k] = identity_transformation(reg[k]).key()
+    for k in C.cells[1]:
+        t = reg[k]
+        C.id_up[1][k] = Modification(
+            t, t, {x: H.ident(1, t.at0[x]) for x in t.dom.cells[0]},
+            {f: H.ident(2, t.at1[f]) for f in t.dom.cells[1]}, name="id").key()
+    for k in C.cells[2]:
+        A = reg[k]
+        C.id_up[2][k] = Perturbation(
+            A, A, {x: H.ident(2, A.at0[x]) for x in A.dom.cells[0]},
+            name="id").key()
 
     # operation tables, each filled over its composable pairs as they stand
     # before any fill; a composite's faces are its operands' outer faces,
     # any other value's are its own
-    ops = {
-        "comp0": compose_0,
-        "wl12": lambda t, A: whisker_trans_mod(t, A, tower),
-        "wr12": lambda A, t: whisker_mod_trans(A, t, tower),
-        "wl13": lambda t, s: whisker_trans_pert(t, s, tower, after=True),
-        "wr13": lambda s, t: whisker_trans_pert(t, s, tower, after=False),
-        "comp1": lambda B, A: compose_mods(B, A, tower),
-        "wl23": lambda B, s: whisker_mod_pert(B, s, tower, after=True),
-        "wr23": lambda s, B: whisker_mod_pert(B, s, tower, after=False),
-        "comp2": lambda u, s: compose_perts(u, s, tower),
-        "tensor": lambda B, A: tensor_mods(B, A, tower),
-    }
+    ops = {"comp0": lambda b, a, _: compose_0(b, a),
+           "wl12": whisker_trans_mod, "wr12": whisker_mod_trans,
+           "wl13": whisker_trans_pert, "wr13": whisker_pert_trans,
+           "comp1": compose_mods, "wl23": whisker_mod_pert,
+           "wr23": whisker_pert_mod, "comp2": compose_perts,
+           "tensor": tensor_mods}
     keys = {op: list(composable_keys(C, op)) for op in ops}
     for _, attr, op, _, _, dout in TABLES:
         table = getattr(C, attr)
         for l, r in keys[op]:
-            w = ops[op](reg[l], reg[r])
+            w = ops[op](reg[l], reg[r], tower)
             if op.startswith("comp"):
                 faces = C.src(dout, r), C.tgt(dout, l)
             elif dout == 2:
                 faces = w.alpha.key(), w.beta.key()
             else:
                 faces = w.A.key(), w.B.key()
-            table[(l, r)] = add(dout, w, *faces)
+            table[(l, r)] = add(dout, w.key(), w, *faces)
     return C, reg, reports
 
 

@@ -401,17 +401,6 @@ class GrayCat:
 
     # -- derived -----------------------------------------------------
 
-    def fold0(self, cells, anchor=None):
-        """#0-composite of a head-to-tail list of 1-cells; empty list -> id."""
-        if not cells:
-            if anchor is None:
-                raise NotComposable("empty fold0 needs an anchor object")
-            return self.id_up[0][anchor]
-        out = cells[-1]
-        for f in reversed(cells[:-1]):
-            out = self.comp0(f, out)
-        return out
-
     def inv_1(self, f):
         if f not in self.inv1:
             raise NotAGroupoid(f"{self.name}: no 1-cell inverse for {f!r}")
@@ -446,6 +435,20 @@ class GrayCat:
         if h is None:
             raise NotAGroupoid(f"{self.name}: 3-cell {g!r} has no #2-inverse")
         return h
+
+
+# -- derived operations, on a GrayCat or a formula view -----------------------
+
+
+def fold0(C, cells, anchor=None):
+    """#0-composite of a head-to-tail list of 1-cells of C; the empty list
+    gives the identity on anchor."""
+    if not cells:
+        return C.ident(0, anchor)
+    out = cells[-1]
+    for f in reversed(cells[:-1]):
+        out = C.comp0(f, out)
+    return out
 
 
 # -- horizontal composites of 0-composable 2-cells ---------------------------

@@ -27,7 +27,8 @@ The alternative reading fails those checks on the first nontrivial input.
 from __future__ import annotations
 
 from .kernel import (TABLES, GrayCat, GrayError, NotComposable, StrictMap,
-                     _key_order, composable_keys)
+                     _key_order, composable_keys, fold0, hcomp_left,
+                     hcomp_right)
 from .resolution import PseudoMap, Q1Layer, q1_normalize, q1_tag, q2_cell, q3_cell
 
 
@@ -247,18 +248,12 @@ class PathView:
 
     # horizontal structure
 
-    def hcomp_left(self, b, a):
-        return self.comp1(self.wr12(b, a[5]), self.wl12(b[4], a))
-
-    def hcomp_right(self, b, a):
-        return self.comp1(self.wl12(b[5], a), self.wr12(b, a[4]))
-
     def tensor(self, b, a):
         B = self.base
         if b[4][4] != a[4][5]:
             raise NotComposable("path tensor: not 0-composable")
         return p3(B, B.tensor(b[2], a[2]), B.tensor(b[3], a[3]),
-                  self.hcomp_left(b, a), self.hcomp_right(b, a))
+                  hcomp_left(self, b, a), hcomp_right(self, b, a))
 
     # inverses
 
@@ -275,13 +270,16 @@ class PathView:
         B = self.base
         return p3(B, B.inv_3(g3[1]), B.inv_3(g3[2]), g3[4], g3[3])
 
-    def fold0(self, cells, anchor=None):
-        if not cells:
-            return self.ident(0, anchor)
-        out = cells[-1]
-        for c in reversed(cells[:-1]):
-            out = self.comp0(c, out)
-        return out
+    def inverse(self, d, c):
+        """The #1-inverse of a path 2-cell (d = 2) or the #2-inverse of a
+        path 3-cell (d = 3), by inv_2 or inv_3; None when the base has no
+        inverse for one of the components those formulas invert."""
+        B = self.base
+        parts = ((3, c[1]), (2, c[2]), (2, c[3])) if d == 2 else \
+            ((3, c[1]), (3, c[2]))
+        if any(B.inverse(k, x) is None for k, x in parts):
+            return None
+        return self.inv_2(c) if d == 2 else self.inv_3(c)
 
 
 # -- enumeration and materialization ------------------------------------------
@@ -432,7 +430,7 @@ def psi(G, c):
             top = q1_normalize(G, [anchor_path], anchor=G.src(1, anchor_path))
             return PathView(L).ident(0, top)
         entries = list(c[2])        # entries[0] is bottom-most
-        fold = PV.fold0(entries)
+        fold = fold0(PV, entries)
         lefts = [e[2] for e in entries]
         rights = [e[3] for e in entries]
         left = q1_normalize(G, lefts, anchor=G.src(1, entries[-1][2]))

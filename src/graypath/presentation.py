@@ -15,11 +15,10 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .kernel import (TABLES, GrayCat, GrayError, ValidationError,
                      structural_violations)
-from .fixtures import fixture, fixture_names, UnknownFixture  # re-exported
 
 __all__ = [
     "load", "loads", "save", "dumps", "to_document", "from_document",
-    "parse_dsl", "ParseError", "fixture", "fixture_names", "UnknownFixture",
+    "parse_dsl", "ParseError",
 ]
 
 FORMAT = "graycat/1"

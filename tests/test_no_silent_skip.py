@@ -33,6 +33,7 @@ LAWS = [
     ("homspace", ("validate_transformation", "validate_modification",
                   "validate_perturbation")),
     ("highercells", ("undegenerate",)),
+    ("resolution", ("validate_pseudo_map",)),
 ]
 # try/except* is ast.TryStar from Python 3.11 on
 TRIES = tuple(getattr(ast, n) for n in ("Try", "TryStar") if hasattr(ast, n))
