@@ -320,13 +320,13 @@ class Tower:
                 T, B)
         return _triple(self, 0, sq(PH, W2, W0, W1, T, B), "tensor_obj")
 
-    def tensor_t(self, b, a):
-        """t on cells: bigons by formula, their 1-cells by the unique filler
-        over (h_l, h_r); uniqueness is exactly the 1-Cartesianness used to
-        induce the map."""
-        if self.DD.has_cell(0, b):
+    def tensor_t(self, d, b, a):
+        """t on d-cells: bigons (d = 0) by formula, their 1-cells by the
+        unique filler over (h_l, h_r); uniqueness is exactly the
+        1-Cartesianness used to induce the map."""
+        if d == 0:
             return self.tensor_obj(b, a)
-        if not self.DD.has_cell(1, b):
+        if d != 1:
             raise GrayError("tensor_t is defined on bigons and their 1-cells")
         return self.filler(1, self.tensor_obj(b[4], a[4]),
                            self.tensor_obj(b[5], a[5]),
@@ -599,7 +599,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
             yield t[4] == tw.h_l(0, b, a), ("t-face-hl", b, a)
             yield t[5] == tw.h_r(0, b, a), ("t-face-hr", b, a)
         for b, a in pairs_dbar(1):
-            t = tw.tensor_t(b, a)
+            t = tw.tensor_t(1, b, a)
             yield pd0(DD, 1, t) == tw.h_l(1, b, a), ("t1-face-hl", b, a)
             yield pd1(DD, 1, t) == tw.h_r(1, b, a), ("t1-face-hr", b, a)
 

@@ -26,6 +26,7 @@ check each component against them; neither catches an exception.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 from .kernel import (TABLES, CheckReport, GrayCat, Mismatch, StrictMap,
@@ -135,9 +136,10 @@ class LaxTransformation:
 class Modification:
     """A: alpha => beta with a 2-cell at each 0-cell, a 3-cell at each 1-cell.
 
-    A modification does not change once built, so its key, the 2-path it
-    assigns to each 1-cell (see mod_cell1) and its bigon-space pseudo maps
-    (see mod_to_pseudo) are built once.
+    A modification does not change once built, so its key, the bigon it
+    assigns to each 0-cell (see mod_bigon), the 2-path it assigns to each
+    1-cell (see mod_cell1) and its bigon-space pseudo maps (see
+    mod_to_pseudo) are built once.
     """
 
     def __init__(self, alpha, beta, at0, at1, name=""):
@@ -149,7 +151,8 @@ class Modification:
         self.at1 = dict(at1)
         self.name = name
         self._key = None
-        self._cell1 = {}
+        self._bigon = {}    # x -> mod_bigon(self, x)
+        self._cell1 = {}    # f -> mod_cell1(self, f)
         self._pseudo = {}   # tower -> mod_to_pseudo(self, tower)
 
     def a1(self, f):
@@ -244,6 +247,13 @@ def pseudo_to_trans(P, F, G):
 
 
 def mod_bigon(A, x):
+    """The bigon a modification assigns to a 0-cell."""
+    if x not in A._bigon:
+        A._bigon[x] = _mod_bigon(A, x)
+    return A._bigon[x]
+
+
+def _mod_bigon(A, x):
     H = A.H
     return sq(H, A.at0[x], H.ident(0, H.src(1, A.alpha.at0[x])),
               H.ident(0, H.tgt(1, A.alpha.at0[x])),
@@ -808,10 +818,12 @@ def _transformations(F, G):
     for at0 in _choices(dom.cells[0],
                         lambda x: H.between(1, F(0, x), G(0, x))):
         for at1 in _choices(dom.cells[1], lambda f: ones(at0, f)):
+            # the cocycle options do not depend on at2: each pair's are
+            # found on the first at2 that asks for them, and kept
+            cocs = functools.cache(lambda p: H.between(
+                3, _coc_src(F, G, at0, at1, *p), _coc_tgt(F, G, at0, at1, *p)))
             for at2 in _choices(dom.cells[2], lambda g: twos(at0, at1, g)):
-                for coc in _choices(pairs, lambda p: H.between(
-                        3, _coc_src(F, G, at0, at1, *p),
-                        _coc_tgt(F, G, at0, at1, *p))):
+                for coc in _choices(pairs, cocs):
                     t = LaxTransformation(F, G, at0, at1, at2, coc)
                     if all(r.ok for r in validate_transformation(t)):
                         yield t
@@ -957,9 +969,8 @@ def whisker_pert_mod(s, B, tower):
 
 def tensor_mods(B, A, tower):
     """B (x) A for modifications 0-composable at a functor."""
-    return _pointwise_pert(lambda _, b, a: tower.tensor_t(b, a), B, A,
-                           hom_hl_mod(B, A, tower), hom_hr_mod(B, A, tower),
-                           tower, "tensor-mods")
+    return _pointwise_pert(tower.tensor_t, B, A, hom_hl_mod(B, A, tower),
+                           hom_hr_mod(B, A, tower), tower, "tensor-mods")
 
 
 def hom_hl_mod(B, A, tower):

@@ -15,7 +15,11 @@ pastings its commuting condition equates are recomputed on construction.
 
 PathView evaluates every operation by formula over any GrayCat-like base,
 so the construction iterates; build_pathspace additionally materializes
-cells and tables for a finite base.
+cells and tables for a finite base.  materialize fills the tables in TABLES
+order, and once a table is filled the view's own calls of that operation
+read it first, running the formula only for a key it lacks; PathView stays
+the formula oracle.  Every identity and table value it stores is the
+object C.cells holds for that cell, so each cell is one object.
 
 Note on the two whisker readings: the left-whisker display for squares is
 rendered ambiguously in places (its legend mixes the names of the outer
@@ -25,6 +29,9 @@ The alternative reading fails those checks on the first nontrivial input.
 """
 
 from __future__ import annotations
+
+import copy
+import functools
 
 from .kernel import (TABLES, GrayCat, GrayError, NotComposable, StrictMap,
                      _key_order, composable_keys, fold0, hcomp_left,
@@ -339,7 +346,15 @@ def path_cells(B, keep=None):
 
 
 def materialize(view, cells, name=""):
-    """Tabulate a GrayCat from a formula view and enumerated closed cell sets."""
+    """Tabulate a GrayCat from a formula view and enumerated closed cell sets.
+
+    The tables are filled in TABLES order.  Once a table is filled, the
+    view's own calls of that operation (a whisker's comp0, a tensor's comp1)
+    read it first, and run the view's formula only for a key it lacks, which
+    raises the formula's NotComposable.  Every identity and table value is
+    the object C.cells holds for that cell; a value that is not a listed
+    cell raises GrayError.
+    """
     c0, c1, c2, c3 = cells
     C = GrayCat(name=name or view.name)
     for c in c0:
@@ -352,18 +367,23 @@ def materialize(view, cells, name=""):
         C.add_cell(3, c, view.src(3, c), view.tgt(3, c))
 
     def place(d, c, what):
-        if not C.has_cell(d, c):
-            raise GrayError(f"{name}: {what} produced an unlisted {d}-cell {c!r}")
-        return c
+        try:
+            return C.canonical(d, c)
+        except KeyError:
+            raise GrayError(f"{name}: {what} produced an unlisted {d}-cell "
+                            f"{c!r}") from None
 
     for d in (0, 1, 2):
         for c in C.cells[d]:
             C.id_up[d][c] = place(d + 1, view.ident(d, c), "identity")
 
+    # a copy of the view whose filled operations read C's tables first
+    view = copy.copy(view)
     for table_name, attr, op, _, _, dout in TABLES:
-        table, apply = getattr(C, attr), getattr(view, op)
+        table, formula = getattr(C, attr), getattr(view, op)
         for l, r in composable_keys(C, op):
-            table[(l, r)] = place(dout, apply(l, r), table_name)
+            table[(l, r)] = place(dout, formula(l, r), table_name)
+        setattr(view, op, functools.partial(_lookup, table, formula))
 
     if getattr(view, "is_groupoid", False):
         C.is_groupoid = True
@@ -374,6 +394,14 @@ def materialize(view, cells, name=""):
                     C.inv1[f] = g
                     break
     return C
+
+
+def _lookup(table, formula, l, r):
+    """formula(l, r), read from table when it has the key."""
+    try:
+        return table[(l, r)]
+    except KeyError:
+        return formula(l, r)
 
 
 def build_pathspace(B, name=""):

@@ -147,7 +147,7 @@ def test_tensor_on_one_cells_unique_filler(big_tower):
     for b in tw.DD.cells[1]:
         for a in tw.DD.cells[1]:
             if tw.dbar(1, b, 0) == tw.dbar(1, a, 1):
-                t = tw.tensor_t(b, a)
+                t = tw.tensor_t(1, b, a)
                 assert pd0(tw.DD, 1, t) == tw.h_l(1, b, a)
                 assert pd1(tw.DD, 1, t) == tw.h_r(1, b, a)
                 count += 1
@@ -170,7 +170,7 @@ def test_filler_index_matches_linear_scan(big_tower):
                     if DDD.src(1, w) == src and DDD.tgt(1, w) == tgt
                     and pd0(DD, 1, w) == hl and pd1(DD, 1, w) == hr]
             assert [tw.filler(1, src, tgt, hl, hr)] == scan
-            assert tw.tensor_t(b, a) == scan[0]
+            assert tw.tensor_t(1, b, a) == scan[0]
             count += 1
     assert count > 0
 

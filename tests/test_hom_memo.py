@@ -1,8 +1,8 @@
 """Hom-space constructions are built once per argument and keep their checks.
 
-compose_0, trans_to_pseudo, mod_to_pseudo and pert_square keep their
-results on the objects they are built from, and a Tower keeps mbar, w_l
-and w_r per argument.  These tests check that a memoized result is the
+compose_0, trans_to_pseudo, mod_to_pseudo, mod_bigon and pert_square keep
+their results on the objects they are built from, and a Tower keeps mbar,
+w_l and w_r per argument.  These tests check that a memoized result is the
 formula's result, that a construction that raises raises again, that [G,H]
 runs each un-memoized body once per distinct argument, and that the
 objects of [G,H] are keyed by the whole functor.
@@ -144,14 +144,15 @@ def test_pert_square_that_raises_raises_every_time():
 
 @pytest.mark.parametrize("gname,counts", [
     ("INT", {"_compose_0": 30, "_mod_to_pseudo": 19, "_trans_to_pseudo": 14,
-             "_pert_square": 38}),
+             "_pert_square": 38, "_mod_bigon": 38}),
     ("PAIR", {"_compose_0": 80, "_mod_to_pseudo": 45, "_trans_to_pseudo": 30,
-              "_pert_square": 135}),
+              "_pert_square": 135, "_mod_bigon": 135}),
 ])
 def test_hom_graycat_builds_each_construction_once(monkeypatch, gname,
                                                    counts):
     """One call of each un-memoized body per distinct argument: on
-    [PAIR,BIG] the bodies used to run 1,780, 135, 90 and 1,407 times."""
+    [PAIR,BIG] the bodies used to run 1,780, 135, 90, 1,407 and 7,335
+    times."""
     calls = dict.fromkeys(counts, 0)
     for name in counts:
         body = getattr(homspace, name)
@@ -169,6 +170,8 @@ def test_hom_graycat_builds_each_construction_once(monkeypatch, gname,
     assert calls["_mod_to_pseudo"] == len(C.cells[2])
     # each perturbation gets one square per 0-cell of G
     assert calls["_pert_square"] == len(C.cells[3]) * len(G.cells[0])
+    # and each modification one bigon per 0-cell of G
+    assert calls["_mod_bigon"] == len(C.cells[2]) * len(G.cells[0])
 
 
 def test_functor_key_tells_apart_functors_that_agree_on_1_cells():

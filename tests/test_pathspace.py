@@ -3,11 +3,14 @@
 import pytest
 
 from graypath.fixtures import fixture
-from graypath.kernel import (NotComposable, all_pass, check_gray_axioms,
+from graypath.highercells import Tower
+from graypath.kernel import (TABLES, GrayCat, GrayError, NotComposable,
+                             all_pass, check_gray_axioms, composable_keys,
                              hcomp_left, hcomp_right)
 from graypath.pathspace import (PPrime, PathView, build_pathspace, degeneracy,
-                                p2, p3, path_map, pd0, pd1, pdim, psi, sq,
-                                p_functor, face_map, degeneracy_map)
+                                materialize, p2, p3, path_cells, path_map, pd0,
+                                pd1, pdim, psi, sq, p_functor, face_map,
+                                degeneracy_map)
 from graypath.resolution import (Q1Layer, kleisli_identity, q1_comult,
                                  q1_counit, q1_normalize, validate_pseudo_map)
 
@@ -376,3 +379,104 @@ def test_p_on_pseudo_is_pseudo(spaces):
     idp = kleisli_identity(G)
     PP = p_on_pseudo(idp, PG, PathView(G))
     assert all_pass(validate_pseudo_map(PP))
+
+
+# -- materialize by lookup against a formula-only fill ------------------------
+
+
+def _formula_fill(view, cells, name=""):
+    """materialize as it was before it read its own tables: every identity
+    and table value by the view's formula, each checked to be a listed
+    cell and kept as the formula returned it."""
+    C = GrayCat(name=name or view.name)
+    for c in cells[0]:
+        C.add_cell(0, c)
+    for d in (1, 2, 3):
+        for c in cells[d]:
+            C.add_cell(d, c, view.src(d, c), view.tgt(d, c))
+
+    def place(d, c, what):
+        if not C.has_cell(d, c):
+            raise GrayError(f"{name}: {what} produced an unlisted {d}-cell {c!r}")
+        return c
+
+    for d in (0, 1, 2):
+        for c in C.cells[d]:
+            C.id_up[d][c] = place(d + 1, view.ident(d, c), "identity")
+    for table_name, attr, op, _, _, dout in TABLES:
+        table, apply = getattr(C, attr), getattr(view, op)
+        for l, r in composable_keys(C, op):
+            table[(l, r)] = place(dout, apply(l, r), table_name)
+    return C
+
+
+def _path_input(H, name):
+    return PathView(H), path_cells(H), name
+
+
+def _dd_input(tower):
+    return (PathView(tower.PH), path_cells(tower.PH, tower.dbl_keep),
+            f"dbl({tower.H.name})")
+
+
+LOOKUP_INPUTS = {
+    **{name: (lambda name=name: _path_input(fixture(name), f"path({name})"))
+       for name in ["T1", "INT", "BIG", "PAIR", "CYC2", "TWIST", "CHAIN3",
+                    "CHAIN4"]},
+    "path(path(PAIR))": lambda: _path_input(build_pathspace(fixture("PAIR")),
+                                            "path(path(PAIR))"),
+    "Tower(BIG).DD": lambda: _dd_input(Tower(fixture("BIG"))),
+}
+
+
+@pytest.mark.parametrize("name", LOOKUP_INPUTS)
+def test_materialize_by_lookup_matches_formula_fill(name):
+    """The same cells, faces, identities and tables in the same order, and
+    every identity and table value is the object C.cells holds."""
+    view, cells, cname = LOOKUP_INPUTS[name]()
+    C = materialize(view, cells, name=cname)
+    oracle = _formula_fill(view, cells, name=cname)
+    assert C.cells == oracle.cells
+    assert C.src_ == oracle.src_ and C.tgt_ == oracle.tgt_
+    for d in (0, 1, 2):
+        assert list(C.id_up[d].items()) == list(oracle.id_up[d].items())
+        assert all(v is C.canonical(d + 1, v) for v in C.id_up[d].values())
+    for _, attr, _, _, _, dout in TABLES:
+        table = getattr(C, attr)
+        assert list(table.items()) == list(getattr(oracle, attr).items())
+        assert all(v is C.canonical(dout, v) for v in table.values())
+
+
+class _UnlistedTensor(PathView):
+    """A view whose tensor, the last table filled, leaves the cell set."""
+
+    def tensor(self, b, a):
+        return ("p3", "unlisted", b, a)
+
+
+def test_materialize_by_lookup_raises_as_formula_fill_on_an_unlisted_cell():
+    H = fixture("BIG")
+    view, cells = _UnlistedTensor(H), path_cells(H)
+    with pytest.raises(GrayError) as lookup:
+        materialize(view, cells, name="path(BIG)")
+    with pytest.raises(GrayError) as formula:
+        _formula_fill(view, cells, name="path(BIG)")
+    assert str(lookup.value) == str(formula.value)
+    assert str(lookup.value).startswith(
+        "path(BIG): tensor produced an unlisted 3-cell ('p3', 'unlisted'")
+
+
+def test_build_pathspace_runs_comp0_formula_once_per_entry(monkeypatch):
+    """The whiskers, comp1 and the tensor read comp0 from its table: the
+    formula runs once per comp0 entry.  Before, path(TWIST) ran it 18,965
+    more times."""
+    calls = 0
+    formula = PathView.comp0
+
+    def counted(self, h, g):
+        nonlocal calls
+        calls += 1
+        return formula(self, h, g)
+    monkeypatch.setattr(PathView, "comp0", counted)
+    P = build_pathspace(fixture("TWIST"))
+    assert calls == len(P.comp0_11)
