@@ -8,9 +8,9 @@ synthesizes them.  Arrays are sorted so save/load round trips are bit-exact.
 
 from __future__ import annotations
 
-import gc
 import json
 import marshal
+from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from json.encoder import encode_basestring_ascii as _quote
 
 from .kernel import (TABLES, GrayCat, GrayError, ValidationError,
@@ -43,7 +43,8 @@ class _Decoder:
     """A decoder from JSON values to cells that returns one object per
     distinct cell, as a built GrayCat has: arrays become tuples, and equal
     strings or arrays decode to the same object, so table hits stop at
-    identity.  Arrays are looked up by their marshal bytes, which, unlike
+    identity.  A value it already decoded maps to itself: JSON never yields
+    a tuple.  Arrays are looked up by their marshal bytes, which, unlike
     the tuple, tell 1, 1.0 and true apart.  Format 2 is the last that
     writes equal values as equal bytes: from 3 on, marshal marks interned
     strings and shared references.  Not a closure: it would be a cycle.
@@ -55,13 +56,102 @@ class _Decoder:
     def dec(self, x):
         if type(x) is str:
             return self.strings.setdefault(x, x)
-        if type(x) in (list, tuple):
+        if type(x) is list:
             k = marshal.dumps(x, 2)
             t = self.tuples.get(k)
             if t is None:
                 t = self.tuples[k] = tuple(map(self.dec, x))
             return t
         return x
+
+
+# the top-level keys whose value is an array of cell rows, and those whose
+# value is an object of such arrays
+_ROWS = frozenset(("objects", "morphisms", "two_cells", "three_cells"))
+_SECTIONS = frozenset(("identities", "tables", "inverses"))
+
+
+class _Reader(json.JSONDecoder):
+    """json.loads(text, cls=_Reader, dec=dec) is json.loads(text), except
+    that each element of a cell array is decoded by dec as soon as it is
+    read: a dict element's values, or a list element's items.  So only one
+    row of the text is a tree of JSON lists at a time.
+
+    The top-level object, its cell arrays and its objects of cell arrays are
+    walked here, with the C scanner reading every other value whole.  Each
+    container walked costs the reader at least one Python frame, where
+    json.loads spends one level of the scanner's recursion; up to Python
+    3.11 both count against one limit, so the reader runs out of recursion
+    no later than json.loads does.  Every other error it raises is the one
+    json raises, at the same place.
+    """
+
+    def __init__(self, dec):
+        super().__init__()
+        self.dec = dec
+
+    def raw_decode(self, s, idx=0):
+        try:
+            if s.startswith("{", idx):
+                return self._object(s, idx + 1, self._member)
+            return self.scan_once(s, idx)
+        except StopIteration as err:
+            raise JSONDecodeError("Expecting value", s, err.value) from None
+
+    def _object(self, s, end, value):
+        """The object whose members start at end, and the index after it;
+        value(key, s, i) reads the value at i."""
+        obj = {}
+        end = WHITESPACE.match(s, end).end()
+        if s.startswith("}", end):
+            return obj, end + 1
+        while True:
+            if not s.startswith('"', end):
+                raise JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", s, end)
+            key, end = scanstring(s, end + 1, self.strict)
+            end = WHITESPACE.match(s, end).end()
+            if not s.startswith(":", end):
+                raise JSONDecodeError("Expecting ':' delimiter", s, end)
+            end = WHITESPACE.match(s, end + 1).end()
+            obj[key], end = value(key, s, end)
+            end = WHITESPACE.match(s, end).end()
+            if s.startswith("}", end):
+                return obj, end + 1
+            if not s.startswith(",", end):
+                raise JSONDecodeError("Expecting ',' delimiter", s, end)
+            end = WHITESPACE.match(s, end + 1).end()
+
+    def _member(self, key, s, end):
+        if key in _ROWS:
+            return self._rows(key, s, end)
+        if key in _SECTIONS and s.startswith("{", end):
+            return self._object(s, end + 1, self._rows)
+        return self.scan_once(s, end)
+
+    def _rows(self, key, s, end):
+        """The array at end with each element decoded, or the value at end
+        read whole if it is not an array; key, the member it is the value
+        of, names no row."""
+        if not s.startswith("[", end):
+            return self.scan_once(s, end)
+        dec, rows = self.dec, []
+        end = WHITESPACE.match(s, end + 1).end()
+        if s.startswith("]", end):
+            return rows, end + 1
+        while True:
+            row, end = self.scan_once(s, end)
+            if type(row) is list:
+                row[:] = map(dec, row)
+            elif type(row) is dict:
+                row = dict(zip(map(dec, row), map(dec, row.values())))
+            rows.append(row)
+            end = WHITESPACE.match(s, end).end()
+            if s.startswith("]", end):
+                return rows, end + 1
+            if not s.startswith(",", end):
+                raise JSONDecodeError("Expecting ',' delimiter", s, end)
+            end = WHITESPACE.match(s, end + 1).end()
 
 
 def to_document(C):
@@ -106,8 +196,8 @@ class _Text:
     key(c) is `json.dumps(c, sort_keys=True)`, the compact text documents
     sort by, computed once per cell object.  at(c, depth) is c as
     `json.dumps(..., indent=1)` writes it nested depth levels deep, kept
-    per compact text, so equal cells share it; the text, unlike the cell,
-    tells 1, 1.0 and true apart.
+    per depth and compact text, so equal cells share it; the text, unlike
+    the cell, tells 1, 1.0 and true apart.
     """
 
     def __init__(self):
@@ -125,40 +215,55 @@ class _Text:
     def at(self, c, depth):
         if type(c) is str:
             return _quote(c)
-        k = (self.key(c), depth)
-        text = self.texts.get(k)
+        texts = self.texts.get(depth)
+        if texts is None:
+            texts = self.texts[depth] = {}
+        k = self.key(c)
+        text = texts.get(k)
         if text is None:
-            if depth:
-                # a JSON string holds no raw newline, so indenting every
-                # line of the depth-0 text nests it
-                text = self.at(c, 0).replace("\n", "\n" + " " * depth)
-            elif isinstance(c, tuple) and c:
+            if isinstance(c, tuple) and c:
                 text = "[\n " + ",\n ".join(self.at(x, 1) for x in c) + "\n]"
+                if depth:
+                    # a JSON string holds no raw newline, so indenting
+                    # every line of the depth-0 text nests it
+                    text = text.replace("\n", "\n" + " " * depth)
             else:
                 text = json.dumps(c, indent=1, sort_keys=True)
-            self.texts[k] = text
+            texts[k] = text
         return text
 
     def document(self, x, depth=0):
-        """x (dicts and lists around cells) as `json.dumps(x, indent=1,
-        sort_keys=True)` writes it."""
+        """The pieces of x (dicts and lists around cells) as
+        `json.dumps(x, indent=1, sort_keys=True)` writes it: one piece per
+        cell, and one per bracket, key and separator."""
         if not isinstance(x, (dict, list)):
-            return self.at(x, depth)
-        if not x:
-            return "{}" if isinstance(x, dict) else "[]"
-        pad = "\n" + " " * (depth + 1)
-        end = "\n" + " " * depth
-        if isinstance(x, dict):
-            return "{" + ",".join(
-                f"{pad}{_quote(k)}: {self.document(v, depth + 1)}"
-                for k, v in sorted(x.items())) + end + "}"
-        return "[" + ",".join(pad + self.document(v, depth + 1)
-                              for v in x) + end + "]"
+            yield self.at(x, depth)
+        elif not x:
+            yield "{}" if isinstance(x, dict) else "[]"
+        else:
+            pad = ",\n" + " " * (depth + 1)
+            sep = pad[1:]
+            if isinstance(x, dict):
+                yield "{"
+                for k, v in sorted(x.items()):
+                    yield f"{sep}{_quote(k)}: "
+                    yield from self.document(v, depth + 1)
+                    sep = pad
+                yield "\n" + " " * depth + "}"
+            else:
+                yield "["
+                for v in x:
+                    yield sep
+                    yield from self.document(v, depth + 1)
+                    sep = pad
+                yield "\n" + " " * depth + "]"
 
 
-def from_document(doc):
+def from_document(doc, decoder=None):
     """The GrayCat a document describes.
 
+    decoder is the _Decoder that read doc's cell rows, if one did, so that
+    the cells the document repeats elsewhere decode to the same objects.
     Raises ParseError when the document is malformed and ValidationError
     when its cells and tables are inconsistent.
     """
@@ -167,7 +272,8 @@ def from_document(doc):
     if doc.get("format") != FORMAT:
         raise ParseError(f"unknown format {doc.get('format')!r}, expected {FORMAT}")
     try:
-        C = _build(doc)
+        C = _build(doc, decoder or _Decoder())
+        del doc  # the rows loads read are garbage once C holds their cells
         violations = structural_violations(C)
     except (KeyError, GrayError) as exc:
         raise ParseError(str(exc)) from None
@@ -178,8 +284,8 @@ def from_document(doc):
     return C
 
 
-def _build(doc):
-    dec = _Decoder().dec
+def _build(doc, decoder):
+    dec = decoder.dec
     C = GrayCat(doc.get("name", ""))
     for e in doc["objects"]:
         C.add_cell(0, dec(e["id"]))
@@ -208,35 +314,42 @@ def _build(doc):
 
 def dumps(C):
     """The text of C's document: json.dumps(to_document(C), indent=1,
-    sort_keys=True) and a newline, written from each cell's cached text."""
-    return _Text().document(to_document(C)) + "\n"
+    sort_keys=True) and a newline, joined from the pieces save writes."""
+    return "".join(_Text().document(to_document(C))) + "\n"
 
 
 def loads(text):
-    """The GrayCat of a JSON document text.
+    """The GrayCat of a JSON document text: from_document(json.loads(text)),
+    with each row of the document's cell arrays decoded as it is read, so
+    the decoded JSON tree of the whole text is never held.
 
-    json.loads makes a list or dict per array or object of the text, and
-    none of them can be part of a cycle, so the cyclic collector is paused
-    while they live: left on, it walks them again and again for nothing.
-    A document nested deeper than the interpreter's recursion limit is a
-    ParseError like any other malformed text.
+    A text the reader runs out of recursion on is read by json.loads and
+    from_document instead, so a document nested deeper than the
+    interpreter's recursion limit is a ParseError like any other malformed
+    text, as it was before the reader.
     """
-    enabled = gc.isenabled()
-    gc.disable()
+    decoder = _Decoder()
     try:
-        return from_document(json.loads(text))
-    except json.JSONDecodeError as exc:
+        try:
+            return from_document(
+                json.loads(text, cls=_Reader, dec=decoder.dec), decoder)
+        except JSONDecodeError:
+            raise
+        except (RecursionError, ValueError):
+            # past the reader's frames or marshal's depth limit: the route
+            # the reader stands in for, with its outcome
+            return from_document(json.loads(text))
+    except JSONDecodeError as exc:
         raise ParseError(f"bad JSON at char {exc.pos}: {exc.msg}") from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def save(C, path):
+    """Write dumps(C) to path piece by piece, never the whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(C))
+        fh.writelines(_Text().document(to_document(C)))
+        fh.write("\n")
 
 
 def load(path):

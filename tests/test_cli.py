@@ -14,6 +14,8 @@ from graypath import presentation as pres
 from graypath.fixtures import fixture
 from graypath.kernel import TABLES
 
+from mutations import CELLS, document_text, mutated_json, with_cell_text
+
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
@@ -228,14 +230,6 @@ def test_undeclared_source_of_a_2cell_exits_2(tmp_path):
     assert "2-cell 'alpha': src 'ghost' not a declared 1-cell" in r.output
 
 
-@functools.lru_cache(maxsize=None)
-def _document_text(name):
-    from graypath.pathspace import build_pathspace
-    C = fixture(name) if name == "BIG" else build_pathspace(fixture("PAIR"))
-    return pres.dumps(C)
-
-
-_CELLS = ("objects", "morphisms", "two_cells", "three_cells")
 _OPERAND_DIMS = {name: (dl, dr) for name, _, _, dl, dr, _ in TABLES}
 
 
@@ -244,12 +238,12 @@ def _mutated_document(draw):
     """BIG's or path(PAIR)'s document with one field changed: a face or id
     set to an undeclared string, one table entry dropped or doubled, or one
     operand of a table row set to another declared cell of its dimension."""
-    doc = json.loads(_document_text(draw(st.sampled_from(["BIG", "path(PAIR)"]))))
+    doc = json.loads(document_text(draw(st.sampled_from(["BIG", "path(PAIR)"]))))
     kind = draw(st.sampled_from(["cell", "identity", "entry", "drop", "double",
                                  "rekey"]))
     ghost = draw(st.sampled_from(["ghost", "", "id[ghost]"]))
     if kind == "cell":
-        entries = doc[draw(st.sampled_from(_CELLS))]
+        entries = doc[draw(st.sampled_from(CELLS))]
         e = entries[draw(st.integers(0, len(entries) - 1))]
         e[draw(st.sampled_from(sorted(e)))] = ghost
         return doc
@@ -262,7 +256,7 @@ def _mutated_document(draw):
     i = draw(st.integers(0, len(rows) - 1))
     if kind == "rekey":
         j = draw(st.integers(0, 1))
-        cells = doc[_CELLS[_OPERAND_DIMS[table][j]]]
+        cells = doc[CELLS[_OPERAND_DIMS[table][j]]]
         rows[i][j] = draw(st.sampled_from(
             [e["id"] for e in cells if e["id"] != rows[i][j]]))
         return doc
@@ -455,52 +449,7 @@ def test_mutated_dsl_texts_exit_0_1_or_2(text):
             assert "Traceback" not in r.output
 
 
-_MARK = "@@cell@@"
-
-
-def _cell_slots(doc):
-    """Every place of doc that holds a cell, as (container, key) pairs."""
-    rows = [r for rs in doc["identities"].values() for r in rs]
-    rows += [r for rs in doc["tables"].values() for r in rs]
-    return ([(e, k) for f in _CELLS for e in doc[f] for k in sorted(e)]
-            + [(r, j) for r in rows for j in range(len(r))])
-
-
-def _with_cell_text(doc, slot, text):
-    """doc's JSON text with the cell at slot written as text."""
-    container, key = slot
-    container[key] = _MARK
-    return json.dumps(doc, indent=1, sort_keys=True).replace(
-        json.dumps(_MARK), text)
-
-
-@st.composite
-def _mutated_json(draw):
-    """BIG's or path(PAIR)'s saved JSON with one edit: the text cut short, a
-    bracket dropped or doubled, a cell swapped for 1, true or 1.0, or a cell
-    wrapped in N arrays."""
-    text = _document_text(draw(st.sampled_from(["BIG", "path(PAIR)"])))
-    kind = draw(st.sampled_from(["truncate", "drop-bracket", "double-bracket",
-                                 "swap", "wrap"]))
-    if kind == "truncate":
-        return text[:draw(st.integers(0, len(text)))]
-    if kind.endswith("bracket"):
-        i = draw(st.sampled_from(
-            [i for i, ch in enumerate(text) if ch in "[]{}"]))
-        return text[:i] + (text[i] if kind == "double-bracket" else "") + \
-            text[i + 1:]
-    doc = json.loads(text)
-    slots = _cell_slots(doc)
-    container, key = slot = slots[draw(st.integers(0, len(slots) - 1))]
-    if kind == "swap":
-        cell = draw(st.sampled_from(["1", "true", "1.0"]))
-    else:
-        n = draw(st.sampled_from([1, 2, 50, 990, 2000]))
-        cell = "[" * n + json.dumps(container[key]) + "]" * n
-    return _with_cell_text(doc, slot, cell)
-
-
-@given(_mutated_json())
+@given(mutated_json())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_mutated_json_texts_exit_0_1_or_2(text):
     """A one-edit mutation of a saved *.graycat.json text ends with exit 0,
@@ -523,7 +472,7 @@ def test_deeply_nested_json_exits_2(tmp_path):
     nested."""
     doc = pres.to_document(fixture("T1"))
     texts = {"brackets": "[" * 100_000 + "]" * 100_000,
-             "object-id": _with_cell_text(doc, (doc["objects"][0], "id"),
+             "object-id": with_cell_text(doc, (doc["objects"][0], "id"),
                                           "[" * 990 + '"*"' + "]" * 990)}
     for name, text in texts.items():
         path = tmp_path / f"{name}.graycat.json"
