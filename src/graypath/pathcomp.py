@@ -10,75 +10,25 @@ factor at a time: every table entry is an integer lookup in path(H)'s (and
 the previous pullback's) tables, re-keyed once by cell position.  The
 internal category laws' triple pullback is pullback_cells' alone: no join.
 
-m_cocycle runs once per composable pair of the 2-fold pullback, when m is
-built; its results are m's cocycle table.  The associativity check reads
-both sides off m, with no map over the triple pullback: cells m(m(a, b), c)
-against m(a, m(b, c)), and the co-Kleisli cocycles of m after m x 1 and
-after 1 x m, from m's cocycle table and path(H)'s identities.
+m is built by lookup, one dimension at a time: a cell's image reads its
+faces' images from m's lower table, m_cocycle runs once per composable pair
+of the 2-fold pullback over the tabulated path(H), and every value is the
+object path(H) holds; m_apply and m_cocycle over PathView(H) are the
+formula oracle.  The associativity check reads both sides off m, with no
+map over the triple pullback: cells m(m(a, b), c) against m(a, m(b, c)),
+and the co-Kleisli cocycles of m after m x 1 and after 1 x m, from m's
+cocycle table and path(H)'s identities.  The laws of m run on positions
+(m's position copy, path(H)'s positions of the pullbacks' components); a
+law that fails runs again on the nested cells, which name its witness.
 """
 
 from __future__ import annotations
 
-from .kernel import (NotAGroupoid, NotComposable, composable_keys, law_report,
-                     pullback, pullback_cells, run_laws)
+from .kernel import (NotAGroupoid, NotComposable, _ranks, composable_keys,
+                     law_report, pullback, pullback_cells, run_laws)
 from .pathspace import (PathView, build_pathspace, degeneracy, face_map, p2,
                         p3, pd0, pd1, pdim, sq)
-from .resolution import PseudoMap, validate_pseudo_map
-
-
-class TupleView:
-    """Componentwise operations on n-tuples of path cells over one view.
-
-    With composable_tuples and pathspace.materialize it is the formula
-    oracle that the tests compare build_pullback against.
-    """
-
-    def __init__(self, V, n, name=""):
-        self.V = V
-        self.name = name or f"{V.name}^{n}"
-        self.is_groupoid = V.is_groupoid
-
-    def _zip(self, op, *tuples):
-        return tuple(map(op, *tuples))
-
-    def src(self, d, c):
-        return tuple(self.V.src(d, x) for x in c)
-
-    def tgt(self, d, c):
-        return tuple(self.V.tgt(d, x) for x in c)
-
-    def ident(self, d, c):
-        return tuple(self.V.ident(d, x) for x in c)
-
-    def comp0(self, h, g):
-        return self._zip(self.V.comp0, h, g)
-
-    def comp1(self, b, a):
-        return self._zip(self.V.comp1, b, a)
-
-    def comp2(self, d3, g3):
-        return self._zip(self.V.comp2, d3, g3)
-
-    def wl12(self, k, a):
-        return self._zip(self.V.wl12, k, a)
-
-    def wr12(self, a, k):
-        return self._zip(self.V.wr12, a, k)
-
-    def wl13(self, k, g):
-        return self._zip(self.V.wl13, k, g)
-
-    def wr13(self, g, k):
-        return self._zip(self.V.wr13, g, k)
-
-    def wl23(self, c, g):
-        return self._zip(self.V.wl23, c, g)
-
-    def wr23(self, g, c):
-        return self._zip(self.V.wr23, g, c)
-
-    def tensor(self, b, a):
-        return self._zip(self.V.tensor, b, a)
+from .resolution import PseudoMap, _validate_by_position, validate_pseudo_map
 
 
 def composable_tuples(PH, H, n):
@@ -133,21 +83,25 @@ def m_apply(H, d, u, l):
     """
     if d == 0:
         return H.comp0(u, l)
+    return _m_cell(H, d, u, l, lambda x, y: m_apply(H, d - 1, x, y))
+
+
+def _m_cell(H, d, u, l, lower):
+    """m_apply(H, d, u, l) for d > 0, where lower(x, y) is m's image of
+    the pair (x, y) of u's and l's (d-1)-faces."""
     if d == 1:
         if pd0(H, 1, u) != pd1(H, 1, l):
             raise NotComposable("m: pair of squares not composable")
         two = H.comp1(H.wl12(u[5], l[1]), H.wr12(u[1], l[4]))
-        return sq(H, two, l[2], u[3], H.comp0(u[4], l[4]), H.comp0(u[5], l[5]))
+        return sq(H, two, l[2], u[3], lower(u[4], l[4]), lower(u[5], l[5]))
     if d == 2:
         fh1 = u[4][5]                       # bottom 1-cell of the upper pair
         top = l[4][4]
         step1 = H.wr23(H.wl13(fh1, l[1]), H.wr12(u[4][1], top))
         step2 = H.wl23(H.wl12(fh1, l[5][1]), H.wr13(u[1], top))
-        t = H.comp2(step2, step1)
-        return p2(H, t, l[2], u[3],
-                  m_apply(H, 1, u[4], l[4]), m_apply(H, 1, u[5], l[5]))
-    return p3(H, l[1], u[2],
-              m_apply(H, 2, u[3], l[3]), m_apply(H, 2, u[4], l[4]))
+        return p2(H, H.comp2(step2, step1), l[2], u[3],
+                  lower(u[4], l[4]), lower(u[5], l[5]))
+    return p3(H, l[1], u[2], lower(u[3], l[3]), lower(u[4], l[4]))
 
 
 def m_cocycle(H, V, q, p):
@@ -173,20 +127,28 @@ def m_cocycle(H, V, q, p):
 
 
 def m_pseudo(H, PH=None):
-    """m as a PseudoMap on the tabulated pullback."""
+    """m as a PseudoMap on the tabulated pullback, built one dimension at a
+    time by lookup: the image of a d-cell reads the images of its faces
+    from m's (d-1)-table, m_cocycle runs once per composable pair over the
+    tabulated PH, and every value is the object PH holds (held, as
+    PH.canonical gives it without building PH's face index).  m_apply and
+    m_cocycle over PathView(H) are the formula oracle."""
     PH = PH or build_pathspace(H)
     K = build_pullback(PH, H, 2)
-    V = PathView(H)
-    assign = {d: {c: m_apply(H, d, c[0], c[1]) for c in K.cells[d]}
-              for d in (0, 1, 2, 3)}
-    coc = {(qq, pp): m_cocycle(H, V, qq, pp) for (qq, pp) in K.comp0_11}
+    held = {d: dict(zip(PH.cells[d], PH.cells[d])) for d in PH.DIMS}
+    assign = {0: {c: held[0][H.comp0(*c)] for c in K.cells[0]}}
+    for d in (1, 2, 3):
+        lower = assign[d - 1]
+        assign[d] = {c: held[d][_m_cell(H, d, *c, lambda x, y: lower[(x, y)])]
+                     for c in K.cells[d]}
+    coc = {pair: held[2][m_cocycle(H, PH, *pair)] for pair in K.comp0_11}
     return PH, K, PseudoMap(K, PH, assign, coc, name=f"m({H.name})")
 
 
 def verify_m_pseudo(H):
-    """Lemma-level check: m is a pseudo Q1 graph map over path(H) x_H path(H)."""
-    _, _, m = m_pseudo(H)
-    return validate_pseudo_map(m)
+    """Lemma-level check: m is a pseudo Q1 graph map over path(H) x_H path(H),
+    by validate_pseudo_map's laws on m's position copy."""
+    return _validate_by_position(m_pseudo(H)[2])
 
 
 # -- internal category laws ----------------------------------------------------
@@ -197,37 +159,40 @@ def verify_internal_category(H):
     of the internal category.
 
     K3 extends m's 2-fold pullback K by path(H) as a globular set
-    (pullback_cells, no join): the laws read its cells and composable
-    pairs, never a table, and K3 stays inside this check.  Associativity
-    compares m(m(a, b), c) with m(a, m(b, c)) per K3 cell and, per pair,
-    the cocycles G F^2 #1 G^2 of m after m x 1 and after 1 x m: F^2 pairs
-    an entry of m's cocycle table (validate_pseudo_map(m) checks it in the
-    same report) with an identity of path(H).
+    (pullback_cells, no join).  Associativity compares m(m(a, b), c) with
+    m(a, m(b, c)) per K3 cell and, per pair, the cocycles G F^2 #1 G^2 of
+    m after m x 1 and after 1 x m: F^2 pairs an entry of m's cocycle table
+    with an identity of path(H).
+
+    As in check_gray_axioms, the laws run on positions: validate_pseudo_map's
+    on m's position copy, the internal ones on path(H)'s positions of K's
+    and K3's components, of m's images and of each cell's degeneracies
+    (the unit-cocycle and assoc-cocycle tuples on m and path(H) themselves);
+    a law that fails runs again on nested cells, for its witness.  The
+    internal laws run first, so that K3 and their ranks are dropped before
+    m's position copy is built.
     """
     PH, K, m = m_pseudo(H)
+    internal = _internal_reports(H, PH, K, m)
+    return _validate_by_position(m) + internal
+
+
+def _internal_reports(H, PH, K, m):
+    """The reports of the internal laws of verify_internal_category."""
+    rank, dims = _ranks(PH), PH.DIMS
     K3, _ = pullback_cells(*_extension(K, PH, H), f"pb3({H.name})")
     pairs = list(composable_keys(K3, "comp0"))
+    triples = {d: [tuple(rank[d][x] for x in c) for c in K3.cells[d]]
+               for d in dims}
+    del K3, _
+    D0 = {d: dict(enumerate(pd0(H, d, c) for c in PH.cells[d])) for d in dims}
+    D1 = {d: dict(enumerate(pd1(H, d, c) for c in PH.cells[d])) for d in dims}
+    comps = {d: [(rank[d][a], rank[d][b]) for a, b in K.cells[d]]
+             for d in dims}
+    mul = {d: {(rank[d][a], rank[d][b]): rank[d][v]
+               for (a, b), v in m.assignment[d].items()} for d in dims}
 
-    def faces():
-        for d in (0, 1, 2, 3):
-            for (a, b) in K.cells[d]:
-                mc = m(d, (a, b))
-                yield pd0(H, d, mc) == pd0(H, d, b), ("d0-of-m", d, a, b)
-                yield pd1(H, d, mc) == pd1(H, d, a), ("d1-of-m", d, a, b)
-
-    def units():
-        for d in (0, 1, 2, 3):
-            for c in PH.cells[d]:
-                right = degeneracy(H, d, pd0(H, d, c))
-                left = degeneracy(H, d, pd1(H, d, c))
-                yield m(d, (c, right)) == c, ("right-unit", d, c)
-                yield m(d, (left, c)) == c, ("left-unit", d, c)
-        # unital cocycles: composites with degenerate pairs are trivial
-        for (q, p) in K.comp0_11:
-            if K.is_id1(q) or K.is_id1(p):
-                yield PH.is_id2(m.coc(q, p)), ("unit-cocycle", q, p)
-
-    def assoc():
+    def assoc_cocycles():
         # both sides' cocycles at every pair, before any tuple is compared,
         # as kleisli_compose forms a composite's: one that cannot be formed
         # fails the law at its first tuple
@@ -239,18 +204,67 @@ def verify_internal_category(H):
                               m.coc(t[1:], s[1:]))),
                         m.coc((t[0], m(1, t[1:])), (s[0], m(1, s[1:]))))
                for (t, s) in pairs]
-        for d in (0, 1, 2, 3):
-            for (a, b, c) in K3.cells[d]:
-                yield (m(d, (m(d, (a, b)), c)) == m(d, (a, m(d, (b, c)))),
-                       ("assoc-cells", d, (a, b, c)))
-        for pair, l, r in zip(pairs, lhs, rhs):
-            yield l == r, ("assoc-cocycle", pair)
+        return ((l == r, ("assoc-cocycle", pair))
+                for pair, l, r in zip(pairs, lhs, rhs))
 
-    return validate_pseudo_map(m) + run_laws([
+    def nested():
+        cells = {d: [tuple(PH.cells[d][i] for i in t) for t in triples[d]]
+                 for d in dims}
+        return _internal_laws(
+            m, PH.cells, K.cells, m.assignment, cells,
+            lambda d, c: pd0(H, d, c), lambda d, c: pd1(H, d, c),
+            lambda d, c: (degeneracy(H, d, pd0(H, d, c)),
+                          degeneracy(H, d, pd1(H, d, c))), assoc_cocycles)
+
+    return run_laws(_internal_laws(
+        m, {d: range(len(PH.cells[d])) for d in dims}, comps, mul, triples,
+        lambda d, c: D0[d][c], lambda d, c: D1[d][c],
+        lambda d, i: (rank[d][degeneracy(H, d, D0[d][i])],
+                      rank[d][degeneracy(H, d, D1[d][i])]), assoc_cocycles),
+        witness=nested)
+
+
+def _internal_laws(m, cells, comps, mul, triples, d0, d1, unit,
+                   assoc_cocycles):
+    """The internal category laws on one route, as (name, generator) pairs:
+    cells[d] lists path(H)'s d-cells, comps[d] and triples[d] the
+    components of K's and K3's, mul[d][(a, b)] is m's image of (a, b), d0
+    and d1 give a path cell's faces in H, unit(d, c) the degenerate cells
+    on c's faces, and assoc_cocycles() the assoc-cocycle tuples."""
+    PH, K = m.cod, m.dom
+
+    def faces():
+        for d in PH.DIMS:
+            for a, b in comps[d]:
+                mc = mul[d][(a, b)]
+                yield d0(d, mc) == d0(d, b), ("d0-of-m", d, a, b)
+                yield d1(d, mc) == d1(d, a), ("d1-of-m", d, a, b)
+
+    def units():
+        for d in PH.DIMS:
+            for c in cells[d]:
+                right, left = unit(d, c)
+                yield mul[d][(c, right)] == c, ("right-unit", d, c)
+                yield mul[d][(left, c)] == c, ("left-unit", d, c)
+        # unital cocycles: composites with degenerate pairs are trivial
+        for (q, p) in K.comp0_11:
+            if K.is_id1(q) or K.is_id1(p):
+                yield PH.is_id2(m.coc(q, p)), ("unit-cocycle", q, p)
+
+    def assoc():
+        cocycles = assoc_cocycles()
+        for d in PH.DIMS:
+            for a, b, c in triples[d]:
+                yield (mul[d][(mul[d][(a, b)], c)]
+                       == mul[d][(a, mul[d][(b, c)])],
+                       ("assoc-cells", d, (a, b, c)))
+        yield from cocycles
+
+    return [
         ("internal-source-target", faces()),
         ("internal-units", units()),
         ("internal-associativity", assoc()),
-    ])
+    ]
 
 
 def m_naturality_check(F, H, K_cod):

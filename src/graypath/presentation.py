@@ -154,9 +154,10 @@ class _Reader(json.JSONDecoder):
             end = WHITESPACE.match(s, end + 1).end()
 
 
-def to_document(C):
-    """The document of C; cells are tuples, which json writes as arrays."""
-    key = _Text().key
+def to_document(C, text=None):
+    """The document of C; cells are tuples, which json writes as arrays.
+    Arrays sort by text.key: the writer passes its own _Text."""
+    key = (text or _Text()).key
 
     def faces(d):
         return sorted(({"id": c, "src": C.src(d, c), "tgt": C.tgt(d, c)}
@@ -315,7 +316,8 @@ def _build(doc, decoder):
 def dumps(C):
     """The text of C's document: json.dumps(to_document(C), indent=1,
     sort_keys=True) and a newline, joined from the pieces save writes."""
-    return "".join(_Text().document(to_document(C))) + "\n"
+    text = _Text()
+    return "".join(text.document(to_document(C, text))) + "\n"
 
 
 def loads(text):
@@ -348,7 +350,8 @@ def loads(text):
 def save(C, path):
     """Write dumps(C) to path piece by piece, never the whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_Text().document(to_document(C)))
+        text = _Text()
+        fh.writelines(text.document(to_document(C, text)))
         fh.write("\n")
 
 

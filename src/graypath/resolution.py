@@ -17,8 +17,8 @@ come for free).
 from __future__ import annotations
 
 from .kernel import (TABLES, GrayError, Mismatch, NotComposable, NotOneFree,
-                     _key_order, composable_keys, fold0, hcomp_left,
-                     hcomp_right, run_laws)
+                     _by_position, _key_order, _ranks, composable_keys,
+                     fold0, hcomp_left, hcomp_right, run_laws)
 
 
 # -- symbolic cells ----------------------------------------------------------
@@ -397,6 +397,15 @@ def validate_pseudo_map(F):
     local-sesquifunctor reads the domain tables in insertion order; a
     failing law runs again with them sorted by _key_order, for its witness.
     """
+    return run_laws(_pseudo_map_laws(F, dict.items),
+                    witness=lambda: _pseudo_map_laws(F, _key_order))
+
+
+def _pseudo_map_laws(F, order):
+    """The laws of validate_pseudo_map on F, as (name, generator) pairs;
+    order(table) gives the items of a domain table in the order
+    local-sesquifunctor reads them.  Only that law reads a table, so the
+    others check the same tuples in the same order for either order."""
     dom, cod = F.dom, F.cod
 
     pairs = list(composable_keys(dom, "comp0"))
@@ -412,7 +421,7 @@ def validate_pseudo_map(F):
                 yield F(d + 1, dom.ident(d, c)) == cod.ident(d, F(d, c)), \
                     ("identity", d, c)
 
-    def local_sesqui(order):
+    def local_sesqui():
         rows = {row[0]: row for row in TABLES}
         for name in ("comp1", "comp2", "whisk_l23", "whisk_r23"):
             _, attr, op, dl, dr, dout = rows[name]
@@ -527,21 +536,34 @@ def validate_pseudo_map(F):
                 yield tensor_is_id3(image(a), c), \
                     ("tensor-cocycle-right", a, pairs[i])
 
-    # only local-sesquifunctor reads a table; the other laws give the same
-    # report when run again, as their memos store nothing when a read raises
-    def laws(order):
-        return [
-            ("globular-and-identities", globular()),
-            ("local-sesquifunctor", local_sesqui(order)),
-            ("cocycle", cocycle()),
-            ("whisker-coherence", whisker_coherence()),
-            ("whisker3-coherence", whisker3_coherence()),
-            ("tensor-coherence", tensor_coherence()),
-            ("compositor-tensors-trivial", compositor_tensors_trivial()),
-            ("mixed-tensors-vanish", mixed_tensors_vanish()),
-        ]
+    return [
+        ("globular-and-identities", globular()),
+        ("local-sesquifunctor", local_sesqui()),
+        ("cocycle", cocycle()),
+        ("whisker-coherence", whisker_coherence()),
+        ("whisker3-coherence", whisker3_coherence()),
+        ("tensor-coherence", tensor_coherence()),
+        ("compositor-tensors-trivial", compositor_tensors_trivial()),
+        ("mixed-tensors-vanish", mixed_tensors_vanish()),
+    ]
 
-    return run_laws(laws(dict.items), witness=lambda: laws(_key_order))
+
+def _validate_by_position(F):
+    """validate_pseudo_map(F)'s reports, its laws run on F's position copy:
+    F between the position copies of its domain and codomain, each entry
+    re-keyed and valued by position, a value that is no cell of cod of the
+    right dimension made ("absent", value), as in _by_position.  The copy
+    is isomorphic to F, so a law that passes on it passes on F with the
+    same count; one that fails runs again on F, for its witness."""
+    rd, rc = _ranks(F.dom), _ranks(F.cod)
+    assign = {d: {rd[d][c]: rc[d][v] for c, v in F.assignment[d].items()}
+              for d in (0, 1, 2, 3)}
+    coc = {(rd[1][f1], rd[1][f2]): rc[2][v]
+           for (f1, f2), v in F.cocycle.items()}
+    copy = PseudoMap(_by_position(F.dom, rd), _by_position(F.cod, rc),
+                     assign, coc, name=F.name)
+    return run_laws(_pseudo_map_laws(copy, dict.items),
+                    witness=lambda: _pseudo_map_laws(F, _key_order))
 
 
 # -- tilde / vee -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""No law of the tower checker, the Gray-axiom checker or the hom-space
+"""No law of the tower checker, the Gray-axiom checker, the pseudo-map
+and internal-category checkers (on either route) or the hom-space
 validators and no hom-space enumerator catches an exception.
 
 Every tuple a law checks is picked by an explicit face predicate, read
@@ -33,7 +34,10 @@ LAWS = [
     ("homspace", ("validate_transformation", "validate_modification",
                   "validate_perturbation")),
     ("highercells", ("undegenerate",)),
-    ("resolution", ("validate_pseudo_map",)),
+    ("resolution", ("validate_pseudo_map", "_pseudo_map_laws",
+                    "_validate_by_position")),
+    ("pathcomp", ("verify_m_pseudo", "verify_internal_category",
+                  "_internal_reports", "_internal_laws")),
 ]
 # try/except* is ast.TryStar from Python 3.11 on
 TRIES = tuple(getattr(ast, n) for n in ("Try", "TryStar") if hasattr(ast, n))

@@ -9,17 +9,17 @@ from graypath.fixtures import fixture
 from graypath.faults import corrupt_m_cocycle
 from graypath.kernel import (TABLES, StrictMap, _key_order, all_pass,
                              composable_keys, identity_map, law_report,
-                             pullback_cells)
+                             pullback_cells, run_laws)
 from graypath import pathcomp, presentation, resolution
 from graypath.resolution import (PseudoMap, kleisli_compose,
                                  validate_pseudo_map)
-from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
-                               m_apply, m_cocycle, m_naturality_check,
-                               m_pseudo, o_cell, o_pseudo,
-                               verify_internal_category, verify_internal_groupoid,
-                               verify_m_pseudo)
+from graypath.pathcomp import (build_pullback, composable_tuples, m_apply,
+                               m_cocycle, m_naturality_check, m_pseudo,
+                               o_cell, o_pseudo, verify_internal_category,
+                               verify_internal_groupoid, verify_m_pseudo)
 from graypath.pathspace import (PathView, build_pathspace, degeneracy,
                                 materialize, pd0, pd1)
+from tuple_view import TupleView
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +423,126 @@ def test_a_swapped_cell_image_fails_associativity_at_its_cell(monkeypatch):
     expected = _assoc_by_kleisli_compose(H, PH, K, m)
     assert expected["counterexample"][0] == "error"
     assert expected["tuples_checked"] == 0
+
+
+def _all_nested(H, PH, K, m):
+    """verify_internal_category's reports with every law run on m and its
+    nested cells: validate_pseudo_map(m), then the internal laws as they
+    read before they ran on positions."""
+    K3, _ = pullback_cells(*pathcomp._extension(K, PH, H), "pb3")
+    pairs = list(composable_keys(K3, "comp0"))
+
+    def faces():
+        for d in (0, 1, 2, 3):
+            for (a, b) in K.cells[d]:
+                mc = m(d, (a, b))
+                yield pd0(H, d, mc) == pd0(H, d, b), ("d0-of-m", d, a, b)
+                yield pd1(H, d, mc) == pd1(H, d, a), ("d1-of-m", d, a, b)
+
+    def units():
+        for d in (0, 1, 2, 3):
+            for c in PH.cells[d]:
+                right = degeneracy(H, d, pd0(H, d, c))
+                left = degeneracy(H, d, pd1(H, d, c))
+                yield m(d, (c, right)) == c, ("right-unit", d, c)
+                yield m(d, (left, c)) == c, ("left-unit", d, c)
+        for (q, p) in K.comp0_11:
+            if K.is_id1(q) or K.is_id1(p):
+                yield PH.is_id2(m.coc(q, p)), ("unit-cocycle", q, p)
+
+    def assoc():
+        lhs = [PH.comp1(m(2, (m.coc(t[:2], s[:2]),
+                              PH.ident(1, PH.comp0(t[2], s[2])))),
+                        m.coc((m(1, t[:2]), t[2]), (m(1, s[:2]), s[2])))
+               for (t, s) in pairs]
+        rhs = [PH.comp1(m(2, (PH.ident(1, PH.comp0(t[0], s[0])),
+                              m.coc(t[1:], s[1:]))),
+                        m.coc((t[0], m(1, t[1:])), (s[0], m(1, s[1:]))))
+               for (t, s) in pairs]
+        for d in (0, 1, 2, 3):
+            for (a, b, c) in K3.cells[d]:
+                yield (m(d, (m(d, (a, b)), c)) == m(d, (a, m(d, (b, c)))),
+                       ("assoc-cells", d, (a, b, c)))
+        for pair, l, r in zip(pairs, lhs, rhs):
+            yield l == r, ("assoc-cocycle", pair)
+
+    return validate_pseudo_map(m) + run_laws([
+        ("internal-source-target", faces()),
+        ("internal-units", units()),
+        ("internal-associativity", assoc()),
+    ])
+
+
+def _faulty_ms(H):
+    """m of H with one fault each: a cocycle swapped by corrupt_m_cocycle
+    (seeds 0-39), the image of one 1-, 2- and 3-cell swapped for another
+    cell of path(H), and one 2-cell image that is no cell of path(H)."""
+    for seed in range(40):
+        yield corrupt_m_cocycle(H, seed)[0]
+    PH, K, m = m_pseudo(H)
+
+    def with_image(d, c, image):
+        assign = {e: dict(m.assignment[e]) for e in m.assignment}
+        assign[d][c] = image
+        return PseudoMap(K, PH, assign, m.cocycle, name=m.name)
+
+    for d in (1, 2, 3):
+        c = K.cells[d][len(K.cells[d]) // 2]
+        yield with_image(d, c, next(x for x in PH.cells[d] if x != m(d, c)))
+    c = K.cells[2][len(K.cells[2]) // 2]
+    yield with_image(2, c, ("p2", "no-such-3-cell") + m(2, c)[2:])
+
+
+@pytest.mark.parametrize("name", ["CYC2", "CHAIN3"])
+def test_check_m_on_positions_reports_as_all_nested(monkeypatch, name):
+    """verify_internal_category runs its laws on positions and re-runs a
+    failing one on m: on 44 faulty m's its reports are the all-nested
+    route's, report for report, and a passing run sorts no table."""
+    H = fixture(name)
+    calls, maps = [], []
+
+    def counted(table):
+        calls.append(len(table))
+        return _key_order(table)
+    laws, internal = resolution._pseudo_map_laws, pathcomp._internal_laws
+
+    def spied(F, order):
+        maps.append(F.dom.cells)
+        return laws(F, order)
+
+    def spied_internal(m, cells, *args):
+        maps.append(cells)
+        return internal(m, cells, *args)
+    monkeypatch.setattr(resolution, "_key_order", counted)
+    monkeypatch.setattr(resolution, "_pseudo_map_laws", spied)
+    monkeypatch.setattr(pathcomp, "_internal_laws", spied_internal)
+    assert all_pass(verify_internal_category(H))
+    assert calls == []
+    # each route ran once, on cells that are positions
+    assert [[type(c[d]) for d in range(4)] for c in maps] == [[range] * 4] * 2
+    faults = 0
+    for m in _faulty_ms(H):
+        PH, K = m.cod, m.dom
+        monkeypatch.setattr(pathcomp, "m_pseudo", lambda H: (PH, K, m))
+        reports = [r.as_dict() for r in verify_internal_category(H)]
+        assert reports == [r.as_dict() for r in _all_nested(H, PH, K, m)]
+        faults += any(r["status"] == "fail" for r in reports)
+    assert faults == 44
+
+
+@pytest.mark.parametrize("name", ["T1", "INT", "BIG", "PAIR", "CYC2", "TWIST",
+                                  "CHAIN3", "CHAIN4"])
+def test_m_by_lookup_is_the_formula(name):
+    """Every image and cocycle of m_pseudo, built by lookup, is what
+    m_apply and m_cocycle over PathView(H) give, and is the object that
+    path(H)'s cells hold."""
+    H = fixture(name)
+    V = PathView(H)
+    PH, K, m = m_pseudo(H)
+    for d in (0, 1, 2, 3):
+        for c, v in m.assignment[d].items():
+            assert v == m_apply(H, d, *c)
+            assert v is PH.canonical(d, v)
+    for (q, p), v in m.cocycle.items():
+        assert v == m_cocycle(H, V, q, p)
+        assert v is PH.canonical(2, v)

@@ -341,3 +341,30 @@ def test_dsl_identity_of_a_3_cell_is_a_parse_error():
     with pytest.raises(pres.ParseError, match="3-cell 'G'") as err:
         pres.parse_dsl(text)
     assert "line 5" in str(err.value)
+
+
+@pytest.mark.parametrize("write", ["dumps", "save"])
+def test_each_compact_key_is_computed_once(monkeypatch, tmp_path, write):
+    """to_document sorts by the writer's own _Text, so the compact text of
+    each non-string cell object is computed once per document, and the
+    document is the one json.dumps writes."""
+    C = build_pathspace(fixture("CHAIN4"))
+    compact, seen = pres._compact, []
+
+    def counted(c):
+        seen.append(c)
+        return compact(c)
+
+    monkeypatch.setattr(pres, "_compact", counted)
+    if write == "dumps":
+        text = pres.dumps(C)
+    else:
+        pres.save(C, tmp_path / "c.json")
+        text = (tmp_path / "c.json").read_text(encoding="utf-8")
+    ids = [id(c) for c in seen]
+    assert len(ids) == len(set(ids))
+    cells = {id(c) for d in C.DIMS for c in C.cells[d] if type(c) is not str}
+    assert cells <= set(ids)
+    monkeypatch.undo()
+    assert text == json.dumps(pres.to_document(C), indent=1,
+                              sort_keys=True) + "\n"

@@ -26,11 +26,12 @@ from graypath.highercells import Tower
 from graypath.kernel import (COMPOSABLE, TABLES, FactorizationFailed,
                              GrayCat, GrayError, composable_keys,
                              product_graycat, sub_graycat)
-from graypath.pathcomp import (TupleView, build_pullback, composable_tuples,
+from graypath.pathcomp import (build_pullback, composable_tuples,
                                extend_pullback, m_pseudo,
                                verify_internal_category)
 from graypath.pathspace import (PathView, build_pathspace, face_map,
                                 materialize, path_cells, pd0, pd1)
+from tuple_view import TupleView
 
 TOWER_INPUTS = ["T1", "INT", "BIG", "PAIR", "CYC2", "CHAIN3"]
 
