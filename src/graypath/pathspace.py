@@ -21,6 +21,17 @@ read it first, running the formula only for a key it lacks; PathView stays
 the formula oracle.  Every identity and table value it stores is the
 object C.cells holds for that cell, so each cell is one object.
 
+Every path cell is built by one helper, _cell.  A cell whose base cell is
+itself a tuple (a cell of path(path(H)), of the bigon and 3-path spaces,
+or of the path space of a loaded path-space document) computes its hash
+once, when it is built: a tuple does not cache its hash, and such a cell
+has thousands of nested nodes, so every dict operation on it re-hashed
+them all.  Its hash is the plain tuple's, and it compares, sorts, prints
+and serializes as the plain tuple does.  A cell over interned-id base cells
+(path(H) of a fixture) stays a plain tuple: hashing its few nodes in C is
+cheaper than a Python-level __hash__, and the extra object per cell would
+cost memory.
+
 Note on the two whisker readings: the left-whisker display for squares is
 rendered ambiguously in places (its legend mixes the names of the outer
 square and the moving cell); the formulas below follow the reading forced
@@ -42,10 +53,40 @@ from .resolution import PseudoMap, Q1Layer, q1_normalize, q1_tag, q2_cell, q3_ce
 # -- constructors with incidence checks --------------------------------------
 
 
+class _Hashed(tuple):
+    """A path cell that computes its tuple hash once, when it is built.
+
+    A tuple does not cache its hash, so hashing a cell of path(path(H)) or
+    of the 3-path space walks thousands of nested tuples on every dict
+    operation.  The stored value is tuple.__hash__ of the cell, so it finds
+    and is found by an equal plain tuple, and equality, order, repr and
+    JSON text are the tuple's.
+    """
+
+    def __new__(cls, parts):
+        self = tuple.__new__(cls, parts)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
+def _cell(*parts):
+    """The path cell with these parts (tag first, then the base cell).
+
+    It keeps its hash when the base cell is itself a tuple: a cell of a
+    path space over a path space, or over a loaded path-space document.
+    Over a base with interned-id cells it is a plain tuple: it is small,
+    and hashing it in C costs less than a Python-level __hash__.
+    """
+    return _Hashed(parts) if isinstance(parts[1], tuple) else parts
+
+
 def sq(B, u, g0, g1, f, f1):
     if B.src(2, u) != B.comp0(g1, f) or B.tgt(2, u) != B.comp0(f1, g0):
         raise NotComposable(f"square 2-cell {u!r} has wrong faces")
-    return ("sq", u, g0, g1, f, f1)
+    return _cell("sq", u, g0, g1, f, f1)
 
 
 def src_paste(B, a1, gq):
@@ -68,7 +109,7 @@ def p2(B, t, a1, a2, gq, hq):
     if (B.src(3, t) != src_paste(B, a1, gq)
             or B.tgt(3, t) != tgt_paste(B, a2, hq, gq[4])):
         raise NotComposable("path 2-cell 3-component has wrong faces")
-    return ("p2", t, a1, a2, gq, hq)
+    return _cell("p2", t, a1, a2, gq, hq)
 
 
 def p3(B, G1, G2, aq, bq):
@@ -80,7 +121,7 @@ def p3(B, G1, G2, aq, bq):
         raise NotComposable("G2 does not connect the a2 components")
     if not p3_commutes(B, G1, G2, aq, bq):
         raise NotComposable("path 3-cell commuting condition fails")
-    return ("p3", G1, G2, aq, bq)
+    return _cell("p3", G1, G2, aq, bq)
 
 
 def p3_commutes(B, G1, G2, aq, bq):
@@ -130,13 +171,13 @@ def path_map(fn, c):
     if d == 0:
         return fn(1, c)
     if d == 1:
-        return ("sq", fn(2, c[1]), fn(1, c[2]), fn(1, c[3]),
-                fn(1, c[4]), fn(1, c[5]))
+        return _cell("sq", fn(2, c[1]), fn(1, c[2]), fn(1, c[3]),
+                     fn(1, c[4]), fn(1, c[5]))
     if d == 2:
-        return ("p2", fn(3, c[1]), fn(2, c[2]), fn(2, c[3]),
-                path_map(fn, c[4]), path_map(fn, c[5]))
-    return ("p3", fn(3, c[1]), fn(3, c[2]),
-            path_map(fn, c[3]), path_map(fn, c[4]))
+        return _cell("p2", fn(3, c[1]), fn(2, c[2]), fn(2, c[3]),
+                     path_map(fn, c[4]), path_map(fn, c[5]))
+    return _cell("p3", fn(3, c[1]), fn(3, c[2]),
+                 path_map(fn, c[3]), path_map(fn, c[4]))
 
 
 class PathView:
@@ -298,7 +339,7 @@ def path_squares(B, zeros):
     ok, dec = set(zeros), {}
     for (g, f), h in _key_order(B.comp0_11):
         dec.setdefault(h, []).append((g, f))
-    return [("sq", u, g0, g1, f, f1) for u in B.cells[2]
+    return [_cell("sq", u, g0, g1, f, f1) for u in B.cells[2]
             for g1, f in dec[B.src(2, u)] if f in ok
             for f1, g0 in dec[B.tgt(2, u)] if f1 in ok]
 
@@ -330,7 +371,7 @@ def path_cells(B, keep=None):
                     for a2 in B.between(2, gq[3], hq[3]):
                         tp = tgt_paste(B, a2, hq, gq[4])
                         for t in B.between(3, sp, tp):
-                            c = ("p2", t, a1, a2, gq, hq)
+                            c = _cell("p2", t, a1, a2, gq, hq)
                             if keep is None or keep(2, c):
                                 cs.append(c)
                 p2s += cs
@@ -338,7 +379,7 @@ def path_cells(B, keep=None):
                     for bq in cs:
                         for G1 in B.between(3, aq[2], bq[2]):
                             for G2 in B.between(3, aq[3], bq[3]):
-                                c = ("p3", G1, G2, aq, bq)
+                                c = _cell("p3", G1, G2, aq, bq)
                                 if (p3_commutes(B, G1, G2, aq, bq)
                                         and (keep is None or keep(3, c))):
                                     p3s.append(c)

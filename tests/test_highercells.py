@@ -404,3 +404,62 @@ def test_a_construction_that_raises_on_an_admitted_tuple_fails_its_law(
     assert rep.status == "fail"
     assert rep.counterexample == ("error", "NotComposable",
                                   f"{method} on an admitted tuple")
+
+
+# -- cells that keep their hash ------------------------------------------------
+
+
+def _plain(c):
+    """c with every nested tuple a plain tuple."""
+    return tuple(map(_plain, c)) if isinstance(c, tuple) else c
+
+
+def _nodes(c):
+    yield c
+    if isinstance(c, tuple):
+        for x in c:
+            yield from _nodes(x)
+
+
+@pytest.mark.parametrize("name, stage", [
+    *((n, s) for n in ("T1", "INT", "BIG", "CYC2", "PAIR")
+      for s in ("DD", "DDD")),
+    ("PAIR", "path(path)")])
+def test_cells_that_keep_their_hash_agree_with_plain_tuples(towers, name,
+                                                            stage):
+    """A path cell over a path space keeps the hash of its plain-tuple
+    copy, so the copy finds it: canonical returns the stored object.  The
+    loader builds plain tuples, and its document writes the same bytes."""
+    from graypath import presentation
+    from graypath.pathspace import build_pathspace
+    if stage == "path(path)":
+        C = build_pathspace(build_pathspace(fixture(name)))
+    else:
+        C = getattr(_tower(towers, name), stage)
+    kept = 0
+    for d in C.DIMS:
+        for c in C.cells[d]:
+            plain = _plain(c)
+            assert hash(c) == hash(plain)
+            assert C.canonical(d, plain) is c
+            kept += type(c) is not tuple
+    assert kept
+    text = presentation.dumps(C)
+    loaded = presentation.loads(text)
+    assert all(type(x) is tuple for d in loaded.DIMS
+               for c in loaded.cells[d] for x in _nodes(c)
+               if isinstance(x, tuple))
+    assert presentation.dumps(loaded) == text
+
+
+@pytest.mark.parametrize("name", ["T1", "INT", "BIG", "PAIR", "CYC2", "TWIST",
+                                  "CHAIN3", "CHAIN4"])
+def test_path_cells_over_a_fixture_are_plain_tuples(name):
+    """A fixture's cells are interned ids, so path(H) builds no cell that
+    keeps its hash: hashing a small tuple in C is the cheaper route."""
+    from graypath.pathspace import build_pathspace
+    PH = build_pathspace(fixture(name))
+    for d in PH.DIMS:
+        for c in PH.cells[d]:
+            assert all(type(x) is tuple for x in _nodes(c)
+                       if isinstance(x, tuple))
