@@ -19,7 +19,6 @@ predicate admits fails the law with an ("error", ...) counterexample.
 from __future__ import annotations
 
 import weakref
-from itertools import islice
 
 from .kernel import (TABLES, FactorizationFailed, GrayCat, GrayError,
                      NotComposable, composable_keys, law_report, pullback,
@@ -563,12 +562,10 @@ def assemble_internal_graycat(tw, strict_functor=None):
                         ("wbar_r-extends-w_r-d1", d, p, c)
 
     def til_whisker_laws():
-        # only the first A that composes with c is checked, a cap the
-        # report does not name
         for d in (0, 1):
             by_dj0 = _by(DD.cells[d], lambda A: tw.dj(d, A, 0))
             for c in DDD.cells[d]:
-                for A in by_dj0[tw.dj(d, djj(d, c, 0), 1)][:1]:
+                for A in by_dj0[tw.dj(d, djj(d, c, 0), 1)]:
                     r = tw.wtil_r(d, A, c)
                     yield djj(d, r, 0) == tw.mbar(d, A, djj(d, c, 0)), \
                         ("wtil_r-extends-mbar-d0", d, A, c)
@@ -576,7 +573,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
                         ("wtil_r-extends-mbar-d1", d, A, c)
             by_dj1 = _by(DD.cells[d], lambda A: tw.dj(d, A, 1))
             for c in DDD.cells[d]:
-                for A in by_dj1[tw.dj(d, djj(d, c, 0), 0)][:1]:
+                for A in by_dj1[tw.dj(d, djj(d, c, 0), 0)]:
                     r = tw.wtil_l(d, c, A)
                     yield djj(d, r, 0) == tw.mbar(d, djj(d, c, 0), A), \
                         ("wtil_l-extends-mbar-d0", d, c, A)
@@ -605,7 +602,8 @@ def assemble_internal_graycat(tw, strict_functor=None):
 
     def pm_internal_cat():
         # P applied to the internal category over H stays one: faces and
-        # units of P'(m) on zipped cells of path(path(H)), at desk scale
+        # units of P'(m) on zipped cells of path(path(H)), every pair and
+        # every unit
         pm = tw._pm
 
         def ff(d, c, which):
@@ -613,13 +611,12 @@ def assemble_internal_graycat(tw, strict_functor=None):
 
         P2cells = (tw.PH.cells[1], path_squares(tw.PH, tw.PH.cells[1]))
         for d in (0, 1):
-            # the first 401 pairs only, a cap the report does not name
-            for b, a in islice(_pairs(P2cells[d], lambda b: ff(d, b, 0),
-                                      lambda a: ff(d, a, 1)), 401):
+            for b, a in _pairs(P2cells[d], lambda b: ff(d, b, 0),
+                               lambda a: ff(d, a, 1)):
                 r = pm.cell(d, zip_path(d, b, a))
                 yield ff(d, r, 0) == ff(d, a, 0), ("Pm-face-d0", d, b, a)
                 yield ff(d, r, 1) == ff(d, b, 1), ("Pm-face-d1", d, b, a)
-            for c in P2cells[d][:50]:
+            for c in P2cells[d]:
                 lo = path_map(lambda dd, x: degeneracy(H, dd, x), ff(d, c, 0)) \
                     if d > 0 else degeneracy(H, 1, ff(d, c, 0))
                 yield pm.cell(d, zip_path(d, c, lo)) == c, ("Pm-right-unit", d, c)

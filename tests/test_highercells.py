@@ -463,3 +463,30 @@ def test_path_cells_over_a_fixture_are_plain_tuples(name):
         for c in PH.cells[d]:
             assert all(type(x) is tuple for x in _nodes(c)
                        if isinstance(x, tuple))
+
+
+@pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2"])
+def test_whisker_and_internal_laws_check_every_tuple(towers, name):
+    """wtil-extension checks every A that composes with c, and
+    P-internal-category every pair of composable cells and every unit:
+    their tuple counts are those of a double loop over all candidates."""
+    from graypath.pathspace import path_squares
+    tw = _tower(towers, name)
+    H, PH, DD, DDD = tw.H, tw.PH, tw.DD, tw.DDD
+    til = 0
+    for d in (0, 1):
+        for c in DDD.cells[d]:
+            below = pd0(DD, d, c)
+            til += 2 * sum(tw.dj(d, A, 0) == tw.dj(d, below, 1)
+                           for A in DD.cells[d])
+            til += 2 * sum(tw.dj(d, A, 1) == tw.dj(d, below, 0)
+                           for A in DD.cells[d])
+    cells = (PH.cells[1], path_squares(PH, PH.cells[1]))
+    pm = 0
+    for d in (0, 1):
+        pm += len(cells[d])
+        pm += 2 * sum(functorial_face(H, d, b, 0) == functorial_face(H, d, a, 1)
+                      for b in cells[d] for a in cells[d])
+    reports = {r.law: r for r in assemble_internal_graycat(tw)}
+    assert reports["wtil-extension"].tuples_checked == til
+    assert reports["P-internal-category"].tuples_checked == pm
