@@ -86,8 +86,9 @@ class LaxTransformation:
     at2[g] is the 3-cell between the two whiskered pastings; coc[(f2, f1)]
     is the invertible cocycle 3-cell, normalized on identities.  A
     transformation does not change once built, so its key, its composites
-    b * self (see compose_0) and its path-space pseudo maps (see
-    trans_to_pseudo) are built once.
+    b * self (see compose_0), the square it assigns to each 1-cell (see
+    trans_sq) and its path-space pseudo maps (see trans_to_pseudo) are
+    built once.
     """
 
     def __init__(self, F, G, at0, at1, at2=None, coc=None, name=""):
@@ -103,6 +104,7 @@ class LaxTransformation:
         self._key = None
         self._after = {}    # b -> compose_0(b, self)
         self._pseudo = {}   # PH -> trans_to_pseudo(self, PH)
+        self._sq = {}       # f -> trans_sq(self, f)
 
     def a2(self, g):
         if g in self.at2:
@@ -196,6 +198,13 @@ class Perturbation:
 
 
 def trans_sq(t, f):
+    """The square a transformation assigns to a 1-cell, built once."""
+    if f not in t._sq:
+        t._sq[f] = _trans_sq(t, f)
+    return t._sq[f]
+
+
+def _trans_sq(t, f):
     H, dom = t.H, t.dom
     x, y = dom.src(1, f), dom.tgt(1, f)
     return sq(H, t.at1[f], t.F(1, f), t.G(1, f), t.at0[x], t.at0[y])
