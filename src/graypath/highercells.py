@@ -602,8 +602,7 @@ def assemble_internal_graycat(tw, strict_functor=None):
 
     def pm_internal_cat():
         # P applied to the internal category over H stays one: faces and
-        # units of P'(m) on zipped cells of path(path(H)), every pair and
-        # every unit
+        # units of P'(m) on zipped cells of path(path(H))
         pm = tw._pm
 
         def ff(d, c, which):

@@ -25,8 +25,8 @@ Every path cell is built by one helper, _cell.  A cell whose base cell is
 itself a tuple (a cell of path(path(H)), of the bigon and 3-path spaces,
 or of the path space of a loaded path-space document) computes its hash
 once, when it is built: a tuple does not cache its hash, and such a cell
-has thousands of nested nodes, so every dict operation on it re-hashed
-them all.  Its hash is the plain tuple's, and it compares, sorts, prints
+has hundreds to thousands of nested nodes, which every dict operation on
+it hashed again.  Its hash is the plain tuple's, and it compares, sorts, prints
 and serializes as the plain tuple does.  A cell over interned-id base cells
 (path(H) of a fixture) stays a plain tuple: hashing its few nodes in C is
 cheaper than a Python-level __hash__, and the extra object per cell would
@@ -54,14 +54,8 @@ from .resolution import PseudoMap, Q1Layer, q1_normalize, q1_tag, q2_cell, q3_ce
 
 
 class _Hashed(tuple):
-    """A path cell that computes its tuple hash once, when it is built.
-
-    A tuple does not cache its hash, so hashing a cell of path(path(H)) or
-    of the 3-path space walks thousands of nested tuples on every dict
-    operation.  The stored value is tuple.__hash__ of the cell, so it finds
-    and is found by an equal plain tuple, and equality, order, repr and
-    JSON text are the tuple's.
-    """
+    """A path cell that stores its tuple hash when it is built, so that an
+    equal plain tuple finds it and is found by it."""
 
     def __new__(cls, parts):
         self = tuple.__new__(cls, parts)
@@ -73,13 +67,9 @@ class _Hashed(tuple):
 
 
 def _cell(*parts):
-    """The path cell with these parts (tag first, then the base cell).
-
-    It keeps its hash when the base cell is itself a tuple: a cell of a
-    path space over a path space, or over a loaded path-space document.
-    Over a base with interned-id cells it is a plain tuple: it is small,
-    and hashing it in C costs less than a Python-level __hash__.
-    """
+    """The path cell with these parts, tag first: a _Hashed when its base
+    cell parts[1] is itself a tuple, else a plain tuple (see the module
+    docstring)."""
     return _Hashed(parts) if isinstance(parts[1], tuple) else parts
 
 
