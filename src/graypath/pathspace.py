@@ -65,6 +65,11 @@ class _Hashed(tuple):
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # a copy or an unpickled cell hashes again: string hashes, and so
+        # the stored value, differ from one process to the next
+        return _Hashed, (tuple(self),)
+
 
 def _cell(*parts):
     """The path cell with these parts, tag first: a _Hashed when its base

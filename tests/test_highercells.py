@@ -490,3 +490,29 @@ def test_whisker_and_internal_laws_check_every_tuple(towers, name):
     reports = {r.law: r for r in assemble_internal_graycat(tw)}
     assert reports["wtil-extension"].tuples_checked == til
     assert reports["P-internal-category"].tuples_checked == pm
+
+
+def test_a_cell_pickled_in_another_process_hashes_as_here():
+    """A pickled cell that keeps its hash is rebuilt, not restored with the
+    hash of the process that pickled it, whose string hashes differ."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graypath
+    code = ("import pickle, sys\n"
+            "from graypath.fixtures import fixture\n"
+            "from graypath.highercells import Tower\n"
+            "cells = Tower(fixture('BIG')).DDD.cells[2]\n"
+            "sys.stdout.buffer.write(pickle.dumps(cells))\n")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(graypath.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True).stdout
+    cells = pickle.loads(out)
+    assert cells and type(cells[0]) is not tuple
+    for c in cells:
+        assert hash(c) == hash(_plain(c))
