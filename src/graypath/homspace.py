@@ -87,8 +87,9 @@ class LaxTransformation:
     is the invertible cocycle 3-cell, normalized on identities.  A
     transformation does not change once built, so its key, its composites
     b * self (see compose_0), the square it assigns to each 1-cell (see
-    trans_sq) and its path-space pseudo maps (see trans_to_pseudo) are
-    built once.
+    trans_sq), its normalized cocycle at each pair with an identity (see
+    acoc) and its path-space pseudo maps (see trans_to_pseudo) are built
+    once.
     """
 
     def __init__(self, F, G, at0, at1, at2=None, coc=None, name=""):
@@ -105,6 +106,7 @@ class LaxTransformation:
         self._after = {}    # b -> compose_0(b, self)
         self._pseudo = {}   # PH -> trans_to_pseudo(self, PH)
         self._sq = {}       # f -> trans_sq(self, f)
+        self._acoc = {}     # identity pair -> its normalized acoc
 
     def a2(self, g):
         if g in self.at2:
@@ -114,13 +116,17 @@ class LaxTransformation:
         raise Mismatch(f"missing 2-cell component for {g!r}")
 
     def acoc(self, f2, f1):
-        if (f2, f1) in self.coc:
-            return self.coc[(f2, f1)]
-        if self.dom.is_id1(f2) or self.dom.is_id1(f1):
+        key = (f2, f1)
+        if key in self.coc:
+            return self.coc[key]
+        if key not in self._acoc:
+            if not (self.dom.is_id1(f2) or self.dom.is_id1(f1)):
+                raise Mismatch(
+                    f"missing cocycle component for ({f2!r}, {f1!r})")
             # normalization: the identity 3-cell on the common pasting
-            return self.H.ident(2, _coc_src(self.F, self.G, self.at0,
-                                            self.at1, f2, f1))
-        raise Mismatch(f"missing cocycle component for ({f2!r}, {f1!r})")
+            self._acoc[key] = self.H.ident(2, _coc_src(
+                self.F, self.G, self.at0, self.at1, f2, f1))
+        return self._acoc[key]
 
     def key(self):
         if self._key is None:

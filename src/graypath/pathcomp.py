@@ -8,24 +8,26 @@ of the resulting internal category are strict even though m is not.
 The n-fold pullbacks are kernel.pullback's join on cell positions, one
 factor at a time: every table entry is an integer lookup in path(H)'s (and
 the previous pullback's) tables, re-keyed once by cell position.  The
-internal category laws' triple pullback is pullback_cells' alone: no join.
+internal category laws' triple pullback is never built: its cells and
+composable 1-cell pairs are position triples of path(H)'s cells.
 
 m is built by lookup, one dimension at a time: a cell's image reads its
 faces' images from m's lower table, m_cocycle runs once per composable pair
-of the 2-fold pullback over the tabulated path(H), and every value is the
-object path(H) holds; m_apply and m_cocycle over PathView(H) are the
-formula oracle.  The associativity check reads both sides off m, with no
-map over the triple pullback: cells m(m(a, b), c) against m(a, m(b, c)),
-and the co-Kleisli cocycles of m after m x 1 and after 1 x m, from m's
-cocycle table and path(H)'s identities.  The laws of m run on positions
-(m's position copy, path(H)'s positions of the pullbacks' components); a
-law that fails runs again on the nested cells, which name its witness.
+of the 2-fold pullback over the tabulated path(H), reading the images of
+its pairs from m's 1-table, and every value is the object path(H) holds;
+m_apply and m_cocycle over PathView(H) are the formula oracle.  The
+associativity check reads both sides off m, with no map over the triple
+pullback: cells m(m(a, b), c) against m(a, m(b, c)), and the co-Kleisli
+cocycles of m after m x 1 and after 1 x m, from m's cocycle table and
+path(H)'s identities.  The laws of m run on positions (m's position copy,
+path(H)'s position copy, m's images and cocycles keyed by positions); a law
+that fails runs again on the nested cells, which name its witness.
 """
 
 from __future__ import annotations
 
-from .kernel import (NotAGroupoid, NotComposable, _ranks, composable_keys,
-                     law_report, pullback, pullback_cells, run_laws)
+from .kernel import (NotAGroupoid, NotComposable, _by_position, _ranks,
+                     law_report, pullback, run_laws)
 from .pathspace import (PathView, build_pathspace, degeneracy, face_map, p2,
                         p3, pd0, pd1, pdim, sq)
 from .resolution import PseudoMap, _validate_by_position, validate_pseudo_map
@@ -109,30 +111,47 @@ def m_cocycle(H, V, q, p):
 
     q and p are vertically composable pairs of squares (q below p); the
     3-component whiskers the base tensor of the two off-diagonal 2-cells,
-    and both 2-cell faces are identities.
+    and both 2-cell faces are identities.  V composes path cells; m's
+    images of pairs of squares are V.image's when V has one (m_pseudo's
+    _Images reads m's 1-table), m_apply's otherwise.
     """
     qu, ql = q
     pu, pl = p
     if qu[4] != pu[5] or ql[4] != pl[5]:
         raise NotComposable("m cocycle: pairs not vertically composable")
+    image = getattr(V, "image", None) or (lambda u, l: m_apply(H, 1, u, l))
     mid = H.tensor(qu[1], pl[1])
     left2 = H.wl12(qu[5], H.wr12(ql[1], pl[2]))
     right2 = H.wr12(H.wl12(qu[3], pu[1]), pl[4])
     t = H.wl23(left2, H.wr23(mid, right2))
     a1 = H.ident(1, H.comp0(ql[2], pl[2]))
     a2 = H.ident(1, H.comp0(qu[3], pu[3]))
-    gq = V.comp0(m_apply(H, 1, qu, ql), m_apply(H, 1, pu, pl))
-    hq = m_apply(H, 1, V.comp0(qu, pu), V.comp0(ql, pl))
+    gq = V.comp0(image(qu, ql), image(pu, pl))
+    hq = image(V.comp0(qu, pu), V.comp0(ql, pl))
     return p2(H, t, a1, a2, gq, hq)
+
+
+class _Images:
+    """path(H) as m_pseudo gives it to m_cocycle: PH's comp0, and m's image
+    of a pair of squares read from m's 1-table, as _m_cell's lower reads
+    the table below."""
+
+    def __init__(self, PH, table):
+        self.comp0 = PH.comp0
+        self.table = table
+
+    def image(self, u, l):
+        return self.table[(u, l)]
 
 
 def m_pseudo(H, PH=None):
     """m as a PseudoMap on the tabulated pullback, built one dimension at a
     time by lookup: the image of a d-cell reads the images of its faces
     from m's (d-1)-table, m_cocycle runs once per composable pair over the
-    tabulated PH, and every value is the object PH holds (held, as
-    PH.canonical gives it without building PH's face index).  m_apply and
-    m_cocycle over PathView(H) are the formula oracle."""
+    tabulated PH and reads the images of its pairs from m's 1-table, and
+    every value is the object PH holds (held, as PH.canonical gives it
+    without building PH's face index).  m_apply and m_cocycle over
+    PathView(H) are the formula oracle."""
     PH = PH or build_pathspace(H)
     K = build_pullback(PH, H, 2)
     held = {d: dict(zip(PH.cells[d], PH.cells[d])) for d in PH.DIMS}
@@ -141,7 +160,8 @@ def m_pseudo(H, PH=None):
         lower = assign[d - 1]
         assign[d] = {c: held[d][_m_cell(H, d, *c, lambda x, y: lower[(x, y)])]
                      for c in K.cells[d]}
-    coc = {pair: held[2][m_cocycle(H, PH, *pair)] for pair in K.comp0_11}
+    V = _Images(PH, assign[1])
+    coc = {pair: held[2][m_cocycle(H, V, *pair)] for pair in K.comp0_11}
     return PH, K, PseudoMap(K, PH, assign, coc, name=f"m({H.name})")
 
 
@@ -158,70 +178,128 @@ def verify_internal_category(H):
     """m is a pseudo map, then the face conditions, units and associativity
     of the internal category.
 
-    K3 extends m's 2-fold pullback K by path(H) as a globular set
-    (pullback_cells, no join).  Associativity compares m(m(a, b), c) with
-    m(a, m(b, c)) per K3 cell and, per pair, the cocycles G F^2 #1 G^2 of
-    m after m x 1 and after 1 x m: F^2 pairs an entry of m's cocycle table
-    with an identity of path(H).
+    K3, the triple pullback K x_H path(H) of m's 2-fold pullback K, is
+    never built: its d-cells are the position triples (a, b, c) of
+    path(H)'s d-cells with d1(c) = d0(b), and its composable 1-cell pairs
+    are found from path(H)'s position copy, both in the order
+    pullback_cells and composable_keys give them.  Associativity compares
+    m(m(a, b), c) with m(a, m(b, c)) per K3 cell and, per pair, the
+    cocycles G F^2 #1 G^2 of m after m x 1 and after 1 x m: F^2 pairs an
+    entry of m's cocycle table with an identity of path(H).
 
     As in check_gray_axioms, the laws run on positions: validate_pseudo_map's
-    on m's position copy, the internal ones on path(H)'s positions of K's
-    and K3's components, of m's images and of each cell's degeneracies
-    (the unit-cocycle and assoc-cocycle tuples on m and path(H) themselves);
-    a law that fails runs again on nested cells, for its witness.  The
-    internal laws run first, so that K3 and their ranks are dropped before
-    m's position copy is built.
+    on m's position copy, the internal ones on path(H)'s position copy, with
+    m's images and cocycles re-keyed to positions; the unit-cocycle tuples
+    are read off m and path(H) themselves.  A law that fails runs again on
+    nested cells, for its witness: K3's triples and pairs mapped back to
+    path(H)'s cells.  path(H)'s ranks and position copy are built once, for
+    both.
     """
     PH, K, m = m_pseudo(H)
-    internal = _internal_reports(H, PH, K, m)
-    return _validate_by_position(m) + internal
+    rank = _ranks(PH)
+    N = _by_position(PH, rank)
+    internal = _internal_reports(H, PH, K, m, rank, N)
+    return _validate_by_position(m, (rank, N)) + internal
 
 
-def _internal_reports(H, PH, K, m):
-    """The reports of the internal laws of verify_internal_category."""
-    rank, dims = _ranks(PH), PH.DIMS
-    K3, _ = pullback_cells(*_extension(K, PH, H), f"pb3({H.name})")
-    pairs = list(composable_keys(K3, "comp0"))
-    triples = {d: [tuple(rank[d][x] for x in c) for c in K3.cells[d]]
-               for d in dims}
-    del K3, _
+def _internal_reports(H, PH, K, m, rank, N):
+    """The reports of the internal laws of verify_internal_category, given
+    path(H)'s ranks and its position copy N."""
+    dims = PH.DIMS
     D0 = {d: dict(enumerate(pd0(H, d, c) for c in PH.cells[d])) for d in dims}
     D1 = {d: dict(enumerate(pd1(H, d, c) for c in PH.cells[d])) for d in dims}
     comps = {d: [(rank[d][a], rank[d][b]) for a, b in K.cells[d]]
              for d in dims}
     mul = {d: {(rank[d][a], rank[d][b]): rank[d][v]
                for (a, b), v in m.assignment[d].items()} for d in dims}
+    triples = {d: _triples(comps[d], D0[d], D1[d]) for d in dims}
+    pairs = _composable_triples(triples[1], N.src_[1], N.tgt_[1])
+    r1, r2 = rank[1], rank[2]
+    coc = {((r1[qu], r1[ql]), (r1[pu], r1[pl])): r2[v]
+           for ((qu, ql), (pu, pl)), v in m.cocycle.items()}
+    degenerate = {}
 
-    def assoc_cocycles():
-        # both sides' cocycles at every pair, before any tuple is compared,
-        # as kleisli_compose forms a composite's: one that cannot be formed
-        # fails the law at its first tuple
-        lhs = [PH.comp1(m(2, (m.coc(t[:2], s[:2]),
-                              PH.ident(1, PH.comp0(t[2], s[2])))),
-                        m.coc((m(1, t[:2]), t[2]), (m(1, s[:2]), s[2])))
-               for (t, s) in pairs]
-        rhs = [PH.comp1(m(2, (PH.ident(1, PH.comp0(t[0], s[0])),
-                              m.coc(t[1:], s[1:]))),
-                        m.coc((t[0], m(1, t[1:])), (s[0], m(1, s[1:]))))
-               for (t, s) in pairs]
-        return ((l == r, ("assoc-cocycle", pair))
-                for pair, l, r in zip(pairs, lhs, rhs))
+    def unit(d, i):
+        # the positions of the degenerate cells on c's faces, each found once
+        for x in (D0[d][i], D1[d][i]):
+            if (d, x) not in degenerate:
+                degenerate[(d, x)] = rank[d][degeneracy(H, d, x)]
+        return degenerate[(d, D0[d][i])], degenerate[(d, D1[d][i])]
 
     def nested():
         cells = {d: [tuple(PH.cells[d][i] for i in t) for t in triples[d]]
                  for d in dims}
+        nested_pairs = [tuple(tuple(PH.cells[1][i] for i in t) for t in pair)
+                        for pair in pairs]
         return _internal_laws(
             m, PH.cells, K.cells, m.assignment, cells,
             lambda d, c: pd0(H, d, c), lambda d, c: pd1(H, d, c),
             lambda d, c: (degeneracy(H, d, pd0(H, d, c)),
-                          degeneracy(H, d, pd1(H, d, c))), assoc_cocycles)
+                          degeneracy(H, d, pd1(H, d, c))),
+            lambda: _assoc_cocycles(
+                nested_pairs, _Reads(PH.comp0), PH.id_up[1],
+                _Reads(PH.comp1), _Reads(m.coc), m.assignment[1],
+                m.assignment[2]))
 
     return run_laws(_internal_laws(
         m, {d: range(len(PH.cells[d])) for d in dims}, comps, mul, triples,
-        lambda d, c: D0[d][c], lambda d, c: D1[d][c],
-        lambda d, i: (rank[d][degeneracy(H, d, D0[d][i])],
-                      rank[d][degeneracy(H, d, D1[d][i])]), assoc_cocycles),
+        lambda d, c: D0[d][c], lambda d, c: D1[d][c], unit,
+        # N's tables read directly: an entry it lacks fails the law, which
+        # then runs on the nested cells through path(H)'s guarded operations
+        lambda: _assoc_cocycles(pairs, N.comp0_11, N.id_up[1], N.comp1_22,
+                                coc, mul[1], mul[2])),
         witness=nested)
+
+
+def _triples(comps, d0, d1):
+    """The d-cells of K x_H path(H) as position triples (a, b, c): for each
+    (a, b) of K's d-cells comps in order, the c with d1[c] == d0[b] in
+    path(H)'s order, as pullback_cells lists them; d0[c] and d1[c] are the
+    faces in H of path(H)'s c-th d-cell."""
+    over = {}
+    for c, y in d1.items():
+        over.setdefault(y, []).append(c)
+    return [(a, b, c) for a, b in comps for c in over.get(d0[b], ())]
+
+
+def _composable_triples(ones, src, tgt):
+    """The composable pairs (h, g) of the 1-cell triples ones, whose faces
+    are componentwise (src and tgt of path(H)'s position copy), in
+    composable_keys' "comp0" order: for each g in order, the h with
+    src(h) = tgt(g) in order."""
+    by_src = {}
+    for h in ones:
+        by_src.setdefault((src[h[0]], src[h[1]], src[h[2]]), []).append(h)
+    return [(h, g) for g in ones
+            for h in by_src.get((tgt[g[0]], tgt[g[1]], tgt[g[2]]), ())]
+
+
+def _assoc_cocycles(pairs, comp0, id1, comp1, coc, m1, m2):
+    """The assoc-cocycle tuples over the composable 1-cell pairs (t, s) of
+    K3, read by subscript on path(H) or on positions: comp0[g, f] and
+    comp1[b, a] compose path cells, id1[f] is f's identity, coc[q, p] is
+    m's cocycle at a pair of K, m1[a, b] and m2[a, b] are m's images of
+    K's 1- and 2-cells.  Both sides' cocycles are formed at every pair
+    before any is compared, as kleisli_compose forms a composite's, so one
+    that cannot be formed fails the law at its first tuple."""
+    lhs = [comp1[m2[coc[(a, b), (x, y)], id1[comp0[c, z]]],
+                 coc[(m1[a, b], c), (m1[x, y], z)]]
+           for (a, b, c), (x, y, z) in pairs]
+    rhs = [comp1[m2[id1[comp0[a, x]], coc[(b, c), (y, z)]],
+                 coc[(a, m1[b, c]), (x, m1[y, z])]]
+           for (a, b, c), (x, y, z) in pairs]
+    return ((l == r, ("assoc-cocycle", pair))
+            for pair, l, r in zip(pairs, lhs, rhs))
+
+
+class _Reads:
+    """A function read by subscript, as a table is: r[a, b] is f(a, b)."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, key):
+        return self.f(*key)
 
 
 def _internal_laws(m, cells, comps, mul, triples, d0, d1, unit,

@@ -129,20 +129,24 @@ def p3_commutes(B, G1, G2, aq, bq):
 
 def pdim(c):
     tag = c[0] if isinstance(c, tuple) and c else None
-    return {"sq": 1, "p2": 2, "p3": 3}.get(tag, 0)
+    if tag == "sq":
+        return 1
+    if tag == "p2":
+        return 2
+    return 3 if tag == "p3" else 0
 
 
 def pd0(B, d, c):
     """The source-side projection d0 to the base."""
     if d == 0:
         return B.src(1, c)
-    return {1: c[2], 2: c[2], 3: c[1]}[d]
+    return c[1] if d == 3 else c[2]
 
 
 def pd1(B, d, c):
     if d == 0:
         return B.tgt(1, c)
-    return {1: c[3], 2: c[3], 3: c[2]}[d]
+    return c[2] if d == 3 else c[3]
 
 
 def degeneracy(B, d, c):

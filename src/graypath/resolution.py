@@ -548,20 +548,26 @@ def _pseudo_map_laws(F, order):
     ]
 
 
-def _validate_by_position(F):
+def _validate_by_position(F, cod=None):
     """validate_pseudo_map(F)'s reports, its laws run on F's position copy:
     F between the position copies of its domain and codomain, each entry
     re-keyed and valued by position, a value that is no cell of cod of the
     right dimension made ("absent", value), as in _by_position.  The copy
     is isomorphic to F, so a law that passes on it passes on F with the
-    same count; one that fails runs again on F, for its witness."""
-    rd, rc = _ranks(F.dom), _ranks(F.cod)
+    same count; one that fails runs again on F, for its witness.  cod, if
+    given, is the pair (_ranks(F.cod), its _by_position copy), built by the
+    caller."""
+    rd = _ranks(F.dom)
+    if cod is None:
+        rc = _ranks(F.cod)
+        cod = rc, _by_position(F.cod, rc)
+    rc, cod_copy = cod
     assign = {d: {rd[d][c]: rc[d][v] for c, v in F.assignment[d].items()}
               for d in (0, 1, 2, 3)}
     coc = {(rd[1][f1], rd[1][f2]): rc[2][v]
            for (f1, f2), v in F.cocycle.items()}
-    copy = PseudoMap(_by_position(F.dom, rd), _by_position(F.cod, rc),
-                     assign, coc, name=F.name)
+    copy = PseudoMap(_by_position(F.dom, rd), cod_copy, assign, coc,
+                     name=F.name)
     return run_laws(_pseudo_map_laws(copy, dict.items),
                     witness=lambda: _pseudo_map_laws(F, _key_order))
 

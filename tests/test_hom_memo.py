@@ -1,6 +1,6 @@
 """Hom-space constructions are built once per argument and keep their checks.
 
-compose_0, trans_to_pseudo, trans_sq, mod_to_pseudo, mod_bigon and
+compose_0, trans_to_pseudo, trans_sq, acoc, mod_to_pseudo, mod_bigon and
 pert_square keep their results on the objects they are built from, and a Tower keeps mbar,
 w_l and w_r per argument.  These tests check that a memoized result is the
 formula's result, that a construction that raises raises again, that [G,H]
@@ -8,19 +8,23 @@ runs each un-memoized body once per distinct argument, and that the
 objects of [G,H] are keyed by the whole functor.
 """
 
+import sys
+
 import pytest
 
 from graypath import homspace
 from graypath.fixtures import fixture
 from graypath.highercells import Tower
-from graypath.homspace import (Modification, compose_0, compose_0_oracle,
-                               Perturbation, enumerate_modifications,
+from graypath.homspace import (LaxTransformation, Modification, compose_0,
+                               compose_0_oracle, Perturbation,
+                               enumerate_modifications,
                                enumerate_perturbations,
                                enumerate_strict_functors,
                                enumerate_transformations, functor_key,
                                hom_graycat, mod_to_pseudo, pert_square,
                                trans_to_pseudo)
-from graypath.kernel import GrayError, Mismatch, NotComposable
+from graypath.kernel import (GrayError, Mismatch, NotComposable,
+                             composable_keys)
 from graypath.pathcomp import m_pseudo
 from graypath.resolution import strict_as_pseudo
 
@@ -265,3 +269,41 @@ def test_hom_graycat_builds_each_transformation_square_once(monkeypatch,
     assert len(built) == len({(id(t), f) for t, f in built}) == squares
     for t, f in built:
         assert homspace.trans_sq(t, f) is t._sq[f] == body(t, f)
+
+
+def test_acoc_derives_each_normalized_cocycle_once(monkeypatch):
+    """acoc keeps the normalized cocycle of each (transformation, pair
+    with an identity) on the transformation, and the kept cocycle is the
+    formula's.  On [PAIR,BIG] acoc runs 7,260 times for 1,150 distinct
+    arguments; it called _coc_src 5,760 times, and 270 with the memo."""
+    derived = []
+    body = homspace._coc_src
+
+    def counted(F, G, at0, at1, f2, f1):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "acoc":
+            derived.append((caller.f_locals["self"], (f2, f1)))
+        return body(F, G, at0, at1, f2, f1)
+    monkeypatch.setattr(homspace, "_coc_src", counted)
+    _, _, reports = hom_graycat(fixture("PAIR"), fixture("BIG"))
+    assert all(r.ok for r in reports)
+    assert 0 < len(derived) <= 1150
+    assert len({(id(t), key) for t, key in derived}) == len(derived)
+    for t, key in derived:
+        assert t._acoc[key] == t.H.ident(
+            2, body(t.F, t.G, t.at0, t.at1, *key))
+        assert t.acoc(*key) is t._acoc[key]
+
+
+def test_acoc_that_raises_raises_every_time():
+    """A transformation without a cocycle component at a pair of
+    non-identity 1-cells raises on every acoc call and keeps nothing."""
+    G, H, trans = _transformations("PAIR", "BIG")
+    t = next(t for ts in trans.values() for t in ts)
+    bare = LaxTransformation(t.F, t.G, t.at0, t.at1, t.at2, {}, name="bare")
+    f2, f1 = next((f2, f1) for f2, f1 in composable_keys(G, "comp0")
+                  if not (G.is_id1(f2) or G.is_id1(f1)))
+    for _ in range(2):
+        with pytest.raises(Mismatch):
+            bare.acoc(f2, f1)
+    assert not bare._acoc

@@ -37,7 +37,8 @@ LAWS = [
     ("resolution", ("validate_pseudo_map", "_pseudo_map_laws",
                     "_validate_by_position")),
     ("pathcomp", ("verify_m_pseudo", "verify_internal_category",
-                  "_internal_reports", "_internal_laws")),
+                  "_internal_reports", "_internal_laws", "_triples",
+                  "_composable_triples", "_assoc_cocycles")),
 ]
 # try/except* is ast.TryStar from Python 3.11 on
 TRIES = tuple(getattr(ast, n) for n in ("Try", "TryStar") if hasattr(ast, n))

@@ -377,9 +377,13 @@ def test_associativity_routes_agree_on_corrupted_cocycles(monkeypatch, name):
 @pytest.mark.parametrize("name", ["CYC2", "CHAIN3"])
 def test_associativity_routes_agree_on_a_differing_cocycle(monkeypatch,
                                                           name):
-    """path(H)'s comp1 made to return a fresh value whenever its left
-    operand is one of the 2-cells the composite cocycles are formed from:
-    both routes fail at the same pair, with the same report."""
+    """path(H)'s comp1 table made to lack every entry whose left operand is
+    one of the 2-cells the composite cocycles are formed from: the route on
+    positions reads the table through path(H)'s position copy and
+    kleisli_compose through PH.comp1, and both fail at the same pair, with
+    the same report.  (At every pair of these fixtures both sides read the
+    same comp1 entry, so a wrong value in the table fails neither route; a
+    missing one fails both.)"""
     H = fixture(name)
     PH, K, m = m_pseudo(H)
     comp1, lefts = PH.comp1, []
@@ -389,13 +393,14 @@ def test_associativity_routes_agree_on_a_differing_cocycle(monkeypatch,
         return comp1(b, a)
     monkeypatch.setattr(PH, "comp1", recorded)
     _assoc_by_kleisli_compose(H, PH, K, m)
+    monkeypatch.undo()
     chosen = lefts[len(lefts) // 2]
-    monkeypatch.setattr(PH, "comp1",
-                        lambda b, a: object() if b == chosen else comp1(b, a))
+    for key in [key for key in PH.comp1_22 if key[0] == chosen]:
+        monkeypatch.delitem(PH.comp1_22, key)
     monkeypatch.setattr(pathcomp, "m_pseudo", lambda H: (PH, K, m))
     report = _assoc_report(H)
     assert report["status"] == "fail"
-    assert report["counterexample"][0] == "assoc-cocycle"
+    assert report["counterexample"][:2] == ["error", "MissingTableEntry"]
     assert report == _assoc_by_kleisli_compose(H, PH, K, m)
 
 

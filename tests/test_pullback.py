@@ -12,7 +12,8 @@ dbl_keep and the path formulas over path(H).  The 3-path space DDD, lifted
 from P2, is checked against enumerating path(DD), filtering by tri_keep and
 the path formulas over DD.
 The triple pullback verify_internal_category checks associativity on is
-pullback_cells' cell stage alone, checked against the full 3-fold pullback.
+read on cell positions, never built: its position triples and composable
+pairs are checked against pullback_cells' cell stage.
 kernel.pullback's join on cell positions is checked against the per-key
 fill it replaced, on every strict pullback the library builds and on
 broken factors, where both must raise the same error.
@@ -77,51 +78,50 @@ def test_internal_category_builds_no_second_pullback(monkeypatch):
     assert calls == [2]
 
 
-@pytest.fixture
-def cell_stages(monkeypatch):
-    """Every pullback_cells call made while the test runs, kernel.pullback's
-    own included: the pullback it returns, and its join."""
-    stages = []
+def test_internal_category_builds_no_triple_pullback(monkeypatch):
+    """verify_internal_category calls pullback_cells once, for m's 2-fold
+    pullback: the triple pullback is read on positions, never built."""
+    names = []
     body = kernel.pullback_cells
 
-    def spy(*args):
-        stages.append(body(*args))
-        return stages[-1]
-    for module in (kernel, pathcomp):
-        monkeypatch.setattr(module, "pullback_cells", spy)
-    return stages
+    def spy(A, fa, B, fb, pair, name=""):
+        names.append(name)
+        return body(A, fa, B, fb, pair, name)
+    monkeypatch.setattr(kernel, "pullback_cells", spy)
+    for name in ("BIG", "CYC2"):
+        assert all(r.ok for r in verify_internal_category(fixture(name)))
+    assert names == ["pb2(BIG)", "pb2(CYC2)"]
 
 
-def _table_rows(C):
-    return sum(len(getattr(C, attr)) for _, attr, *_ in TABLES)
+@pytest.mark.parametrize("name", fixture_names())
+def test_internal_category_triple_pullback_on_positions(monkeypatch, name):
+    """The position triples and composable pairs verify_internal_category
+    checks associativity on, mapped back to path(H)'s cells, are the
+    cells of the triple pullback's cell stage and its composable 1-cell
+    pairs in composable_keys' order."""
+    seen = {}
+    laws, cocycles = pathcomp._internal_laws, pathcomp._assoc_cocycles
 
+    def spied_laws(m, cells, comps, mul, triples, *args):
+        seen.setdefault("triples", triples)
+        return laws(m, cells, comps, mul, triples, *args)
 
-@pytest.mark.parametrize("name", ["BIG", "PAIR", "CYC2", "CHAIN3"])
-def test_internal_category_triple_pullback_is_the_cell_stage(cell_stages,
-                                                             name):
-    """The K3 verify_internal_category checks associativity on is the
-    triple pullback without its tables: the same cells in the same order,
-    faces, identities, inverses and composable 1-cell pairs, in
-    comp0_11's order; its join then fills the tables the full build has."""
+    def spied_cocycles(pairs, *args):
+        seen.setdefault("pairs", pairs)
+        return cocycles(pairs, *args)
+    monkeypatch.setattr(pathcomp, "_internal_laws", spied_laws)
+    monkeypatch.setattr(pathcomp, "_assoc_cocycles", spied_cocycles)
     H = fixture(name)
     assert all(r.ok for r in verify_internal_category(H))
-    (K3, join), = [(P, j) for P, j in cell_stages if P.name.startswith("pb3")]
-    full = build_pullback(build_pathspace(H), H, 3)
-    assert _table_rows(K3) == 0 < _table_rows(full)
-    assert K3.name == full.name and K3.cells == full.cells
-    assert (K3.src_, K3.tgt_, K3.id_up) == (full.src_, full.tgt_, full.id_up)
-    assert (K3.is_groupoid, K3.inv1) == (full.is_groupoid, full.inv1)
-    assert list(composable_keys(K3, "comp0")) == list(full.comp0_11)
-    assert_same_graycat(join(), full)
+    PH, K, _ = m_pseudo(H)
+    K3, _ = kernel.pullback_cells(*pathcomp._extension(K, PH, H), "pb3")
 
-
-def test_internal_category_fills_only_the_tables_of_m(cell_stages):
-    """During verify_internal_category(CYC2) only the 2-fold pullback, m's
-    domain, gets table rows; the triple pullback gets none."""
-    verify_internal_category(fixture("CYC2"))
-    rows = {P.name: _table_rows(P) for P, _ in cell_stages}
-    assert rows.keys() == {"pb2(CYC2)", "pb3(CYC2)"}
-    assert rows["pb2(CYC2)"] > 0 and rows["pb3(CYC2)"] == 0
+    def cell(d, t):
+        return tuple(PH.cells[d][i] for i in t)
+    for d in range(4):
+        assert [cell(d, t) for t in seen["triples"][d]] == K3.cells[d]
+    assert [(cell(1, h), cell(1, g)) for h, g in seen["pairs"]] == \
+        list(composable_keys(K3, "comp0"))
 
 
 @pytest.fixture(scope="module", params=TOWER_INPUTS)
