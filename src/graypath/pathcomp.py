@@ -220,7 +220,8 @@ def _internal_reports(H, PH, K, m, rank, N):
     degenerate = {}
 
     def unit(d, i):
-        # the positions of the degenerate cells on c's faces, each found once
+        # the positions of the degenerate cells on cell i's faces in H, each
+        # found once per face
         for x in (D0[d][i], D1[d][i]):
             if (d, x) not in degenerate:
                 degenerate[(d, x)] = rank[d][degeneracy(H, d, x)]
