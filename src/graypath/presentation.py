@@ -42,26 +42,31 @@ def _enc(cell):
 class _Decoder:
     """A decoder from JSON values to cells that returns one object per
     distinct cell, as a built GrayCat has: arrays become tuples, and equal
-    strings or arrays decode to the same object, so table hits stop at
-    identity.  A value it already decoded maps to itself: JSON never yields
-    a tuple.  Arrays are looked up by their marshal bytes, which, unlike
-    the tuple, tell 1, 1.0 and true apart.  Format 2 is the last that
-    writes equal values as equal bytes: from 3 on, marshal marks interned
-    strings and shared references.  Not a closure: it would be a cycle.
+    strings, numbers or arrays decode to the same object, so table hits
+    stop at identity.  A value it already decoded maps to itself: JSON never
+    yields a tuple.  A number is looked up by its marshal bytes, which,
+    unlike the number, tell 1, 1.0 and true apart, and an array by the ids
+    of its decoded items, so decoding is linear in the nesting depth.
+    Format 2 is the last that writes equal numbers as equal bytes: from 3
+    on, marshal marks shared references.  Not a closure: it would be a
+    cycle.
     """
 
     def __init__(self):
-        self.strings, self.tuples = {}, {}
+        self.strings, self.numbers, self.tuples = {}, {}, {}
 
     def dec(self, x):
         if type(x) is str:
             return self.strings.setdefault(x, x)
         if type(x) is list:
-            k = marshal.dumps(x, 2)
+            items = [*map(self.dec, x)]
+            k = marshal.dumps([*map(id, items)], 2)
             t = self.tuples.get(k)
             if t is None:
-                t = self.tuples[k] = tuple(map(self.dec, x))
+                t = self.tuples[k] = tuple(items)
             return t
+        if type(x) in (int, float, bool):
+            return self.numbers.setdefault(marshal.dumps(x, 2), x)
         return x
 
 
@@ -70,18 +75,26 @@ class _Decoder:
 _ROWS = frozenset(("objects", "morphisms", "two_cells", "three_cells"))
 _SECTIONS = frozenset(("identities", "tables", "inverses"))
 
+# an array whose text runs on past this many characters is looked up by
+# them, so that the reader need not search the rest for its closer
+_HEAD = 96
+
 
 class _Reader(json.JSONDecoder):
     """json.loads(text, cls=_Reader, dec=dec) is json.loads(text), except
-    that each element of a cell array is decoded by dec as soon as it is
-    read: a dict element's values, or a list element's items.  So only one
-    row of the text is a tree of JSON lists at a time.
+    that each element of a cell row is decoded by dec as soon as it is
+    read: a dict row's values, or a list row's items.  The C scanner reads
+    each scalar element, and each distinct array element text once: an
+    array is looked up among the texts read so far, in place, before the
+    scanner reads it.  So no row of the text is ever a tree of JSON lists.
 
-    The top-level object, its cell arrays and its objects of cell arrays are
-    walked here, with the C scanner reading every other value whole.  Each
-    container walked costs the reader at least one Python frame, where
-    json.loads spends one level of the scanner's recursion; up to Python
-    3.11 both count against one limit, so the reader runs out of recursion
+    The top-level object, its cell arrays, their rows and its objects of
+    cell arrays are walked here.  Each container walked costs the reader at
+    least one Python frame, where json.loads spends one level of the
+    scanner's recursion; up to Python 3.11 both count against one limit.
+    The scanner reads an array element seven or more frames deep, where
+    json.loads reads any element at most four containers deep, and a cached
+    text reads as the scanner read it, so the reader runs out of recursion
     no later than json.loads does.  Every other error it raises is the one
     json raises, at the same place.
     """
@@ -89,6 +102,14 @@ class _Reader(json.JSONDecoder):
     def __init__(self, dec):
         super().__init__()
         self.dec = dec
+        # the hash of an array element's first _HEAD characters, or of its
+        # whole text if it is no longer or another array began with them,
+        # -> [start, stop, cell] of its first occurrence: texts are compared
+        # in place, never copied
+        self.cells, self.longest = {}, 0
+        # the marshal bytes of an array element read -> its cell, for a
+        # text that spells a cell already read at another indentation
+        self.values = {}
 
     def raw_decode(self, s, idx=0):
         try:
@@ -110,6 +131,7 @@ class _Reader(json.JSONDecoder):
                 raise JSONDecodeError(
                     "Expecting property name enclosed in double quotes", s, end)
             key, end = scanstring(s, end + 1, self.strict)
+            key = self.dec(key)
             end = WHITESPACE.match(s, end).end()
             if not s.startswith(":", end):
                 raise JSONDecodeError("Expecting ':' delimiter", s, end)
@@ -122,6 +144,30 @@ class _Reader(json.JSONDecoder):
                 raise JSONDecodeError("Expecting ',' delimiter", s, end)
             end = WHITESPACE.match(s, end + 1).end()
 
+    def _array(self, s, end, item):
+        """The array whose items start at end, and the index after it;
+        item(None, s, i) reads the item at i."""
+        arr = []
+        i = WHITESPACE.match(s, end).end()
+        if s.startswith("]", i):
+            return arr, i + 1
+        sep = "," + s[end:i]
+        n = len(sep)
+        while True:
+            x, end = item(None, s, i)
+            arr.append(x)
+            if s.startswith(sep, end) and \
+                    not s.startswith((" ", "\t", "\n", "\r"), end + n):
+                # the whitespace match below would end where sep ends
+                i = end + n
+                continue
+            end = WHITESPACE.match(s, end).end()
+            if s.startswith("]", end):
+                return arr, end + 1
+            if not s.startswith(",", end):
+                raise JSONDecodeError("Expecting ',' delimiter", s, end)
+            i = WHITESPACE.match(s, end + 1).end()
+
     def _member(self, key, s, end):
         if key in _ROWS:
             return self._rows(key, s, end)
@@ -129,29 +175,68 @@ class _Reader(json.JSONDecoder):
             return self._object(s, end + 1, self._rows)
         return self.scan_once(s, end)
 
-    def _rows(self, key, s, end):
-        """The array at end with each element decoded, or the value at end
-        read whole if it is not an array; key, the member it is the value
-        of, names no row."""
-        if not s.startswith("[", end):
-            return self.scan_once(s, end)
-        dec, rows = self.dec, []
-        end = WHITESPACE.match(s, end + 1).end()
-        if s.startswith("]", end):
-            return rows, end + 1
-        while True:
-            row, end = self.scan_once(s, end)
-            if type(row) is list:
-                row[:] = map(dec, row)
-            elif type(row) is dict:
-                row = dict(zip(map(dec, row), map(dec, row.values())))
-            rows.append(row)
-            end = WHITESPACE.match(s, end).end()
-            if s.startswith("]", end):
-                return rows, end + 1
-            if not s.startswith(",", end):
-                raise JSONDecodeError("Expecting ',' delimiter", s, end)
-            end = WHITESPACE.match(s, end + 1).end()
+    def _rows(self, key, s, i):
+        """The array of rows at i, or the value at i read whole if it is
+        not an array, and the index after it."""
+        if s.startswith("[", i):
+            return self._array(s, i + 1, self._row)
+        return self.scan_once(s, i)
+
+    def _row(self, key, s, i):
+        """The row at i with its elements decoded, or the value at i read
+        whole if it is no row, and the index after it."""
+        if s.startswith("[", i):
+            return self._array(s, i + 1, self._cell)
+        if s.startswith("{", i):
+            return self._object(s, i + 1, self._cell)
+        return self.scan_once(s, i)
+
+    def _cell(self, key, s, i):
+        """The element at i decoded, and the index after it.
+
+        The scanner reads a scalar: that costs less than looking it up.  An
+        array is looked up by its first _HEAD characters if it is longer.
+        Failing that, its text is guessed, searching no farther than the
+        longest text cached: an array opened alone on its line ends at the
+        next line as indented that holds its closer, any other at the end
+        of its line, before any comma.  Only if the guessed text is not
+        cached either does the scanner read the array, and the text it read
+        is cached.
+        """
+        if not s.startswith("[", i):
+            value, end = self.scan_once(s, i)
+            return self.dec(value), end
+        cells = self.cells
+        hit = cells.get(hash(s[i:i + _HEAD]))
+        if hit is not None and s.startswith(s[hit[0]:hit[1]], i):
+            return hit[2], i + hit[1] - hit[0]
+        if s.startswith("[\n", i):
+            line = s.rfind("\n", 0, i) + 1
+            closer = "\n" + s[line:WHITESPACE.match(s, line).end()] + "]"
+            stop = s.find(closer, i, i + self.longest)
+            if stop >= 0:
+                stop += len(closer)
+        else:
+            stop = s.find("\n", i, i + self.longest + 1)
+            if stop > i and s[stop - 1] == ",":
+                stop -= 1
+        if stop > i:
+            text = s[i:stop]
+            hit = cells.get(hash(text))
+            if hit is not None and hit[1] - hit[0] == stop - i and \
+                    s.startswith(text, hit[0]):
+                return hit[2], stop
+        value, end = self.scan_once(s, i)
+        key = marshal.dumps(value, 2)
+        cell = self.values.get(key)
+        if cell is None:
+            cell = self.values[key] = self.dec(value)
+        entry = [i, end, cell]
+        if end - i <= _HEAD or \
+                cells.setdefault(hash(s[i:i + _HEAD]), entry) is not entry:
+            cells.setdefault(hash(s[i:end]), entry)
+        self.longest = max(self.longest, end - i)
+        return cell, end
 
 
 def to_document(C, text=None):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,16 @@ def test_equal_strings_decode_to_one_cell_interned_or_not():
     assert next(iter(C.id_up[0])) is cell
 
 
+def test_an_array_in_a_cell_is_the_cell_it_spells():
+    """An array nested in a cell decodes to the declared cell it spells,
+    also when it holds a number, which json builds anew each time."""
+    text = pres.dumps(fixture("T1")).replace('"*"', "[1.5]").replace(
+        '"id*"', '["x", [1.5]]')
+    C = pres.loads(text)
+    assert C.cells[1][0] == ("x", (1.5,))
+    assert C.cells[1][0][1] is C.cells[0][0]
+
+
 def test_a_load_leaves_no_reference_cycle():
     """The decoder recurses through a method, not through a closure that
     names itself: with the loaded path(PAIR) dropped, a collection finds
@@ -164,11 +175,17 @@ def _last_format(doc):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("name", ["T1", "BIG", "CYC2"])
+@pytest.mark.parametrize("name", ["T1", "BIG", "CYC2", "path(INT)"])
 def test_other_layouts_load_as_before(name):
     """Compact separators, the format member last, and duplicate members:
-    the last of two wins, at the top level and within tables."""
-    text = pres.dumps(fixture(name))
+    the last of two wins, at the top level and within tables.  Then other
+    indents and line ends, and whitespace where the reader does not guess
+    it: the first array element four deep (in a path space, a short one)
+    and the first that ends in an array (a long one) closed one space in,
+    the first row three deep closed one space out, and the first item after
+    a comma four deep indented one space more than the item before it."""
+    text = _path_space(name[5:-1])[1] if name.startswith("path(") else \
+        pres.dumps(fixture(name))
     doc = json.loads(text)
     _assert_same_outcomes([
         json.dumps(doc, separators=(",", ":")),
@@ -180,6 +197,13 @@ def test_other_layouts_load_as_before(name):
                      ' "comp0": [], ', 1),
         text.replace('"objects": [', '"objects": [], "objects": [', 1),
         text.replace('"tables": {', '"tables": [], "tables": {', 1),
+        json.dumps(doc, indent=2),
+        json.dumps(doc, indent="\t"),
+        text.replace("\n", "\r\n"),
+        text.replace("\n    ]", "\n     ]", 1),
+        text.replace("\n     ]\n    ]", "\n     ]\n     ]", 1),
+        text.replace("\n   ]", "\n  ]", 1),
+        text.replace(",\n    ", ",\n     ", 1),
     ])
 
 
@@ -225,6 +249,58 @@ def test_the_reader_reads_a_value_at_any_index_as_json_does():
     doc, end = pres._Reader(pres._Decoder().dec).raw_decode(s, 2)
     assert end == json.JSONDecoder().raw_decode(s, 2)[1] == len(s) - 3
     assert pres.dumps(pres.from_document(doc)) == text
+
+
+def _element_texts(text):
+    """The text of each element of each cell row of a saved document, as
+    json.dumps(..., indent=1) writes it at its depth: the values of dict
+    rows three deep, the items of list rows in sections four deep."""
+    doc = json.loads(text)
+
+    def at(x, depth):
+        return json.dumps(x, indent=1).replace("\n", "\n" + " " * depth)
+
+    return [at(v, 3) for f in ("objects", "morphisms", "two_cells",
+                               "three_cells") for row in doc[f]
+            for v in row.values()] + \
+        [at(x, 4) for section in ("identities", "tables", "inverses")
+         for rows in doc.get(section, {}).values() for row in rows
+         for x in row]
+
+
+def test_each_distinct_array_text_is_scanned_once(monkeypatch):
+    """Loading path(CHAIN3)'s document, the scanner reads each distinct
+    array element text once, each scalar element each time it occurs, and
+    the values of flags, format and name.  The cache lasts one load: a
+    second load scans the same texts again."""
+    _, text = _path_space("CHAIN3")
+    scans = []
+
+    class Counting(pres._Reader):
+        def __init__(self, dec):
+            super().__init__(dec)
+            scan = self.scan_once
+
+            def counted(s, i):
+                value, end = scan(s, i)
+                scans.append(s[i:end])
+                return value, end
+
+            self.scan_once = counted
+
+    monkeypatch.setattr(pres, "_Reader", Counting)
+    doc = json.loads(text)
+    elements = _element_texts(text)
+    arrays = {t for t in elements if t.startswith("[")}
+    expected = Counter(arrays) + Counter(
+        t for t in elements if not t.startswith("[")) + Counter([
+            json.dumps(doc["flags"], indent=1).replace("\n", "\n "),
+            json.dumps(doc["format"]), json.dumps(doc["name"])])
+    assert len(arrays) * 5 < len(elements)
+    for _ in range(2):
+        scans.clear()
+        pres.loads(text)
+        assert Counter(scans) == expected
 
 
 # -- memory and the bytes save writes -----------------------------------------
