@@ -79,24 +79,50 @@ _SECTIONS = frozenset(("identities", "tables", "inverses"))
 # them, so that the reader need not search the rest for its closer
 _HEAD = 96
 
+# the characters load reads from a file at once, and the least text the
+# reader keeps ahead of each item it walks
+CHUNK = 1 << 16
+
+
+def _bad_json(msg, pos):
+    return ParseError(f"bad JSON at char {pos}: {msg}")
+
 
 class _Reader(json.JSONDecoder):
-    """json.loads(text, cls=_Reader, dec=dec) is json.loads(text), except
-    that each element of a cell row is decoded by dec as soon as it is
-    read: a dict row's values, or a list row's items.  The C scanner reads
-    each scalar element, and each distinct array element text once: an
-    array is looked up among the texts read so far, in place, before the
-    scanner reads it.  So no row of the text is ever a tree of JSON lists.
+    """document(text) is json.loads(text), except that each element of a
+    cell row is decoded by dec as soon as it is read: a dict row's values,
+    or a list row's items.  The C scanner reads each scalar element, and
+    each distinct array element text once: an array is looked up among the
+    texts read so far, in place, before the scanner reads it.  So no row of
+    the text is ever a tree of JSON lists.
+
+    The reader walks a sliding window of the text: self.s holds the text
+    from character self.base on, and self.read(n) gives the next n
+    characters, fewer only where the text ends; once it returns "", it is
+    set to None.  An item is a member of the top-level object or of one of
+    its objects of cell arrays, or a row of a cell array.  Before each item
+    the window is topped up until CHUNK characters lie ahead of it or the
+    text has ended, and the text before it is dropped.  A row, a member's
+    key, or a value the scanner reads whole, that fails or is not followed
+    in the window by what may follow it, is read again from its start once
+    the window has at least doubled.  So a row of any size reads, no
+    earlier item is read twice, and an error counts only once the text has
+    ended; its position in the text is base plus its position in the
+    window, so every error is the one json raises, at the same place.  As
+    the window drops earlier text, the cache keeps a copy of each distinct
+    array text.  loads gives the whole text as the only window.
 
     The top-level object, its cell arrays, their rows and its objects of
     cell arrays are walked here.  Each container walked costs the reader at
     least one Python frame, where json.loads spends one level of the
     scanner's recursion; up to Python 3.11 both count against one limit.
-    The scanner reads an array element seven or more frames deep, where
-    json.loads reads any element at most four containers deep, and a cached
-    text reads as the scanner read it, so the reader runs out of recursion
-    no later than json.loads does.  Every other error it raises is the one
-    json raises, at the same place.
+    Below document, the scanner is called eight or more frames deep to
+    read a row's element; below json.loads, it reads any element at most
+    two frames and four containers deep.  _leaf, the window's one frame
+    between an item and its reading, is among those eight, a row read
+    again is read as deep as the first time, and a cached text reads as
+    the scanner read it, so the reader runs out of recursion no later than
+    json.loads does.
     """
 
     def __init__(self, dec):
@@ -104,39 +130,174 @@ class _Reader(json.JSONDecoder):
         self.dec = dec
         # the hash of an array element's first _HEAD characters, or of its
         # whole text if it is no longer or another array began with them,
-        # -> [start, stop, cell] of its first occurrence: texts are compared
-        # in place, never copied
+        # -> (text, cell) of its first occurrence
         self.cells, self.longest = {}, 0
         # the marshal bytes of an array element read -> its cell, for a
         # text that spells a cell already read at another indentation
         self.values = {}
+        self.s, self.base, self.read = "", 0, None
+
+    def document(self, text, read=None):
+        """The document whose text is text and then what read(CHUNK)
+        returns until it returns "", as json.loads reads it.  A JSON error
+        is a ParseError, raised once read has returned "": a UTF-8 error
+        later in the text wins, as it did when the text was read whole."""
+        self.s, self.base, self.read = text, 0, read
+        try:
+            self._fill(0, CHUNK)
+            if self.s.startswith("\ufeff"):
+                raise JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", self.s, 0)
+            doc, end = self._value(self._ws(0))
+            end = self._ws(end)
+            if end != len(self.s):
+                raise JSONDecodeError("Extra data", self.s, end)
+            return doc
+        except JSONDecodeError as exc:
+            while self.read is not None and self.read(CHUNK):
+                pass
+            raise _bad_json(exc.msg, self.base + exc.pos) from None
 
     def raw_decode(self, s, idx=0):
-        try:
-            if s.startswith("{", idx):
-                return self._object(s, idx + 1, self._member)
-            return self.scan_once(s, idx)
-        except StopIteration as err:
-            raise JSONDecodeError("Expecting value", s, err.value) from None
+        """The value at s[idx:], s being the whole text, and the index
+        after it, or, after a value other than an object, after the
+        whitespace that follows it."""
+        self.s, self.base, self.read = s, 0, None
+        return self._value(idx)
 
-    def _object(self, s, end, value):
-        """The object whose members start at end, and the index after it;
-        value(key, s, i) reads the value at i."""
+    def _value(self, i):
+        try:
+            if self.s.startswith("{", i):
+                return self._object(i + 1, self._member)
+            return self._leaf(self.scan_once, i, ())
+        except StopIteration as err:
+            raise JSONDecodeError("Expecting value", self.s, err.value) from None
+
+    # -- the window: positions are offsets into self.s ----------------------
+
+    def _fill(self, i, n):
+        """Where position i lies once the window holds n characters from i
+        on or the text has ended: if it holds fewer, the text before i is
+        dropped and the window read on."""
+        s = self.s
+        if self.read is None or len(s) - i >= n:
+            return i
+        part = self.read(max(n - len(s) + i, CHUNK))
+        if not part:
+            self.read = None
+        self.s = s[i:] + part
+        self.base += i
+        return 0
+
+    def _ws(self, i):
+        """The position of the first character at or after i that is not
+        whitespace, once CHUNK characters lie ahead of it or the text has
+        ended: each item is read at such a position."""
+        while True:
+            i = WHITESPACE.match(self.s, i).end()
+            if self.read is None or len(self.s) - i >= CHUNK:
+                return i
+            i = self._fill(i, CHUNK)
+
+    def _leaf(self, read, i, follow):
+        """The value read(s, i) reads on the window s, and the position of
+        the first character after it that is not whitespace.  While the read
+        fails, or the whitespace after it runs on to the window's end or to
+        a character follow does not start, the value is read again on a
+        window grown to twice the text from i on, until the text has ended.
+        """
+        while True:
+            s = self.s
+            try:
+                x, end = read(s, i)
+                end = WHITESPACE.match(s, end).end()
+                if self.read is None or s.startswith(follow, end):
+                    return x, end
+            except (JSONDecodeError, StopIteration):
+                if self.read is None:
+                    raise
+            i = self._fill(i, 2 * (len(s) - i))
+
+    # -- the items: these frames hold positions, never the window -----------
+
+    def _object(self, i, value):
+        """The object whose members start at i, and the position after it;
+        value(key, i) reads a member's value at i."""
+        obj = {}
+        i = self._ws(i)
+        if not self.s.startswith("}", i):
+            while True:
+                key, i = self._leaf(self._key, i, ":")
+                if not self.s.startswith(":", i):
+                    raise JSONDecodeError("Expecting ':' delimiter", self.s, i)
+                obj[key], i = value(key, self._ws(i + 1))
+                i = self._ws(i)
+                if not self.s.startswith(",", i):
+                    break
+                i = self._ws(i + 1)
+            if not self.s.startswith("}", i):
+                raise JSONDecodeError("Expecting ',' delimiter", self.s, i)
+        return obj, i + 1
+
+    def _key(self, s, i):
+        if not s.startswith('"', i):
+            raise JSONDecodeError(
+                "Expecting property name enclosed in double quotes", s, i)
+        return scanstring(s, i + 1, self.strict)
+
+    def _member(self, key, i):
+        """The value of the top-level member key at i, and the position
+        after it."""
+        if key in _ROWS:
+            return self._rows(key, i)
+        if key in _SECTIONS and self.s.startswith("{", i):
+            return self._object(i + 1, self._rows)
+        return self._leaf(self.scan_once, i, (",", "}"))
+
+    def _rows(self, key, i):
+        """The array of rows at i, or the value at i read whole if it is
+        not an array, and the position after it."""
+        if not self.s.startswith("[", i):
+            return self._leaf(self.scan_once, i, (",", "}"))
+        rows = []
+        i = self._ws(i + 1)
+        if not self.s.startswith("]", i):
+            while True:
+                row, i = self._leaf(self._row, i, (",", "]"))
+                rows.append(row)
+                if not self.s.startswith(",", i):
+                    break
+                i = self._ws(i + 1)
+            if not self.s.startswith("]", i):
+                raise JSONDecodeError("Expecting ',' delimiter", self.s, i)
+        return rows, i + 1
+
+    # -- a row: read within the window s ------------------------------------
+
+    def _row(self, s, i):
+        """The row at i with its elements decoded, or the value at i read
+        whole if it is no row, and the index after it."""
+        if s.startswith("[", i):
+            return self._list(s, i + 1)
+        if s.startswith("{", i):
+            return self._dict(s, i + 1)
+        return self.scan_once(s, i)
+
+    def _dict(self, s, end):
+        """The dict row whose members start at end, and the index after
+        it."""
         obj = {}
         end = WHITESPACE.match(s, end).end()
         if s.startswith("}", end):
             return obj, end + 1
         while True:
-            if not s.startswith('"', end):
-                raise JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", s, end)
-            key, end = scanstring(s, end + 1, self.strict)
+            key, end = self._key(s, end)
             key = self.dec(key)
             end = WHITESPACE.match(s, end).end()
             if not s.startswith(":", end):
                 raise JSONDecodeError("Expecting ':' delimiter", s, end)
             end = WHITESPACE.match(s, end + 1).end()
-            obj[key], end = value(key, s, end)
+            obj[key], end = self._cell(s, end)
             end = WHITESPACE.match(s, end).end()
             if s.startswith("}", end):
                 return obj, end + 1
@@ -144,9 +305,8 @@ class _Reader(json.JSONDecoder):
                 raise JSONDecodeError("Expecting ',' delimiter", s, end)
             end = WHITESPACE.match(s, end + 1).end()
 
-    def _array(self, s, end, item):
-        """The array whose items start at end, and the index after it;
-        item(None, s, i) reads the item at i."""
+    def _list(self, s, end):
+        """The list row whose items start at end, and the index after it."""
         arr = []
         i = WHITESPACE.match(s, end).end()
         if s.startswith("]", i):
@@ -154,7 +314,7 @@ class _Reader(json.JSONDecoder):
         sep = "," + s[end:i]
         n = len(sep)
         while True:
-            x, end = item(None, s, i)
+            x, end = self._cell(s, i)
             arr.append(x)
             if s.startswith(sep, end) and \
                     not s.startswith((" ", "\t", "\n", "\r"), end + n):
@@ -168,30 +328,7 @@ class _Reader(json.JSONDecoder):
                 raise JSONDecodeError("Expecting ',' delimiter", s, end)
             i = WHITESPACE.match(s, end + 1).end()
 
-    def _member(self, key, s, end):
-        if key in _ROWS:
-            return self._rows(key, s, end)
-        if key in _SECTIONS and s.startswith("{", end):
-            return self._object(s, end + 1, self._rows)
-        return self.scan_once(s, end)
-
-    def _rows(self, key, s, i):
-        """The array of rows at i, or the value at i read whole if it is
-        not an array, and the index after it."""
-        if s.startswith("[", i):
-            return self._array(s, i + 1, self._row)
-        return self.scan_once(s, i)
-
-    def _row(self, key, s, i):
-        """The row at i with its elements decoded, or the value at i read
-        whole if it is no row, and the index after it."""
-        if s.startswith("[", i):
-            return self._array(s, i + 1, self._cell)
-        if s.startswith("{", i):
-            return self._object(s, i + 1, self._cell)
-        return self.scan_once(s, i)
-
-    def _cell(self, key, s, i):
+    def _cell(self, s, i):
         """The element at i decoded, and the index after it.
 
         The scanner reads a scalar: that costs less than looking it up.  An
@@ -208,8 +345,8 @@ class _Reader(json.JSONDecoder):
             return self.dec(value), end
         cells = self.cells
         hit = cells.get(hash(s[i:i + _HEAD]))
-        if hit is not None and s.startswith(s[hit[0]:hit[1]], i):
-            return hit[2], i + hit[1] - hit[0]
+        if hit is not None and s.startswith(hit[0], i):
+            return hit[1], i + len(hit[0])
         if s.startswith("[\n", i):
             line = s.rfind("\n", 0, i) + 1
             closer = "\n" + s[line:WHITESPACE.match(s, line).end()] + "]"
@@ -223,18 +360,18 @@ class _Reader(json.JSONDecoder):
         if stop > i:
             text = s[i:stop]
             hit = cells.get(hash(text))
-            if hit is not None and hit[1] - hit[0] == stop - i and \
-                    s.startswith(text, hit[0]):
-                return hit[2], stop
+            if hit is not None and hit[0] == text:
+                return hit[1], stop
         value, end = self.scan_once(s, i)
         key = marshal.dumps(value, 2)
         cell = self.values.get(key)
         if cell is None:
             cell = self.values[key] = self.dec(value)
-        entry = [i, end, cell]
+        text = s[i:end]
+        entry = (text, cell)
         if end - i <= _HEAD or \
-                cells.setdefault(hash(s[i:i + _HEAD]), entry) is not entry:
-            cells.setdefault(hash(s[i:end]), entry)
+                cells.setdefault(hash(text[:_HEAD]), entry) is not entry:
+            cells.setdefault(hash(text), entry)
         self.longest = max(self.longest, end - i)
         return cell, end
 
@@ -348,17 +485,22 @@ class _Text:
 def from_document(doc, decoder=None):
     """The GrayCat a document describes.
 
-    decoder is the _Decoder that read doc's cell rows, if one did, so that
-    the cells the document repeats elsewhere decode to the same objects.
-    Raises ParseError when the document is malformed and ValidationError
-    when its cells and tables are inconsistent.
+    decoder is the _Decoder that read doc's cell rows, if one did: the
+    cells of those rows are taken as they are, and the cells the document
+    repeats elsewhere decode to the same objects.  Raises ParseError when
+    the document is malformed and ValidationError when its cells and tables
+    are inconsistent.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"a document is a JSON object, not {type(doc).__name__}")
     if doc.get("format") != FORMAT:
         raise ParseError(f"unknown format {doc.get('format')!r}, expected {FORMAT}")
     try:
-        C = _build(doc, decoder or _Decoder())
+        if decoder is None:
+            dec = cell = _Decoder().dec
+        else:
+            dec, cell = decoder.dec, _same
+        C = _build(doc, dec, cell)
         del doc  # the rows loads read are garbage once C holds their cells
         violations = structural_violations(C)
     except (KeyError, GrayError) as exc:
@@ -370,21 +512,26 @@ def from_document(doc, decoder=None):
     return C
 
 
-def _build(doc, decoder):
-    dec = decoder.dec
+def _same(x):
+    return x
+
+
+def _build(doc, dec, cell):
+    """The GrayCat of doc: cell gives each cell of its rows, dec each cell
+    it names elsewhere."""
     C = GrayCat(doc.get("name", ""))
     for e in doc["objects"]:
-        C.add_cell(0, dec(e["id"]))
+        C.add_cell(0, cell(e["id"]))
     for dd, field in ((1, "morphisms"), (2, "two_cells"), (3, "three_cells")):
         for e in doc[field]:
-            C.add_cell(dd, dec(e["id"]), dec(e["src"]), dec(e["tgt"]))
+            C.add_cell(dd, cell(e["id"]), cell(e["src"]), cell(e["tgt"]))
     for d in (0, 1, 2):
         for c, i in doc.get("identities", {}).get(str(d), []):
-            C.id_up[d][dec(c)] = dec(i)
+            C.id_up[d][cell(c)] = cell(i)
     for t, attr, *_ in TABLES:
         table = getattr(C, attr)
         for l, r, v in doc.get("tables", {}).get(t, []):
-            table[(dec(l), dec(r))] = dec(v)
+            table[(cell(l), cell(r))] = cell(v)
     flags = doc.get("flags", {})
     C.is_groupoid = bool(flags.get("is_groupoid"))
     if "generators" in flags:
@@ -394,7 +541,7 @@ def _build(doc, decoder):
         C.generators = [dec(g) for g in gens]
     for d, attr in ((1, "inv1"), (2, "inv2"), (3, "inv3")):
         for c, i in doc.get("inverses", {}).get(str(d), []):
-            getattr(C, attr)[dec(c)] = dec(i)
+            getattr(C, attr)[cell(c)] = cell(i)
     return C
 
 
@@ -407,8 +554,9 @@ def dumps(C):
 
 def loads(text):
     """The GrayCat of a JSON document text: from_document(json.loads(text)),
-    with each row of the document's cell arrays decoded as it is read, so
-    the decoded JSON tree of the whole text is never held.
+    read by the reader with the whole text as its only window, so that each
+    row of the document's cell arrays is decoded as it is read and the
+    decoded JSON tree of the whole text is never held.
 
     A text the reader runs out of recursion on is read by json.loads and
     from_document instead, so a document nested deeper than the
@@ -418,16 +566,13 @@ def loads(text):
     decoder = _Decoder()
     try:
         try:
-            return from_document(
-                json.loads(text, cls=_Reader, dec=decoder.dec), decoder)
-        except JSONDecodeError:
-            raise
+            return from_document(_Reader(decoder.dec).document(text), decoder)
         except (RecursionError, ValueError):
             # past the reader's frames or marshal's depth limit: the route
             # the reader stands in for, with its outcome
             return from_document(json.loads(text))
     except JSONDecodeError as exc:
-        raise ParseError(f"bad JSON at char {exc.pos}: {exc.msg}") from None
+        raise _bad_json(exc.msg, exc.pos) from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
 
@@ -441,14 +586,35 @@ def save(C, path):
 
 
 def load(path):
+    """The GrayCat of the *.graycat.json or *.gc file at path.  A document
+    is read from the file CHUNK characters at a time, never whole; a *.gc
+    text is read whole."""
     try:
         with open(path, encoding="utf-8") as fh:
+            if not str(path).endswith(".gc"):
+                return _load(fh)
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    if str(path).endswith(".gc"):
-        return from_document(parse_dsl(text))
-    return loads(text)
+    return from_document(parse_dsl(text))
+
+
+def _load(fh):
+    """loads(fh.read()) for the text stream fh, read CHUNK characters at a
+    time: the reader walks a window of the text and drops what it has
+    walked.  Text mode gives the same characters in chunks as whole, so
+    universal newlines, a byte order mark and UTF-8 errors read as before.
+    """
+    decoder = _Decoder()
+    try:
+        return from_document(
+            _Reader(decoder.dec).document("", fh.read), decoder)
+    except UnicodeDecodeError:
+        raise
+    except (RecursionError, ValueError):
+        # what loads makes of the whole text, falling back as it does
+        fh.seek(0)
+        return loads(fh.read())
 
 
 # -- the DSL ------------------------------------------------------------

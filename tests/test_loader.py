@@ -1,10 +1,12 @@
 """The JSON loader and writer: the path-space documents they handle most,
-the route loads stands in for, the memory they hold, the collector state a
-load leaves behind, and the key it dedups cells by."""
+the route loads stands in for, the window load reads a file through, the
+memory they hold, the collector state a load leaves behind, and the key it
+dedups cells by."""
 
 import functools
 import gc
 import hashlib
+import io
 import json
 import sys
 import tracemalloc
@@ -149,17 +151,26 @@ def _assert_same_outcomes(texts):
         assert _outcome(pres.loads, text) == _outcome(_old_loads, text), text
 
 
+def _truncations(name):
+    text = pres.dumps(fixture(name))
+    return [text[:i] for i in range(len(text) + 1)]
+
+
+def _bracket_edits():
+    """BIG's text with each bracket dropped, then with each doubled."""
+    text = pres.dumps(fixture("BIG"))
+    at = [i for i, ch in enumerate(text) if ch in "[]{}"]
+    return [text[:i] + text[i + 1:] for i in at] + \
+        [text[:i] + text[i] + text[i:] for i in at]
+
+
 @pytest.mark.parametrize("name", ["T1", "INT", "BIG"])
 def test_every_truncation_loads_as_before(name):
-    text = pres.dumps(fixture(name))
-    _assert_same_outcomes(text[:i] for i in range(len(text) + 1))
+    _assert_same_outcomes(_truncations(name))
 
 
 def test_every_dropped_or_doubled_bracket_loads_as_before():
-    text = pres.dumps(fixture("BIG"))
-    at = [i for i, ch in enumerate(text) if ch in "[]{}"]
-    _assert_same_outcomes(text[:i] + text[i + 1:] for i in at)
-    _assert_same_outcomes(text[:i] + text[i] + text[i:] for i in at)
+    _assert_same_outcomes(_bracket_edits())
 
 
 @given(mutated_json())
@@ -175,8 +186,7 @@ def _last_format(doc):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("name", ["T1", "BIG", "CYC2", "path(INT)"])
-def test_other_layouts_load_as_before(name):
+def _layouts(name):
     """Compact separators, the format member last, and duplicate members:
     the last of two wins, at the top level and within tables.  Then other
     indents and line ends, and whitespace where the reader does not guess
@@ -187,7 +197,7 @@ def test_other_layouts_load_as_before(name):
     text = _path_space(name[5:-1])[1] if name.startswith("path(") else \
         pres.dumps(fixture(name))
     doc = json.loads(text)
-    _assert_same_outcomes([
+    return [
         json.dumps(doc, separators=(",", ":")),
         _last_format(doc),
         '{"tables": {}, ' + text[1:],
@@ -204,15 +214,23 @@ def test_other_layouts_load_as_before(name):
         text.replace("\n     ]\n    ]", "\n     ]\n     ]", 1),
         text.replace("\n   ]", "\n  ]", 1),
         text.replace(",\n    ", ",\n     ", 1),
-    ])
+    ]
 
 
-def test_odd_texts_load_as_before():
+LAYOUTS = ["T1", "BIG", "CYC2", "path(INT)"]
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_other_layouts_load_as_before(name):
+    _assert_same_outcomes(_layouts(name))
+
+
+def _odd_texts():
     """A byte order mark, trailing data, a top level that is not an object,
     NaN for a cell and arrays or objects where rows belong."""
     text = pres.dumps(fixture("T1"))
     doc = json.loads(text)
-    _assert_same_outcomes([
+    return [
         "\ufeff" + text, text + "x", text + " {}", text + "]", "", "  ",
         "[1, 2]", "5", '"graycat/1"', "NaN", "null", "{", "{}", " {} ",
         with_cell_text(doc, (doc["objects"][0], "id"), "NaN"),
@@ -220,7 +238,11 @@ def test_odd_texts_load_as_before():
         text.replace('"tables": {', '"tables": {"comp0": {}, "x": ', 1),
         text.replace('"identities": {', '"identities": [], "x": {', 1),
         text.replace('"two_cells": [', '"two_cells": [1, "a", null, [], ', 1),
-    ])
+    ]
+
+
+def test_odd_texts_load_as_before():
+    _assert_same_outcomes(_odd_texts())
 
 
 @pytest.mark.parametrize("fmt", ["graycat/1", "graycat/0"])
@@ -239,6 +261,129 @@ def test_a_cell_wrapped_in_up_to_1100_arrays_loads_as_before(fmt):
                               "[" * n + cell + "]" * n)
 
     _assert_same_outcomes(map(wrapped, range(1, 1101)))
+
+
+# -- the window load reads a file through ------------------------------------
+
+WINDOWS = [1, 2, 7, 64, pres.CHUNK]
+
+CORPORA = {
+    "truncations": lambda: [text for name in ("T1", "INT", "BIG")
+                            for text in _truncations(name)],
+    "brackets": _bracket_edits,
+    "layouts": lambda: [text for name in LAYOUTS for text in _layouts(name)],
+    "odd texts": _odd_texts,
+}
+
+
+def _streamed(text):
+    """What load makes of a file that holds text, read from memory."""
+    return pres._load(io.StringIO(text))
+
+
+@functools.lru_cache(maxsize=None)
+def _old_outcomes(corpus):
+    return [(text, _outcome(_old_loads, text)) for text in CORPORA[corpus]()]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_every_window_reads_the_corpora_as_before(monkeypatch, corpus, window):
+    """With CHUNK characters read at a time, every text of the parity
+    corpora ends as json.loads and from_document end on the whole text: an
+    item cut by the window's end is read again, and an error counts only
+    once the text has ended."""
+    monkeypatch.setattr(pres, "CHUNK", window)
+    for text, outcome in _old_outcomes(corpus):
+        assert _outcome(_streamed, text) == outcome, (window, text)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@given(mutated_json())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mutated_json_texts_stream_as_before(window, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pres, "CHUNK", window)
+        assert _outcome(_streamed, text) == _outcome(_old_loads, text)
+
+
+def _read_whole(path):
+    """What load did before it read files a chunk at a time: the whole text
+    read, then the route loads stands in for."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise pres.ParseError(f"{path} is not UTF-8 text: {exc.reason}") \
+            from None
+    return _old_loads(text)
+
+
+def _on_block_edge(raw, sep):
+    """raw with sep for every line end, and blanks before it that put the
+    first line end's first byte last in the 8192-byte blocks text mode
+    decodes."""
+    raw = raw.replace(b"\n", sep)
+    return b" " * (8191 - raw.index(sep)) + raw
+
+
+def _files():
+    """The bytes of files that test what text mode does before the reader
+    sees a character: an empty file and a byte order mark, CRLF and lone-CR
+    line ends, invalid UTF-8 before or after a JSON error, in a cell and
+    after the closing brace, and trailing data or whitespace."""
+    raw = pres.dumps(fixture("BIG")).encode("utf-8")
+    cell = raw.index(b'"id[f]"') + 2
+    far = b" " * (3 * pres.CHUNK)
+    return {
+        "empty": b"",
+        "byte order mark": b"\xef\xbb\xbf" + raw,
+        "CRLF": _on_block_edge(raw, b"\r\n"),
+        "lone CR": _on_block_edge(raw, b"\r"),
+        "UTF-8 error before a JSON error": b"\xff" + raw[:-3],
+        "UTF-8 error after a JSON error":
+            raw.replace(b"\n ],", b"\n ]],", 1) + far + b"\xff",
+        "UTF-8 error in a cell": raw[:cell] + b"\xe9" + raw[cell + 1:],
+        "UTF-8 error after the closing brace": raw + far + b"\xff",
+        "cut UTF-8 sequence at the end": raw + b"\xe2\x82",
+        "trailing data": raw + far + b"x",
+        "trailing whitespace": raw + far,
+    }
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_files_load_as_when_read_whole(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(pres, "CHUNK", window)
+    for case, raw in _files().items():
+        path = tmp_path / "C.graycat.json"
+        path.write_bytes(raw)
+        assert _outcome(pres.load, path) == _outcome(_read_whole, path), case
+
+
+def test_a_file_nested_too_deeply_is_read_again_whole(tmp_path):
+    """A cell wrapped in 1,100 arrays runs the reader out of recursion: load
+    reads the file again whole and ends as loads does."""
+    doc = json.loads(pres.dumps(fixture("T1")))
+    row = doc["tables"]["comp0"][0]
+    text = with_cell_text(doc, (row, 2),
+                          "[" * 1100 + json.dumps(row[2]) + "]" * 1100)
+    path = tmp_path / "deep.graycat.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(pres.load, path) == _outcome(pres.loads, text) == \
+        "ParseError: document nested too deeply"
+
+
+def test_from_document_takes_the_readers_cells_as_they_are():
+    """Given the reader's decoder, from_document decodes only the cells the
+    reader read whole: the generators flag's."""
+    text = pres.dumps(fixture("TWIST"))
+    decoder = pres._Decoder()
+    doc = pres._Reader(decoder.dec).document(text)
+    decoded = []
+    dec = decoder.dec
+    decoder.dec = lambda x: decoded.append(x) or dec(x)
+    assert pres.dumps(pres.from_document(doc, decoder)) == text
+    assert decoded == fixture("TWIST").generators
 
 
 def test_the_reader_reads_a_value_at_any_index_as_json_does():
@@ -325,6 +470,16 @@ def test_loads_and_save_hold_less_than_a_quarter_of_the_text(tmp_path):
     path = tmp_path / "path.graycat.json"
     assert _traced_peak(lambda: pres.loads(text)) < len(text) / 4
     assert _traced_peak(lambda: pres.save(PH, path)) < len(text) / 4
+
+
+def test_load_holds_less_than_half_the_file(tmp_path):
+    """load of path(CHAIN4)'s saved document reads it a chunk at a time and
+    peaks below half its length: reading the whole text first peaked at
+    twice it."""
+    PH, text = _path_space("CHAIN4")
+    path = tmp_path / "path.graycat.json"
+    pres.save(PH, path)
+    assert _traced_peak(lambda: pres.load(path)) < len(text) / 2
 
 
 @pytest.mark.parametrize("path_space", [False, True])
